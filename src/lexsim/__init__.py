@@ -6,8 +6,8 @@ translation), and a grid-search fitter correlating simulated cycle times
 with reaction-time data.
 """
 
-from .dynamics import (SimulationState, Trace, apply_lateral_inhibition, net_input,
-                       run, set_stimulus, step, update_activation)
+from .dynamics import (SimulationState, Trace, apply_lateral_inhibition, run,
+                       set_stimulus, step, update_activation)
 from .errors import ConfigError, ParseError, ValidationError
 from .experiments import (BatchRow, ConditionReport, StimulusRecord, active_node_stats,
                           benchmark, condition_report, parse_stimuli, run_batch,
@@ -18,7 +18,7 @@ from .lexicon import (Lexicon, LexiconEntry, ParseOptions, load_lexicon, opb,
 from .network import (Network, Node, Pool, build_network, input_weight,
                       levenshtein_similarity)
 from .params import Parameters, load_parameters, parse_assignment
-from .reference import DenseEngine, dense_run, materialize_dense, prune_candidates
+from .reference import DenseEngine, materialize_dense
 from .tasks import (LexicalDecisionMonitor, NamingMonitor, NullMonitor, Shortlist,
                     TaskOutcome, WordTranslationMonitor, lexical_decision, make_monitor,
                     naming, word_translation)

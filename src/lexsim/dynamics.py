@@ -1,11 +1,17 @@
 """Cycle engine: two-phase activation propagation with an ad-hoc lateral
-inhibition step over the active set.
+inhibition step over the active set, and the one trial loop every engine
+and caller shares.
 
 Every cycle reads only the previous cycle's snapshot, so results are
-independent of node iteration order. All per-node net inputs are summed
-with math.fsum (exactly rounded), which makes the engine's activations
-bit-identical to the dense reference engine whenever the two accumulate the
-same multiset of weight-times-activation products.
+independent of node iteration order. Bit-identity with the dense reference
+engine rests on correct rounding: every per-node net input is one
+math.fsum over a list of weight-times-activation products, and fsum
+returns the exactly rounded value of the true sum of its inputs whatever
+their order. This engine scatters products from active sources into each
+target's list; the dense engine gathers them over each node's incoming
+connections. The two orders differ, but the lists hold the same multiset
+of products, so the sums -- and everything computed from them -- agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -89,7 +95,6 @@ class SimulationState:
     def __init__(self, network: Network, trace: str | None = "sparse"):
         self.network = network
         self.activation: list[float] = list(network.rest_levels)
-        self.previous: list[float] = list(network.rest_levels)
         self.active: set[int] = {n for n, a in enumerate(self.activation) if a > 0.0}
         self.active_by_pool: dict[Pool, set[int]] = {
             pool: {n for n in self.active if network.pool_of[n] is pool}
@@ -109,7 +114,6 @@ def set_stimulus(state: SimulationState, network: Network, stimulus: str) -> Non
     """Reset the trial: rest activations, cleared active set, fresh weights."""
     state.input_weights = network.input_weights(stimulus)
     state.activation = list(network.rest_levels)
-    state.previous = list(network.rest_levels)
     state.active = {n for n, a in enumerate(state.activation) if a > 0.0}
     for pool, _gamma in INHIBITED_POOLS:
         state.active_by_pool[pool] = {n for n in state.active
@@ -118,23 +122,6 @@ def set_stimulus(state: SimulationState, network: Network, stimulus: str) -> Non
     state.cycle = 0
     state.counters = {"active_node_updates": 0, "touched_updates": 0}
     state.trace.frames.clear()
-
-
-def net_input(node_id: int, state: SimulationState, network: Network,
-              params: Parameters | None = None) -> float:
-    """Excitatory net input from the current snapshot.
-
-    Sum of weight x activation over incoming connections whose source is
-    active (> 0), plus the stimulus term for orthographic nodes. Sources at
-    or below zero contribute nothing.
-    """
-    params = params or network.params
-    act = state.activation
-    products = [w * act[src] for src, w in network.in_exc[node_id] if act[src] > 0.0]
-    iw = state.input_weights.get(node_id)
-    if iw is not None:
-        products.append(iw * params.I_rest)
-    return math.fsum(products)
 
 
 def apply_lateral_inhibition(node_id: int,
@@ -265,7 +252,6 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
             off_rest.discard(n)
 
     state.counters["touched_updates"] += n_touched
-    state.previous = prev
     state.activation = new_act
     state.cycle += 1
     state.trace.record(state)
@@ -273,15 +259,21 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
 
 
 def run(network: Network, stimulus: str, monitor, params: Parameters | None = None,
-        trace: str | None = "sparse"):
+        trace: str | None = "sparse", step_fn=None):
     """Simulate one trial: set the stimulus, cycle until the task monitor
-    decides or the cycle limit is reached. Returns (trace, outcome)."""
+    decides or the cycle limit is reached. Returns (trace, outcome).
+
+    ``step_fn(state, network, params)`` advances one cycle; None means this
+    module's ``step``, looked up at call time so a wrapper installed on
+    ``dynamics.step`` sees every cycle.
+    """
     params = params or network.params
+    step_fn = step_fn or step
     state = SimulationState(network, trace=trace)
     set_stimulus(state, network, stimulus)
     outcome = None
     while state.cycle < params.max_cycles:
-        step(state, network, params)
+        step_fn(state, network, params)
         outcome = monitor.observe(state, network)
         if outcome is not None:
             break

@@ -10,15 +10,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
-from .dynamics import SimulationState, set_stimulus, step
 from .dynamics import run as run_trial
 from .errors import ConfigError, ParseError
 from .fitting import pearson
 from .lexicon import Lexicon, LexiconEntry
 from .network import Network, Pool, build_network
 from .params import Parameters
-from .reference import DenseEngine
-from .tasks import TaskOutcome, make_monitor
+from .reference import DENSE_ENTRY_GUARD, DenseEngine
+from .tasks import NullMonitor, TaskOutcome, make_monitor
 
 TASKS = ("LD", "NAME", "WT")
 
@@ -93,9 +92,24 @@ class BatchRow:
     error: str | None = None
 
 
+def _engine_step(network: Network, engine: str, dense_max_entries: int | None = None):
+    """The ``step_fn`` that runs the named engine over ``network``.
+
+    "final" is the active-set engine (None: dynamics.run's own step),
+    "dense" the reference engine, guarded by ``dense_max_entries`` entries
+    (default DENSE_ENTRY_GUARD).
+    """
+    if engine == "final":
+        return None
+    if engine == "dense":
+        guard = DENSE_ENTRY_GUARD if dense_max_entries is None else dense_max_entries
+        return DenseEngine(network, guard).step
+    raise ConfigError(f"unknown engine {engine!r}; expected final or dense")
+
+
 def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
               params: Parameters | None = None, engine: str = "final",
-              jobs: int = 1, dense_max_entries: int | None = None) -> list[BatchRow]:
+              jobs: int = 1) -> list[BatchRow]:
     """One outcome per stimulus record, in input order.
 
     Per-row task errors are recorded and the batch continues. Rows are
@@ -104,20 +118,14 @@ def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
     """
     network = lexicon if isinstance(lexicon, Network) else build_network(lexicon, params or Parameters())
     params = params or network.params
-    if engine == "final":
-        runner = lambda stim, monitor: run_trial(network, stim, monitor, params, trace=None)
-    elif engine == "dense":
-        dense = DenseEngine(network, max_entries=dense_max_entries) \
-            if dense_max_entries is not None else DenseEngine(network)
-        runner = lambda stim, monitor: dense.run(stim, monitor, params, trace=None)
-    else:
-        raise ConfigError(f"unknown engine {engine!r}; expected final or dense")
+    step_fn = _engine_step(network, engine)
 
     def one(record: StimulusRecord) -> BatchRow:
         try:
             monitor = make_monitor(record.task, record.source_lang,
                                    record.target_lang, params)
-            _trace, outcome = runner(record.stimulus, monitor)
+            _trace, outcome = run_trial(network, record.stimulus, monitor, params,
+                                        trace=None, step_fn=step_fn)
             return BatchRow(record, outcome)
         except (ConfigError, ValueError) as exc:
             return BatchRow(record, None, error=str(exc))
@@ -161,6 +169,19 @@ class GammaStats:
         return self.per_cycle[-1]
 
 
+class _PoolSizes(NullMonitor):
+    """Never decides; adds each cycle's active-set size per pool to ``sums``."""
+
+    def __init__(self, sums: list[dict[str, float]]):
+        self.sums = sums
+
+    def observe(self, state, network):
+        cycle_sums = self.sums[state.cycle - 1]
+        for pool in STAT_POOLS:
+            cycle_sums[pool.value] += len(state.active_by_pool[pool])
+        return None
+
+
 def active_node_stats(lexicon: Lexicon | Network, stimuli: Sequence[str],
                       gammas: Sequence[float], params: Parameters | None = None) -> list[GammaStats]:
     """Mean active-set sizes by pool for each inhibition setting.
@@ -178,12 +199,7 @@ def active_node_stats(lexicon: Lexicon | Network, stimuli: Sequence[str],
         sums = [dict.fromkeys([pool.value for pool in STAT_POOLS], 0.0)
                 for _ in range(p.max_cycles)]
         for stimulus in stimuli:
-            state = SimulationState(network, trace=None)
-            set_stimulus(state, network, stimulus)
-            for cycle in range(p.max_cycles):
-                step(state, network, p)
-                for pool in STAT_POOLS:
-                    sums[cycle][pool.value] += len(state.active_by_pool[pool])
+            run_trial(network, stimulus, _PoolSizes(sums), p, trace=None)
         n = max(1, len(stimuli))
         per_cycle = []
         for cycle_sums in sums:
@@ -324,51 +340,38 @@ class BenchmarkResult:
                          self.work_active_updates, self.work_touched_updates]]
 
 
+class _WorkCounters(NullMonitor):
+    """Never decides; keeps the trial's final work counters."""
+
+    def timeout(self, state, network):
+        self.counters = state.counters
+        return super().timeout(state, network)
+
+
 def benchmark(lexicon: Lexicon, stimuli: Sequence[str], engine: str = "final",
               params: Parameters | None = None, repeats: int = 3,
-              dense_max_entries: int | None = None,
-              monitor_task: str | None = None) -> BenchmarkResult:
+              dense_max_entries: int | None = None) -> BenchmarkResult:
     """Wall-clock timings for a stimulus batch, model build reported apart.
 
-    Each stimulus runs to max_cycles (no task early-stopping) unless
-    ``monitor_task`` asks for a task monitor; the deterministic work
-    counters come from the final repeat.
+    Each stimulus runs to max_cycles (no task early-stopping); the
+    deterministic work counters come from the final repeat.
     """
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
     params = params or Parameters()
     t0 = time.perf_counter()
     network = build_network(lexicon, params)
-    if engine == "dense":
-        dense = DenseEngine(network, max_entries=dense_max_entries) \
-            if dense_max_entries is not None else DenseEngine(network)
-    elif engine != "final":
-        raise ConfigError(f"unknown engine {engine!r}")
+    step_fn = _engine_step(network, engine, dense_max_entries)
     build_seconds = time.perf_counter() - t0
-
-    from .reference import _dense_step
 
     def run_once(batch: Sequence[str]) -> tuple[float, int, int]:
         active = touched = 0
         t_start = time.perf_counter()
         for stimulus in batch:
-            state = SimulationState(network, trace=None)
-            set_stimulus(state, network, stimulus)
-            if monitor_task is not None:
-                monitor = make_monitor(monitor_task, network.languages[0],
-                                       network.languages[1], params)
-            else:
-                monitor = None
-            outcome = None
-            while state.cycle < params.max_cycles and outcome is None:
-                if engine == "dense":
-                    _dense_step(state, dense.dense, params)
-                else:
-                    step(state, network, params)
-                if monitor is not None:
-                    outcome = monitor.observe(state, network)
-            active += state.counters["active_node_updates"]
-            touched += state.counters["touched_updates"]
+            monitor = _WorkCounters()
+            run_trial(network, stimulus, monitor, params, trace=None, step_fn=step_fn)
+            active += monitor.counters["active_node_updates"]
+            touched += monitor.counters["touched_updates"]
         return time.perf_counter() - t_start, active, touched
 
     null_times = []

@@ -55,7 +55,6 @@ class SearchConfig:
     # fit OO_gamma and PP_gamma as one parameter; when untied, PP stays fixed
     tie_gammas: bool = True
     fixed_pp_gamma: float = 0.0
-    fitness: str = "pearson"
     max_iterations: int = 60
 
     def validate(self) -> None:
@@ -65,8 +64,6 @@ class SearchConfig:
             raise ConfigError("n_points must be >= 2")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be > 0")
-        if self.fitness != "pearson":
-            raise ConfigError(f"unknown fitness {self.fitness!r}")
 
 
 @dataclass
@@ -113,7 +110,7 @@ def grid_search(objective: Callable[[float], float], config: SearchConfig) -> Fi
 
 
 def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | None = None,
-                   params: Parameters | None = None, task: str | None = None) -> FitResult:
+                   params: Parameters | None = None) -> FitResult:
     """Fit the lateral-inhibition strength by correlating simulated cycle
     times with the records' reaction times.
 
@@ -134,7 +131,7 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
         trial_params = params.updated(OO_gamma=gamma, PP_gamma=pp)
         cycles, rts = [], []
         for record in rated:
-            monitor = make_monitor(task or record.task, record.source_lang,
+            monitor = make_monitor(record.task, record.source_lang,
                                    record.target_lang, trial_params)
             _trace, outcome = run(network, record.stimulus, monitor,
                                   trial_params, trace=None)

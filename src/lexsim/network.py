@@ -105,8 +105,6 @@ class Network:
         self.nodes: list[Node] = []
         # hash-indexed outgoing connections: origin id -> {target id: weight}
         self.out: list[dict[int, float]] = []
-        # derived gather index (excitatory incoming, zero weights dropped)
-        self.in_exc: list[list[tuple[int, float]]] = []
         self.pool_ids: dict[Pool, list[int]] = {pool: [] for pool in Pool}
         self._by_reading: dict[tuple[Pool, str | None, str], list[int]] = {}
         # engine-facing caches, filled by _finalize
@@ -122,7 +120,6 @@ class Network:
                     language=language, rest=rest, concept=concept)
         self.nodes.append(node)
         self.out.append({})
-        self.in_exc.append([])
         self.pool_ids[pool].append(node.id)
         self._by_reading.setdefault((pool, language, symbol), []).append(node.id)
         return node.id
@@ -131,8 +128,6 @@ class Network:
         if to_id in self.out[from_id]:
             raise ValidationError(f"duplicate connection {from_id}->{to_id}")
         self.out[from_id][to_id] = weight
-        if weight != 0.0:
-            self.in_exc[to_id].append((from_id, weight))
 
     def _finalize(self) -> None:
         self.out_nonzero = [[(dst, w) for dst, w in targets.items() if w != 0.0]
@@ -152,9 +147,6 @@ class Network:
         if len(ids) > 1:
             raise KeyError(f"ambiguous {pool.value} reading {symbol!r} ({language})")
         return self.nodes[ids[0]]
-
-    def find_all(self, pool: Pool, symbol: str, language: str | None = None) -> list[Node]:
-        return [self.nodes[i] for i in self._by_reading.get((pool, language, symbol), [])]
 
     def connections(self) -> list[Connection]:
         return [Connection(src, dst, w)

@@ -7,6 +7,7 @@ written as a plain text file, one ``NAME = VALUE`` per line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import IO
 
@@ -70,6 +71,10 @@ class Parameters:
     max_cycles: int = 40
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.max_cycles < 1:
             raise ConfigError("max_cycles must be >= 1")
         if not (self.MIN_ACT <= self.MIN_REST <= self.MAX_REST <= self.MAX_ACT):
@@ -81,6 +86,9 @@ class Parameters:
         for name in GAMMA_NAMES:
             if getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be <= 0")
+        for name in UNREAD_GAMMA_NAMES:
+            if getattr(self, name) != 0.0:
+                raise ConfigError(f"{name} is not read by the model; it must be 0")
         if self.SS_multiplier < 0:
             raise ConfigError("SS_multiplier must be >= 0")
         if self.MAX_OPB is not None and self.MAX_OPB <= 0:
@@ -95,10 +103,9 @@ class Parameters:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-GAMMA_NAMES = (
-    "OO_gamma", "PP_gamma", "SS_gamma",
-    "LL_gamma", "LO_gamma", "LP_gamma", "OL_gamma", "PL_gamma",
-)
+GAMMA_NAMES = ("OO_gamma", "PP_gamma", "SS_gamma")
+# accepted so stock parameter files load, but no connection uses them
+UNREAD_GAMMA_NAMES = ("LL_gamma", "LO_gamma", "LP_gamma", "OL_gamma", "PL_gamma")
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Parameters)}
 PARAMETER_NAMES = tuple(_FIELD_TYPES)

@@ -1,9 +1,8 @@
-"""Slow reference implementations kept for equivalence testing.
+"""Slow reference engine kept for equivalence testing.
 
 The dense engine materialises every same-pool inhibitory connection and
 recomputes every node every cycle; it exists so the fast active-set engine
-can be checked against it bit-for-bit. The co-activation pruning heuristic
-is reported on but intentionally not wired up as a third runnable engine.
+can be checked against it bit-for-bit.
 """
 
 from __future__ import annotations
@@ -13,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SimulationState, set_stimulus, update_activation
+from .dynamics import SimulationState, run, update_activation
 from .errors import ValidationError
-from .lexicon import Lexicon
-from .network import (INHIBITED_POOLS, Network, Pool, build_network, input_weight,
-                      pool_gamma)
+from .network import INHIBITED_POOLS, Network, Pool, pool_gamma
 from .params import Parameters
 
 DENSE_ENTRY_GUARD = 500
@@ -25,13 +22,16 @@ DENSE_ENTRY_GUARD = 500
 
 @dataclass
 class DenseNetwork:
-    """A built network plus fully materialised inhibitory in-connections.
+    """A built network plus its gathered in-connections.
 
-    Each orthographic/phonological/semantic node stores the ids of every
-    other node in its pool; the connection weight is the pool's gamma.
+    ``exc_in`` lists each node's nonzero excitatory (source, weight) pairs.
+    Each orthographic/phonological/semantic node also stores the ids of
+    every other node in its pool; that connection's weight is the pool's
+    gamma.
     """
 
     base: Network
+    exc_in: list  # per node: list of (source id, weight), zero weights dropped
     inhib_in: list  # per node: int array of same-pool ids excluding self, or None
 
     def inhibitory_count(self, node_id: int) -> int:
@@ -45,12 +45,16 @@ def materialize_dense(network: Network, max_entries: int | None = DENSE_ENTRY_GU
         raise ValidationError(
             f"dense materialization refused for {n_entries} entries "
             f"(guard {max_entries}); raise max_entries explicitly for benchmark use")
+    exc_in: list = [[] for _ in range(len(network))]
+    for src, targets in enumerate(network.out_nonzero):
+        for dst, w in targets:
+            exc_in[dst].append((src, w))
     inhib_in: list = [None] * len(network)
     for pool, _gamma in INHIBITED_POOLS:
         ids = np.asarray(network.pool_ids[pool], dtype=np.int64)
         for i, node_id in enumerate(network.pool_ids[pool]):
             inhib_in[node_id] = np.concatenate([ids[:i], ids[i + 1:]])
-    return DenseNetwork(base=network, inhib_in=inhib_in)
+    return DenseNetwork(base=network, exc_in=exc_in, inhib_in=inhib_in)
 
 
 def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters) -> None:
@@ -69,7 +73,7 @@ def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters)
 
     new_act = [0.0] * n_nodes
     for n in range(n_nodes):
-        products = [w * prev[src] for src, w in network.in_exc[n] if prev[src] > 0.0]
+        products = [w * prev[src] for src, w in dense.exc_in[n] if prev[src] > 0.0]
         iw = state.input_weights.get(n)
         if iw is not None:
             products.append(iw * i_rest)
@@ -83,7 +87,6 @@ def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters)
                 inhib = math.fsum((gamma * prev_np[sel]).tolist())
         new_act[n] = update_activation(prev[n], net + inhib, rests[n], params)
 
-    state.previous = prev
     state.activation = new_act
     state.active = {n for n, a in enumerate(new_act) if a > 0.0}
     for pool, _gamma in INHIBITED_POOLS:
@@ -99,90 +102,10 @@ class DenseEngine:
     def __init__(self, network: Network, max_entries: int | None = DENSE_ENTRY_GUARD):
         self.dense = materialize_dense(network, max_entries)
 
+    def step(self, state: SimulationState, _network: Network, params: Parameters) -> None:
+        """One dense cycle, in the ``step_fn`` form dynamics.run takes."""
+        _dense_step(state, self.dense, params)
+
     def run(self, stimulus: str, monitor, params: Parameters | None = None,
             trace: str | None = "sparse"):
-        network = self.dense.base
-        params = params or network.params
-        state = SimulationState(network, trace=trace)
-        set_stimulus(state, network, stimulus)
-        outcome = None
-        while state.cycle < params.max_cycles:
-            _dense_step(state, self.dense, params)
-            outcome = monitor.observe(state, network)
-            if outcome is not None:
-                break
-        if outcome is None:
-            outcome = monitor.timeout(state, network)
-        return state.trace, outcome
-
-
-def dense_run(lexicon: Lexicon, stimulus: str, monitor, params: Parameters | None = None,
-              trace: str | None = "sparse", max_entries: int | None = DENSE_ENTRY_GUARD):
-    """Build, materialise, and simulate one trial with the dense engine."""
-    params = params or Parameters()
-    network = build_network(lexicon, params)
-    return DenseEngine(network, max_entries=max_entries).run(stimulus, monitor, params, trace)
-
-
-@dataclass(frozen=True)
-class PruneCounts:
-    pool: str
-    threshold: float
-    kept: int
-    dropped: int
-
-
-def prune_candidates(lexicon: Lexicon, weight_threshold: float,
-                     params: Parameters | None = None) -> list[PruneCounts]:
-    """Count inhibitory pairs the co-activation heuristic would keep.
-
-    An unordered same-pool pair survives when the input-weighting function
-    applied to the two symbols reaches the threshold, or when the pair is
-    connected semantically: same concept, or concepts sharing a written or
-    spoken form (interlingual homographs / homophones).
-    """
-    if weight_threshold < 0:
-        raise ValueError("weight_threshold must be >= 0")
-    params = params or Parameters()
-
-    ortho: list[tuple[str, int]] = []
-    phono: list[tuple[str, int]] = []
-    for concept, e in enumerate(lexicon.entries):
-        ortho += [(e.ortho_a, concept), (e.ortho_b, concept)]
-        phono += [(e.phono_a, concept), (e.phono_b, concept)]
-
-    # concepts are linked one hop apart when any symbol is shared
-    linked: set[frozenset[int]] = set()
-    for readings in (ortho, phono):
-        by_symbol: dict[str, set[int]] = {}
-        for symbol, concept in readings:
-            by_symbol.setdefault(symbol, set()).add(concept)
-        for concepts in by_symbol.values():
-            ordered = sorted(concepts)
-            for i, c1 in enumerate(ordered):
-                for c2 in ordered[i + 1:]:
-                    linked.add(frozenset((c1, c2)))
-
-    def semantic_path(c1: int, c2: int) -> bool:
-        return c1 == c2 or frozenset((c1, c2)) in linked
-
-    counts = []
-    for pool_name, readings in (("ortho", ortho), ("phono", phono)):
-        kept = dropped = 0
-        for i, (sym1, con1) in enumerate(readings):
-            for sym2, con2 in readings[i + 1:]:
-                value = input_weight(sym1, sym2, params)
-                if value >= weight_threshold or semantic_path(con1, con2):
-                    kept += 1
-                else:
-                    dropped += 1
-        counts.append(PruneCounts(pool=pool_name, threshold=weight_threshold,
-                                  kept=kept, dropped=dropped))
-    return counts
-
-
-def prune_report_rows(counts: list[PruneCounts]) -> list[list]:
-    """Pruning report in the fixed CSV column order."""
-    rows = [["pool", "threshold", "kept", "dropped"]]
-    rows += [[c.pool, repr(c.threshold), c.kept, c.dropped] for c in counts]
-    return rows
+        return run(self.dense.base, stimulus, monitor, params, trace, step_fn=self.step)

@@ -310,7 +310,7 @@ def lexical_decision(network: Network, stimulus: str, target_language: str,
     params = params or network.params
     _check_language(network, target_language)
     monitor = LexicalDecisionMonitor(target_language, params)
-    _trace, outcome = run(network, stimulus, monitor, params)
+    _trace, outcome = run(network, stimulus, monitor, params, trace=None)
     return outcome
 
 
@@ -319,7 +319,7 @@ def naming(network: Network, stimulus: str, target_language: str,
     params = params or network.params
     _check_language(network, target_language)
     monitor = NamingMonitor(target_language, params)
-    _trace, outcome = run(network, stimulus, monitor, params)
+    _trace, outcome = run(network, stimulus, monitor, params, trace=None)
     return outcome
 
 
@@ -329,5 +329,5 @@ def word_translation(network: Network, stimulus: str, source_language: str,
     _check_language(network, source_language)
     _check_language(network, target_language)
     monitor = WordTranslationMonitor(source_language, target_language, params)
-    _trace, outcome = run(network, stimulus, monitor, params)
+    _trace, outcome = run(network, stimulus, monitor, params, trace=None)
     return outcome

@@ -97,6 +97,16 @@ def test_parameter_file_overridden_by_set(stim_wt, tmp_path, capsys):
     assert "AARDBEI,WT,NL,EN,symbol,str$b@rI,32" in restored
 
 
+@pytest.mark.parametrize("assignment", ["DECAY_RATE=nan", "criterion_value=nan",
+                                        "IO_multiplier=inf", "timestep_multiplier=nan",
+                                        "LO_gamma=-0.5"])
+def test_simulate_rejects_unusable_parameter(stim_wt, capsys, assignment):
+    code = main(["simulate", "--lexicon", str(table1_path()), "--stimuli", stim_wt,
+                 "--set", assignment])
+    assert code == 1
+    assert assignment.split("=")[0] in capsys.readouterr().err
+
+
 def test_missing_lexicon_is_input_error(stim_wt, capsys):
     code = main(["simulate", "--lexicon", "/nonexistent.csv", "--stimuli", stim_wt])
     assert code == 1

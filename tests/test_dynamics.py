@@ -1,8 +1,8 @@
 import pytest
 
-from lexsim import (Lexicon, NullMonitor, Parameters, apply_lateral_inhibition,
-                    build_network, lexical_decision, net_input, parse_lexicon, run,
-                    set_stimulus, step, update_activation)
+from lexsim import (DenseEngine, Lexicon, NullMonitor, Parameters, apply_lateral_inhibition,
+                    build_network, lexical_decision, parse_lexicon, run, set_stimulus, step,
+                    update_activation)
 from lexsim.dynamics import SimulationState
 from lexsim.network import Pool
 from lexsim.tasks import LexicalDecisionMonitor
@@ -10,40 +10,66 @@ from lexsim.tasks import LexicalDecisionMonitor
 SINGLE = "AARDE,100.07,ard@,100.07,EARTH,24.87,3T,24.87"
 
 
-# -- net_input ---------------------------------------------------------------
+# -- net input, seen through one cycle of either engine ----------------------
 
-def test_net_input_no_active_sources(table1_network):
-    state = SimulationState(table1_network)
+def _steps(net):
+    """The fast step and the dense reference step, both as step_fn."""
+    return [step, DenseEngine(net).step]
+
+
+def _set(state, node_id, activation):
+    """Put one node at ``activation``, keeping the incremental sets consistent."""
+    net = state.network
+    state.activation[node_id] = activation
+    if activation > 0.0:
+        state.active.add(node_id)
+        state.active_by_pool[net.pool_of[node_id]].add(node_id)
+    if activation != net.rest_levels[node_id]:
+        state.off_rest.add(node_id)
+
+
+def test_net_input_no_active_sources(table1_network, params):
     sem = table1_network.pool_ids[Pool.SEM][0]
-    assert net_input(sem, state, table1_network) == 0.0
+    for step_fn in _steps(table1_network):
+        state = SimulationState(table1_network)
+        step_fn(state, table1_network, params)
+        assert state.activation[sem] == table1_network.rest_levels[sem]
 
 
-def test_net_input_single_source():
-    net = build_network(parse_lexicon(SINGLE), Parameters())
-    state = SimulationState(net)
+def test_net_input_single_source(params):
+    net = build_network(parse_lexicon(SINGLE), params)
     o = net.find(Pool.ORTHO, "AARDE", "NL")
     s = net.find(Pool.SEM, "EARTH")
-    state.activation[o.id] = 0.5
-    state.active.add(o.id)
-    assert net_input(s.id, state, net) == pytest.approx(0.03 * 0.5)
-    assert net_input(s.id, state, net) == pytest.approx(0.015)
+    expected = update_activation(s.rest, 0.03 * 0.5, s.rest, params)
+    for step_fn in _steps(net):
+        state = SimulationState(net)
+        _set(state, o.id, 0.5)
+        step_fn(state, net, params)
+        assert state.activation[s.id] == expected
 
 
-def test_net_input_subthreshold_source_gated():
-    net = build_network(parse_lexicon(SINGLE), Parameters())
-    state = SimulationState(net)
+def test_net_input_subthreshold_source_gated(params):
+    net = build_network(parse_lexicon(SINGLE), params)
     o = net.find(Pool.ORTHO, "AARDE", "NL")
-    state.activation[o.id] = -0.1
-    s = net.find(Pool.SEM, "EARTH")
-    assert net_input(s.id, state, net) == 0.0
+    p = net.find(Pool.PHONO, "ard@", "NL")
+    assert p.rest > params.MIN_ACT  # a negative input would move it
+    for activation in (-0.1, 0.0):
+        for step_fn in _steps(net):
+            state = SimulationState(net)
+            _set(state, o.id, activation)
+            step_fn(state, net, params)
+            assert state.activation[p.id] == p.rest
 
 
-def test_net_input_includes_stimulus_term():
-    net = build_network(parse_lexicon(SINGLE), Parameters())
-    state = SimulationState(net)
-    set_stimulus(state, net, "AARDE")
+def test_net_input_includes_stimulus_term(params):
+    net = build_network(parse_lexicon(SINGLE), params)
     o = net.find(Pool.ORTHO, "AARDE", "NL")
-    assert net_input(o.id, state, net) == pytest.approx(0.2 * 1.0)
+    expected = update_activation(o.rest, 0.2 * 1.0, o.rest, params)
+    for step_fn in _steps(net):
+        state = SimulationState(net)
+        set_stimulus(state, net, "AARDE")
+        step_fn(state, net, params)
+        assert state.activation[o.id] == expected
 
 
 # -- lateral inhibition ------------------------------------------------------

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from lexsim import ConfigError, Parameters
-from lexsim.params import dump_parameters, load_parameters, parse_assignment
+from lexsim.params import PARAMETER_NAMES, dump_parameters, load_parameters, parse_assignment
 
 
 def test_defaults_match_stock_values():
@@ -27,6 +29,21 @@ def test_validate_rejects_positive_gamma():
 def test_validate_rejects_zero_cycles():
     with pytest.raises(ConfigError, match="max_cycles"):
         Parameters().updated(max_cycles=0)
+
+
+@pytest.mark.parametrize("name", [n for n in PARAMETER_NAMES if n != "max_cycles"])
+def test_validate_rejects_non_finite(name):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match=name):
+            Parameters().updated(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["LL_gamma", "LO_gamma", "LP_gamma", "OL_gamma", "PL_gamma"])
+def test_validate_rejects_nonzero_unread_gamma(name):
+    # no connection reads these weights, so a nonzero value would be ignored
+    with pytest.raises(ConfigError, match=name):
+        Parameters().updated(**{name: -0.5})
+    assert getattr(Parameters().updated(**{name: 0.0}), name) == 0.0
 
 
 def test_validate_rejects_negative_ss_multiplier():

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from lexsim import (Parameters, ValidationError, build_network, dense_run,
-                    materialize_dense, prune_candidates, run, synthetic_lexicon)
+from lexsim import (ParseOptions, Parameters, ValidationError, build_network,
+                    materialize_dense, parse_lexicon, run, synthetic_lexicon)
 from lexsim.network import Pool
 from lexsim.reference import DenseEngine
 from lexsim.tasks import make_monitor
@@ -28,87 +30,80 @@ def test_size_guard_refuses_large_lexicons():
     assert materialize_dense(net, max_entries=600) is not None
 
 
+def _assert_engines_agree(network, params, trials):
+    """Full traces and outcomes of both engines agree on every trial."""
+    engine = DenseEngine(network)
+    for stimulus, task, source, target in trials:
+        fast_trace, fast = run(network, stimulus, make_monitor(task, source, target, params),
+                               params, trace="full")
+        dense_trace, dense = engine.run(stimulus, make_monitor(task, source, target, params),
+                                        params, trace="full")
+        assert fast_trace.frames == dense_trace.frames, (stimulus, task)
+        assert (fast.response_kind, fast.response_symbol, fast.cycles, fast.node_id) \
+            == (dense.response_kind, dense.response_symbol, dense.cycles, dense.node_id)
+
+
 @pytest.mark.parametrize("gamma", [0.0, -0.0001, -0.1])
-def test_dense_trace_bit_identical(homograph_lexicon, homograph_network, gamma):
+def test_dense_trace_bit_identical(homograph_network, gamma):
     params = Parameters().updated(OO_gamma=gamma, PP_gamma=gamma)
-    engine = DenseEngine(homograph_network)
-    for stimulus in ("ROOM", "AARDE", "AARDBEI"):
-        m1 = make_monitor("WT", "NL", "EN", params)
-        m2 = make_monitor("WT", "NL", "EN", params)
-        trace_fast, out_fast = run(homograph_network, stimulus, m1, params, trace="full")
-        trace_dense, out_dense = engine.run(stimulus, m2, params, trace="full")
-        assert trace_fast.frames == trace_dense.frames
-        assert (out_fast.response_kind, out_fast.response_symbol, out_fast.cycles) \
-            == (out_dense.response_kind, out_dense.response_symbol, out_dense.cycles)
+    _assert_engines_agree(homograph_network, params,
+                          [(stimulus, "WT", "NL", "EN")
+                           for stimulus in ("ROOM", "AARDE", "AARDBEI")])
 
 
-def test_dense_run_convenience(table1, params):
-    monitor = make_monitor("LD", "NL", None, params)
-    _trace, outcome = dense_run(table1, "AARDE", monitor, params)
-    assert outcome.response_kind == "yes"
-    assert outcome.cycles == 12
-
-
-def test_zero_gamma_matches_inhibition_free_run(table1, table1_network):
+def test_zero_gamma_matches_inhibition_free_run(table1_network):
     p_zero = Parameters().updated(OO_gamma=0.0, PP_gamma=0.0)
-    m1 = make_monitor("NAME", "NL", "NL", p_zero)
-    m2 = make_monitor("NAME", "NL", "NL", p_zero)
-    t_fast, _ = run(table1_network, "AAP", m1, p_zero, trace="full")
-    t_dense, _ = dense_run(table1, "AAP", m2, p_zero, trace="full")
-    assert t_fast.frames == t_dense.frames
+    _assert_engines_agree(table1_network, p_zero, [("AAP", "NAME", "NL", "NL")])
 
 
-# -- pruning heuristic --------------------------------------------------------
+# -- equivalence beyond the fixtures ------------------------------------------
 
-def test_prune_drops_disjoint_unrelated_pair():
-    from lexsim import parse_lexicon
-    lex = parse_lexicon("DOG,5.0,dQg,5.0,HOND,5.0,hOnt,5.0\n"
-                        "PIE,5.0,p2,5.0,TAART,5.0,tart,5.0")
-    counts = {c.pool: c for c in prune_candidates(lex, 0.001)}
-    # DOG-PIE style pairs (no overlap, different concepts) are dropped;
-    # within-pair readings survive through the semantic path
-    assert counts["ortho"].dropped > 0
-    assert counts["ortho"].kept >= 2
+SWEEP_GAMMAS = (0.0, -0.001, -0.05, -0.5)
 
 
-def test_prune_keeps_translation_pair_without_overlap(table1):
-    # AAP and MONKEY share no orthography but one concept
-    counts = prune_candidates(table1, weight_threshold=0.5)
-    ortho = next(c for c in counts if c.pool == "ortho")
-    # every entry contributes at least its own cross-language pair
-    assert ortho.kept >= len(table1.entries)
+def _random_case(seed):
+    """A small lexicon over a four-letter alphabet (dense neighbourhoods,
+    homographs in and across languages) and parameters with semantic
+    inhibition, positive rest levels and strong gammas."""
+    rng = random.Random(seed)
+
+    def word():
+        return "".join(rng.choice("ABDE") for _ in range(rng.randint(2, 5)))
+
+    rows = []
+    for _ in range(rng.randint(3, 7)):
+        (a, fa), (b, fb) = [(word(), rng.choice((0.0, round(rng.uniform(0.5, 300.0), 2))))
+                            for _ in range(2)]
+        rows.append(f"{a},{fa},{a.lower()},{fa},{b},{fb},{b.lower()},{fb}")
+    lexicon = parse_lexicon("\n".join(rows),
+                            ParseOptions(allow_within_language_homographs=True))
+    # frequency-derived rests stay <= 0 unless MIN_REST is raised too
+    max_rest = rng.choice((0.0, 0.05, 0.3))
+    params = Parameters().updated(OO_gamma=rng.choice(SWEEP_GAMMAS),
+                                  PP_gamma=rng.choice(SWEEP_GAMMAS),
+                                  SS_multiplier=rng.choice((0.0, 0.2, 1.0)),
+                                  MAX_REST=max_rest,
+                                  MIN_REST=rng.choice((-0.2, max_rest / 2)),
+                                  S_rest=rng.choice((-0.2, max_rest)))
+    stimuli = [rng.choice(lexicon.entries).ortho_a, rng.choice(lexicon.entries).ortho_b, word()]
+    trials = [(stim, task, source, target)
+              for stim in stimuli
+              for task, source, target in (("LD", "NL", None), ("NAME", "EN", "EN"),
+                                           ("WT", "NL", "EN"), ("WT", "EN", "NL"))]
+    return lexicon, params, trials
 
 
-def test_prune_monotone_in_threshold(table1):
-    loose = {c.pool: c.kept for c in prune_candidates(table1, 0.0001)}
-    tight = {c.pool: c.kept for c in prune_candidates(table1, 0.001)}
-    assert loose["ortho"] >= tight["ortho"]
-    assert loose["phono"] >= tight["phono"]
+@pytest.mark.parametrize("seed", range(16))
+def test_engines_agree_on_random_lexicons(seed):
+    lexicon, params, trials = _random_case(seed)
+    _assert_engines_agree(build_network(lexicon, params), params, trials)
 
 
-def test_prune_counts_cover_all_pairs(table1):
-    n_readings = 2 * len(table1.entries)
-    n_pairs = n_readings * (n_readings - 1) // 2
-    for c in prune_candidates(table1, 0.001):
-        assert c.kept + c.dropped == n_pairs
-
-
-def test_prune_homograph_links_concepts(homograph_lexicon):
-    # ROOM(NL) and ROOM(EN) share a form, linking the cream and room
-    # concepts; their unrelated readings then survive via the one-hop path
-    counts = {c.pool: c for c in prune_candidates(homograph_lexicon, 1.0)}
-    room = [e for e in homograph_lexicon.entries if "ROOM" in (e.ortho_a, e.ortho_b)]
-    assert len(room) == 2
-    assert counts["ortho"].kept >= len(homograph_lexicon.entries) + 1
-
-
-def test_prune_rejects_negative_threshold(table1):
-    with pytest.raises(ValueError):
-        prune_candidates(table1, -0.1)
-
-
-def test_prune_report_rows_layout(table1):
-    from lexsim.reference import prune_report_rows
-    rows = prune_report_rows(prune_candidates(table1, 0.001))
-    assert rows[0] == ["pool", "threshold", "kept", "dropped"]
-    assert [r[0] for r in rows[1:]] == ["ortho", "phono"]
+def test_engines_agree_on_synthetic_120():
+    lexicon = synthetic_lexicon(120)
+    params = Parameters().updated(OO_gamma=-0.5, PP_gamma=-0.05, SS_multiplier=0.2,
+                                  MAX_REST=0.05, MIN_REST=0.01, S_rest=0.05)
+    first, other = lexicon.entries[0], lexicon.entries[57]
+    _assert_engines_agree(build_network(lexicon, params), params,
+                          [(first.ortho_a, "WT", "NL", "EN"), (other.ortho_b, "LD", "EN", None),
+                           (other.ortho_a, "NAME", "NL", "NL")])
