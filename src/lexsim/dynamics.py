@@ -161,7 +161,7 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
     contributions: dict[int, list[float]] = {}
     for src in state.active:
         a = prev[src]
-        for dst, w in network.out_nonzero[src]:
+        for dst, w in network.out[src]:
             contributions.setdefault(dst, []).append(w * a)
     i_rest = params.I_rest
     for o_id, iw in state.input_weights.items():

@@ -139,17 +139,17 @@ def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
 def outcome_rows(rows: Sequence[BatchRow]) -> list[list]:
     """Outcome table in the fixed CSV column order."""
     out = [["stimulus", "task", "source_lang", "target_lang", "response_kind",
-            "response_symbol", "cycles", "rt_pred", "n_rejected"]]
+            "response_symbol", "cycles", "rt_pred", "n_rejected", "failure"]]
     for row in rows:
         r = row.record
         if row.outcome is None:
             out.append([r.stimulus, r.task, r.source_lang, r.target_lang or "",
-                        "error", row.error or "", "", "", ""])
+                        "error", row.error or "", "", "", "", ""])
             continue
         o = row.outcome
         out.append([r.stimulus, r.task, r.source_lang, r.target_lang or "",
                     o.response_kind, o.response_symbol or "",
-                    o.cycles, repr(o.rt_pred), o.n_rejected])
+                    o.cycles, repr(o.rt_pred), o.n_rejected, o.diagnostics.failure or ""])
     return out
 
 

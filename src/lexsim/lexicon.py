@@ -105,7 +105,7 @@ def rest_activation(freq: float, max_opb: float, params: Parameters) -> float:
         return params.MIN_REST
     if max_opb <= 0:
         raise ValueError("max_opb must be positive for nonzero frequencies")
-    rest = params.MIN_REST + o * (abs(params.MIN_REST) / max_opb)
+    rest = params.MIN_REST + o * ((params.MAX_REST - params.MIN_REST) / max_opb)
     return min(params.MAX_REST, max(params.MIN_REST, rest))
 
 

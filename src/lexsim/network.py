@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import ValidationError
 from .lexicon import Lexicon, rest_activation
 from .params import Parameters
 
@@ -103,12 +102,10 @@ class Network:
         self.params = params
         self.languages = (language_a, language_b)
         self.nodes: list[Node] = []
-        # hash-indexed outgoing connections: origin id -> {target id: weight}
-        self.out: list[dict[int, float]] = []
+        # outgoing excitatory connections per source: (target id, weight),
+        # nonzero weights only; a zero-weight link never moves an activation
+        self.out: list[list[tuple[int, float]]] = []
         self.pool_ids: dict[Pool, list[int]] = {pool: [] for pool in Pool}
-        self._by_reading: dict[tuple[Pool, str | None, str], list[int]] = {}
-        # engine-facing caches, filled by _finalize
-        self.out_nonzero: list[list[tuple[int, float]]] = []
         self.pool_of: list[Pool] = []
         self.rest_levels: list[float] = []
 
@@ -119,21 +116,15 @@ class Network:
         node = Node(id=len(self.nodes), pool=pool, symbol=symbol,
                     language=language, rest=rest, concept=concept)
         self.nodes.append(node)
-        self.out.append({})
+        self.out.append([])
         self.pool_ids[pool].append(node.id)
-        self._by_reading.setdefault((pool, language, symbol), []).append(node.id)
+        self.pool_of.append(pool)
+        self.rest_levels.append(rest)
         return node.id
 
     def _connect(self, from_id: int, to_id: int, weight: float) -> None:
-        if to_id in self.out[from_id]:
-            raise ValidationError(f"duplicate connection {from_id}->{to_id}")
-        self.out[from_id][to_id] = weight
-
-    def _finalize(self) -> None:
-        self.out_nonzero = [[(dst, w) for dst, w in targets.items() if w != 0.0]
-                            for targets in self.out]
-        self.pool_of = [n.pool for n in self.nodes]
-        self.rest_levels = [n.rest for n in self.nodes]
+        if weight != 0.0:
+            self.out[from_id].append((to_id, weight))
 
     # -- queries ----------------------------------------------------------
 
@@ -141,17 +132,18 @@ class Network:
         return len(self.nodes)
 
     def find(self, pool: Pool, symbol: str, language: str | None = None) -> Node:
-        ids = self._by_reading.get((pool, language, symbol), [])
-        if not ids:
+        matches = [n for n in self.nodes
+                   if n.pool is pool and n.symbol == symbol and n.language == language]
+        if not matches:
             raise KeyError(f"no {pool.value} node {symbol!r} ({language})")
-        if len(ids) > 1:
+        if len(matches) > 1:
             raise KeyError(f"ambiguous {pool.value} reading {symbol!r} ({language})")
-        return self.nodes[ids[0]]
+        return matches[0]
 
     def connections(self) -> list[Connection]:
         return [Connection(src, dst, w)
                 for src, targets in enumerate(self.out)
-                for dst, w in sorted(targets.items())]
+                for dst, w in sorted(targets)]
 
     def input_weights(self, stimulus: str) -> dict[int, float]:
         """Nonzero stimulus weights over orthographic nodes (symbol uppercased)."""
@@ -171,9 +163,9 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
 
     Per entry: one semantic node shared by both languages' orthographic and
     phonological nodes, bidirectional O-P / O-S / P-S pairs, and the
-    (default-zero) language-membership links. Same-pool inhibitory
-    connections are never materialised here; the cycle engine applies them
-    from the active set.
+    language-membership links (zero by default, and then not stored).
+    Same-pool inhibitory connections are never materialised here; the cycle
+    engine applies them from the active set.
     """
     params.validate()
     net = Network(params, lexicon.language_a, lexicon.language_b)
@@ -212,5 +204,4 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
             net._connect(l_id, o_id, params.LO_alpha)
             net._connect(p_id, l_id, params.PL_alpha)
             net._connect(l_id, p_id, params.LP_alpha)
-    net._finalize()
     return net

@@ -89,8 +89,17 @@ class Parameters:
         for name in UNREAD_GAMMA_NAMES:
             if getattr(self, name) != 0.0:
                 raise ConfigError(f"{name} is not read by the model; it must be 0")
-        if self.SS_multiplier < 0:
-            raise ConfigError("SS_multiplier must be >= 0")
+        for name in ALPHA_NAMES + ("IO_multiplier", "SS_multiplier"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if not 0.0 <= self.DECAY_RATE <= 1.0:
+            raise ConfigError(f"DECAY_RATE={self.DECAY_RATE} outside [0, 1]")
+        # monitors compare with >=, so a threshold above MAX_ACT never fires
+        for name in THRESHOLD_NAMES:
+            value = getattr(self, name)
+            if value > self.MAX_ACT:
+                raise ConfigError(f"{name}={value} above MAX_ACT={self.MAX_ACT}; "
+                                  "no trial could respond")
         if self.MAX_OPB is not None and self.MAX_OPB <= 0:
             raise ConfigError("MAX_OPB must be positive when given")
 
@@ -103,7 +112,9 @@ class Parameters:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+ALPHA_NAMES = tuple(f.name for f in fields(Parameters) if f.name.endswith("_alpha"))
 GAMMA_NAMES = ("OO_gamma", "PP_gamma", "SS_gamma")
+THRESHOLD_NAMES = ("criterion_value", "shortlist_input_threshold", "shortlist_output_threshold")
 # accepted so stock parameter files load, but no connection uses them
 UNREAD_GAMMA_NAMES = ("LL_gamma", "LO_gamma", "LP_gamma", "OL_gamma", "PL_gamma")
 

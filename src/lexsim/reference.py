@@ -46,7 +46,7 @@ def materialize_dense(network: Network, max_entries: int | None = DENSE_ENTRY_GU
             f"dense materialization refused for {n_entries} entries "
             f"(guard {max_entries}); raise max_entries explicitly for benchmark use")
     exc_in: list = [[] for _ in range(len(network))]
-    for src, targets in enumerate(network.out_nonzero):
+    for src, targets in enumerate(network.out):
         for dst, w in targets:
             exc_in[dst].append((src, w))
     inhib_in: list = [None] * len(network)

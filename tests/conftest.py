@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,11 @@ import pytest
 from lexsim import Parameters, build_network, load_lexicon, table1_path
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# pyproject's pythonpath puts src/ on this process's sys.path only; the CLI
+# tests that start `python -m lexsim.cli` need it in the environment too
+SRC = str(Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -99,7 +99,10 @@ def test_parameter_file_overridden_by_set(stim_wt, tmp_path, capsys):
 
 @pytest.mark.parametrize("assignment", ["DECAY_RATE=nan", "criterion_value=nan",
                                         "IO_multiplier=inf", "timestep_multiplier=nan",
-                                        "LO_gamma=-0.5"])
+                                        "LO_gamma=-0.5", "OP_alpha=-0.03",
+                                        "IO_multiplier=-0.2", "DECAY_RATE=1.5",
+                                        "criterion_value=1.2",
+                                        "shortlist_output_threshold=2"])
 def test_simulate_rejects_unusable_parameter(stim_wt, capsys, assignment):
     code = main(["simulate", "--lexicon", str(table1_path()), "--stimuli", stim_wt,
                  "--set", assignment])
@@ -148,6 +151,25 @@ def test_dump_network_json(capsys):
     assert len(payload["nodes"]) == 53
     pools = {n["pool"] for n in payload["nodes"]}
     assert pools == {"input", "ortho", "phono", "sem", "lang"}
+
+
+def test_dump_network_csv_lists_nonzero_connections(capsys):
+    def dump(*extra):
+        assert main(["dump-network", "--lexicon", str(table1_path()),
+                     "--format", "csv", *extra]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "from,to,weight"
+        return {tuple(line.split(",")) for line in lines[2:]}
+
+    default = dump()
+    # 10 entries x 2 readings x the O-P, O-S and P-S links both ways
+    assert len(default) == 120
+    assert all(float(weight) != 0.0 for _src, _dst, weight in default)
+    with_ol = dump("--set", "OL_alpha=0.05")
+    added = with_ol - default
+    # one O->L link per orthographic reading, into language node 1 or 2
+    assert default < with_ol and len(added) == 20
+    assert {(dst, weight) for _src, dst, weight in added} == {("1", "0.05"), ("2", "0.05")}
 
 
 def test_byte_identical_reruns_with_jobs(stim_wt):

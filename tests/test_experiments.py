@@ -1,7 +1,8 @@
 import pytest
 
 from lexsim import (ConfigError, ParseError, Parameters, active_node_stats, benchmark,
-                    condition_report, parse_stimuli, run_batch, synthetic_lexicon)
+                    build_network, condition_report, parse_stimuli, run_batch,
+                    synthetic_lexicon)
 from lexsim.experiments import BatchRow, StimulusRecord, outcome_rows, report_rows, stats_rows
 from lexsim.tasks import TaskOutcome
 
@@ -88,8 +89,23 @@ def test_outcome_rows_layout(table1_network, params):
     records = parse_stimuli(STIM_CSV)
     rows = outcome_rows(run_batch(table1_network, records, params))
     assert rows[0] == ["stimulus", "task", "source_lang", "target_lang", "response_kind",
-                       "response_symbol", "cycles", "rt_pred", "n_rejected"]
+                       "response_symbol", "cycles", "rt_pred", "n_rejected", "failure"]
     assert rows[1][0] == "AARDE" and rows[1][4] == "yes"
+    assert [row[-1] for row in rows[1:]] == ["", "", ""]
+
+
+def test_outcome_rows_failure_column(homograph_lexicon):
+    # a WT timeout says whether the input or the output stage failed; LD
+    # timeouts and error rows leave the column empty
+    params = Parameters().updated(SS_multiplier=1.0)
+    records = [StimulusRecord("ROOM", "NL", "EN", "WT"),
+               StimulusRecord("XQZQX", "NL", "EN", "WT"),
+               StimulusRecord("XQZQX", "NL", None, "LD"),
+               StimulusRecord("ROOM", "XX", "EN", "WT")]
+    rows = outcome_rows(run_batch(build_network(homograph_lexicon, params), records, params))
+    assert [(row[4], row[-1]) for row in rows[1:]] == [
+        ("none", "no_output_accepted"), ("none", "no_input_identified"),
+        ("no", ""), ("error", "")]
 
 
 # -- active-node statistics ----------------------------------------------------

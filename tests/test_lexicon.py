@@ -130,6 +130,14 @@ def test_rest_activation_range(freq):
     assert -0.2 <= rest <= 0.0
 
 
+def test_rest_activation_reaches_positive_max_rest(table1):
+    # the most frequent word rests at MAX_REST, not at MIN_REST + |MIN_REST|
+    params = Parameters(MAX_REST=0.05)
+    top = max(f for e in table1.entries for f in (e.freq_a, e.freq_b))
+    assert rest_activation(top, table1.max_opb, params) == pytest.approx(0.05, abs=1e-12)
+    assert rest_activation(0.0, table1.max_opb, params) == -0.2
+
+
 def test_rest_activation_requires_positive_max():
     with pytest.raises(ValueError):
         rest_activation(1.0, 0.0, Parameters())

@@ -3,7 +3,8 @@ import functools
 import pytest
 from hypothesis import given, strategies as st
 
-from lexsim import Parameters, build_network, input_weight, levenshtein_similarity, parse_lexicon
+from lexsim import (ParseOptions, Parameters, build_network, input_weight,
+                    levenshtein_similarity, parse_lexicon)
 from lexsim.network import Pool
 
 
@@ -90,9 +91,11 @@ def test_build_single_entry_structure():
     assert len(net.pool_ids[Pool.PHONO]) == 2
     assert len(net.pool_ids[Pool.SEM]) == 1
     o_a = net.find(Pool.ORTHO, "AARDE", "NL")
-    targets = net.out[o_a.id]
-    assert len(targets) == 3  # its phonology, its concept, its language node
-    assert sorted(net.nodes[t].pool.value for t in targets) == ["lang", "phono", "sem"]
+    # its phonology and its concept; the language link has weight 0 by default
+    assert sorted(net.nodes[t].pool.value for t, _w in net.out[o_a.id]) == ["phono", "sem"]
+    with_lang = build_network(parse_lexicon(SINGLE), Parameters(OL_alpha=0.05))
+    assert sorted(with_lang.nodes[t].pool.value for t, _w in with_lang.out[o_a.id]) \
+        == ["lang", "phono", "sem"]
 
 
 def test_build_empty_lexicon():
@@ -119,10 +122,22 @@ def test_ortho_phono_share_concept(table1_network):
     assert o.concept == p.concept == o_b.concept
 
 
+def test_find_missing_and_ambiguous_readings(table1_network):
+    with pytest.raises(KeyError, match="no ortho node"):
+        table1_network.find(Pool.ORTHO, "AARDE", "EN")
+    # two NL concepts sharing one spelling: a lookup by reading cannot choose
+    net = build_network(parse_lexicon(SINGLE + "\nAARDE,5.0,ard@,5.0,SOIL,3.0,sOIl,3.0",
+                                      ParseOptions(allow_within_language_homographs=True)),
+                        Parameters())
+    with pytest.raises(KeyError, match="ambiguous"):
+        net.find(Pool.ORTHO, "AARDE", "NL")
+    assert net.find(Pool.ORTHO, "SOIL", "EN").concept == 1
+
+
 def test_no_same_pool_connections(table1_network):
     net = table1_network
     for src, targets in enumerate(net.out):
-        for dst in targets:
+        for dst, _w in targets:
             assert net.pool_of[src] != net.pool_of[dst]
 
 
@@ -132,7 +147,9 @@ def test_connection_index_unique_pairs(table1_network):
     for conn in table1_network.connections():
         assert (conn.from_id, conn.to_id) not in seen
         seen.add((conn.from_id, conn.to_id))
-        assert net.out[conn.from_id][conn.to_id] == conn.weight
+        assert conn.weight != 0.0
+        assert (conn.to_id, conn.weight) in net.out[conn.from_id]
+    assert len(seen) == sum(len(targets) for targets in net.out)
 
 
 def test_node_ids_deterministic(table1, params):

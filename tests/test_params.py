@@ -51,6 +51,33 @@ def test_validate_rejects_negative_ss_multiplier():
         Parameters().updated(SS_multiplier=-1.0)
 
 
+@pytest.mark.parametrize("name", [n for n in PARAMETER_NAMES if n.endswith("_alpha")]
+                         + ["IO_multiplier"])
+def test_validate_rejects_negative_weight(name):
+    with pytest.raises(ConfigError, match=name):
+        Parameters().updated(**{name: -0.01})
+    assert getattr(Parameters().updated(**{name: 0.0}), name) == 0.0
+
+
+def test_validate_decay_rate_range():
+    for value in (-0.01, 1.01):
+        with pytest.raises(ConfigError, match="DECAY_RATE"):
+            Parameters().updated(DECAY_RATE=value)
+    for value in (0.0, 1.0):
+        assert Parameters().updated(DECAY_RATE=value).DECAY_RATE == value
+
+
+@pytest.mark.parametrize("name", ["criterion_value", "shortlist_input_threshold",
+                                  "shortlist_output_threshold"])
+def test_validate_rejects_threshold_above_max_act(name):
+    # such a threshold can never be reached, so every trial would time out
+    with pytest.raises(ConfigError, match=name):
+        Parameters().updated(**{name: 1.01})
+    assert getattr(Parameters().updated(**{name: 1.0}), name) == 1.0
+    # at or below zero stays legal: every node then qualifies at once
+    assert getattr(Parameters().updated(**{name: 0.0}), name) == 0.0
+
+
 def test_semantic_inhibition_scaled_by_multiplier(homograph_network):
     # raising the multiplier turns on concept-level competition; the two
     # readings of an interlingual homograph then suppress each other and

@@ -77,7 +77,8 @@ def _random_case(seed):
         rows.append(f"{a},{fa},{a.lower()},{fa},{b},{fb},{b.lower()},{fb}")
     lexicon = parse_lexicon("\n".join(rows),
                             ParseOptions(allow_within_language_homographs=True))
-    # frequency-derived rests stay <= 0 unless MIN_REST is raised too
+    # frequency-derived rests span [MIN_REST, MAX_REST], so a positive MAX_REST
+    # starts the most frequent readings active
     max_rest = rng.choice((0.0, 0.05, 0.3))
     params = Parameters().updated(OO_gamma=rng.choice(SWEEP_GAMMAS),
                                   PP_gamma=rng.choice(SWEEP_GAMMAS),
@@ -107,3 +108,16 @@ def test_engines_agree_on_synthetic_120():
     _assert_engines_agree(build_network(lexicon, params), params,
                           [(first.ortho_a, "WT", "NL", "EN"), (other.ortho_b, "LD", "EN", None),
                            (other.ortho_a, "NAME", "NL", "NL")])
+
+
+def test_engines_agree_with_language_links(homograph_lexicon):
+    # language nodes rest above zero, so from cycle 1 they are active and fan
+    # out to every reading of their language through the nonzero L->O/P links
+    params = Parameters().updated(OL_alpha=0.05, PL_alpha=0.05, LO_alpha=0.02,
+                                  LP_alpha=0.02, MAX_REST=0.05, L_rest=0.05)
+    network = build_network(homograph_lexicon, params)
+    for l_id in network.pool_ids[Pool.LANG]:
+        assert len(network.out[l_id]) == 2 * len(homograph_lexicon)
+    _assert_engines_agree(network, params,
+                          [("ROOM", "WT", "NL", "EN"), ("AARDBEI", "WT", "NL", "EN"),
+                           ("AARDE", "LD", "NL", None), ("AAP", "NAME", "NL", "NL")])
