@@ -6,8 +6,7 @@ translation), and a grid-search fitter correlating simulated cycle times
 with reaction-time data.
 """
 
-from .dynamics import (SimulationState, Trace, apply_lateral_inhibition, run,
-                       set_stimulus, step, update_activation)
+from .dynamics import SimulationState, Trace, run, set_stimulus, step, update_activation
 from .errors import ConfigError, ParseError, ValidationError
 from .experiments import (BatchRow, ConditionReport, StimulusRecord, active_node_stats,
                           benchmark, condition_report, parse_stimuli, run_batch,

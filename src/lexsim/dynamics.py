@@ -1,23 +1,36 @@
-"""Cycle engine: two-phase activation propagation with an ad-hoc lateral
-inhibition step over the active set, and the one trial loop every engine
-and caller shares.
+"""Cycle engine: two-phase activation propagation with lateral inhibition
+over the active set, and the one trial loop every engine and caller shares.
 
 Every cycle reads only the previous cycle's snapshot, so results are
 independent of node iteration order. Bit-identity with the dense reference
-engine rests on correct rounding: every per-node net input is one
-math.fsum over a list of weight-times-activation products, and fsum
-returns the exactly rounded value of the true sum of its inputs whatever
-their order. This engine scatters products from active sources into each
-target's list; the dense engine gathers them over each node's incoming
-connections. The two orders differ, but the lists hold the same multiset
-of products, so the sums -- and everything computed from them -- agree
-bit for bit.
+engine rests on correct rounding. In both engines a node's net input is its
+excitatory sum plus its inhibitory sum, one IEEE add, and each sum is the
+exactly rounded value of its weight-times-activation products, as
+math.fsum returns it whatever their order. The dense engine gathers each
+node's products into one fsum per sum. This engine computes the same
+values over numpy arrays:
+
+- Excitation: a node with no product gets 0.0; a node whose only product
+  is its stimulus term gets fsum of that one term, computed once per trial;
+  every target of an active source gets fsum over its products.
+- Inhibition: the members of a pool that are not active all get the same
+  fsum over the active members' gamma*a. An active member gets
+  fsum(partials + [-gamma*a_m]), where the partials are Shewchuk's exact
+  non-overlapping expansion of that whole sum: its exact value is the sum
+  over the other members, so fsum rounds it to the same double.
+- The add and the update rule run as elementwise float64 ufuncs in
+  update_activation's operation order. Each rounds exactly as the Python
+  float operation does (numpy does not fuse multiply-add). Most nodes are
+  quiet: their net input is that one add of the shared inhibition to 0.0
+  or to their stimulus term, and no Python code runs for them one by one.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable
+
+import numpy as np
 
 from .network import INHIBITED_POOLS, Network, Pool, pool_gamma
 from .params import Parameters
@@ -101,6 +114,7 @@ class SimulationState:
             for pool, _g in INHIBITED_POOLS}
         self.off_rest: set[int] = set()
         self.input_weights: dict[int, float] = {}
+        self._stimulus_input = None
         self.cycle = 0
         self.counters = {"active_node_updates": 0, "touched_updates": 0}
         self.trace = Trace(network, trace)
@@ -109,10 +123,31 @@ class SimulationState:
         """Active set derived from scratch; used to check the incremental one."""
         return {n for n, a in enumerate(self.activation) if a > 0.0}
 
+    def stimulus_input(self, i_rest: float) -> tuple[np.ndarray, np.ndarray]:
+        """(net input, mask) of the stimulus term alone: fsum([iw * I_rest])
+        at every stimulus-weighted orthographic node, 0.0 elsewhere. Kept
+        for the trial; rebuilt only if I_rest changes."""
+        key = (i_rest, math.copysign(1.0, i_rest))
+        if self._stimulus_input is None or self._stimulus_input[0] != key:
+            net = np.zeros(len(self.activation))
+            mask = np.zeros(len(self.activation), dtype=bool)
+            ids = list(self.input_weights)
+            net[ids] = [math.fsum((iw * i_rest,)) for iw in self.input_weights.values()]
+            mask[ids] = True
+            self._stimulus_input = (key, net, mask)
+        return self._stimulus_input[1:]
 
-def set_stimulus(state: SimulationState, network: Network, stimulus: str) -> None:
-    """Reset the trial: rest activations, cleared active set, fresh weights."""
-    state.input_weights = network.input_weights(stimulus)
+
+def set_stimulus(state: SimulationState, network: Network, stimulus: str,
+                 input_weights: dict[int, float] | None = None) -> None:
+    """Reset the trial: rest activations, cleared active set, fresh weights.
+
+    ``input_weights`` are the stimulus's ``network.input_weights``, when the
+    caller already has them.
+    """
+    state.input_weights = (network.input_weights(stimulus) if input_weights is None
+                           else input_weights)
+    state._stimulus_input = None
     state.activation = list(network.rest_levels)
     state.active = {n for n, a in enumerate(state.activation) if a > 0.0}
     for pool, _gamma in INHIBITED_POOLS:
@@ -122,13 +157,6 @@ def set_stimulus(state: SimulationState, network: Network, stimulus: str) -> Non
     state.cycle = 0
     state.counters = {"active_node_updates": 0, "touched_updates": 0}
     state.trace.frames.clear()
-
-
-def apply_lateral_inhibition(node_id: int,
-                             pool_active: Iterable[tuple[int, float]],
-                             gamma: float) -> float:
-    """Inhibitory input from same-pool active nodes, excluding the node itself."""
-    return math.fsum(gamma * a for m, a in pool_active if m != node_id)
 
 
 def update_activation(a: float, net: float, rest: float, params: Parameters) -> float:
@@ -144,133 +172,137 @@ def update_activation(a: float, net: float, rest: float, params: Parameters) -> 
     return a_new
 
 
+def _partials(terms: list[float]) -> list[float]:
+    """Shewchuk's non-overlapping partials of ``terms`` (the first phase of
+    math.fsum): their exact sum is the exact sum of ``terms``."""
+    partials: list[float] = []
+    for x in terms:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+    return partials
+
+
 def step(state: SimulationState, network: Network, params: Parameters) -> SimulationState:
     """Advance one cycle: net inputs, lateral inhibition, activation update.
 
-    Only nodes that can change are updated: targets of active nodes'
-    connections, stimulus-weighted orthographic nodes, members of a pool
-    with an active inhibition step, and nodes away from their rest level.
-    Every other node is a fixed point of the update rule.
+    A node is touched -- updated and counted -- when it is the target of an
+    active node's connection, a stimulus-weighted orthographic node, a
+    member of a pool with an active inhibition step, or away from its rest
+    level. Every other node is a fixed point of the update rule and keeps
+    its activation.
     """
-    prev = state.activation
-    rests = network.rest_levels
-    pool_of = network.pool_of
+    prev_list = state.activation
+    prev = np.fromiter(prev_list, np.float64, len(prev_list))
+    rest = network.rest
+    fsum = math.fsum
     state.counters["active_node_updates"] += len(state.active)
 
-    # phase 1: excitation scattered from active sources (reads snapshot only)
+    # phase 1: excitation. Quiet nodes start from their stimulus-only net
+    # input; every target of an active source sums its products and its
+    # stimulus term (reads the snapshot only).
+    stimulus_net, has_input = state.stimulus_input(params.I_rest)
+    net = stimulus_net.copy()
+    was_off_rest = np.not_equal(prev, rest)
+    touched = was_off_rest | has_input
     contributions: dict[int, list[float]] = {}
     for src in state.active:
-        a = prev[src]
+        a = prev_list[src]
         for dst, w in network.out[src]:
             contributions.setdefault(dst, []).append(w * a)
-    i_rest = params.I_rest
-    for o_id, iw in state.input_weights.items():
-        contributions.setdefault(o_id, []).append(iw * i_rest)
+    if contributions:
+        weights, i_rest = state.input_weights, params.I_rest
+        sums = []
+        for dst, prods in contributions.items():
+            iw = weights.get(dst)
+            if iw is not None:
+                prods.append(iw * i_rest)
+            sums.append(fsum(prods))
+        targets = list(contributions)
+        net[targets] = sums
+        touched[targets] = True
 
-    # phase 2: one inhibition step per pool with a nonzero gamma
-    pool_steps: dict[Pool, tuple[float, list[tuple[int, float]], float]] = {}
+    # phase 2: one inhibition step per pool with a nonzero gamma and an
+    # active member. Every member gets the sum over the active members,
+    # each active member the sum over the others, from one set of partials.
     for pool, _gamma_name in INHIBITED_POOLS:
         gamma = pool_gamma(params, pool)
         members = state.active_by_pool[pool]
         if gamma == 0.0 or not members:
             continue
-        pairs = [(m, prev[m]) for m in members]
-        shared = apply_lateral_inhibition(-1, pairs, gamma)
-        pool_steps[pool] = (gamma, pairs, shared)
+        ids = list(members)
+        terms = [gamma * prev_list[m] for m in ids]
+        partials = _partials(terms)
+        own = net[ids]
+        in_pool = network.pool_mask[pool]
+        np.add(net, fsum(partials), out=net, where=in_pool)
+        net[ids] = own + [fsum(partials + [-t]) for t in terms]
+        touched |= in_pool
 
-    touched = set(contributions)
-    touched |= state.off_rest
-    for pool in pool_steps:
-        touched.update(state.active_by_pool[pool])
-    n_touched = len(touched)
+    # phase 3: update_activation elementwise, in its operation order
+    max_act, min_act = params.MAX_ACT, params.MIN_ACT
+    new = np.subtract(prev, min_act)
+    np.subtract(max_act, prev, out=new, where=net > 0.0)
+    new *= net
+    new += prev
+    decay = np.subtract(prev, rest)
+    decay *= params.DECAY_RATE
+    new -= decay
+    np.copyto(new, max_act, where=new > max_act)
+    np.copyto(new, min_act, where=new < min_act)
+    state.counters["touched_updates"] += int(np.count_nonzero(touched))
+    np.copyto(new, prev, where=~touched)
 
-    # phase 3: activation update from the snapshot
-    new_act = list(prev)
-    active = state.active
-    by_pool = state.active_by_pool
-    off_rest = state.off_rest
-    min_act, max_act, decay = params.MIN_ACT, params.MAX_ACT, params.DECAY_RATE
-    fsum = math.fsum
-
-    # fast path: pool members still at rest with no excitatory input receive
-    # only the shared inhibition term; they cannot cross zero, so only the
-    # off-rest bookkeeping can change. Arithmetic matches update_activation's
-    # net <= 0 branch exactly (the decay term is identically zero at rest).
-    for pool, (gamma, pairs, shared) in pool_steps.items():
-        memo: dict[float, float] = {}
-        for n in network.pool_ids[pool]:
-            if n in touched:
-                continue
-            n_touched += 1
-            rest = rests[n]
-            a_new = memo.get(rest)
-            if a_new is None:
-                a_new = rest + shared * (rest - min_act) - decay * (rest - rest)
-                if a_new < min_act:
-                    a_new = min_act
-                memo[rest] = a_new
-            if a_new != rest:
-                new_act[n] = a_new
-                off_rest.add(n)
-
-    for n in touched:
-        prods = contributions.get(n)
-        net = fsum(prods) if prods else 0.0
-        step_info = pool_steps.get(pool_of[n])
-        if step_info is not None:
-            gamma, pairs, shared = step_info
-            if n in by_pool[pool_of[n]]:
-                net = net + apply_lateral_inhibition(n, pairs, gamma)
-            else:
-                net = net + shared
-        a = prev[n]
-        rest = rests[n]
-        # inlined update_activation; keep in sync with that function
-        if net > 0.0:
-            a_new = a + net * (max_act - a) - decay * (a - rest)
+    # only nodes that crossed 0 or left or regained their rest level move
+    # between the sets
+    state.activation = new.tolist()
+    active, by_pool, pool_of = state.active, state.active_by_pool, network.pool_of
+    crossed = np.not_equal(prev > 0.0, new > 0.0).nonzero()[0]
+    for n, now_active in zip(crossed.tolist(), (new[crossed] > 0.0).tolist()):
+        pool_set = by_pool.get(pool_of[n])
+        if now_active:
+            active.add(n)
+            if pool_set is not None:
+                pool_set.add(n)
         else:
-            a_new = a + net * (a - min_act) - decay * (a - rest)
-        if a_new > max_act:
-            a_new = max_act
-        elif a_new < min_act:
-            a_new = min_act
-        new_act[n] = a_new
-        now_active = a_new > 0.0
-        if now_active != (a > 0.0):
-            pool_set = by_pool.get(pool_of[n])
-            if now_active:
-                active.add(n)
-                if pool_set is not None:
-                    pool_set.add(n)
-            else:
-                active.discard(n)
-                if pool_set is not None:
-                    pool_set.discard(n)
-        if a_new != rest:
+            active.discard(n)
+            if pool_set is not None:
+                pool_set.discard(n)
+    off_rest = state.off_rest
+    moved = np.not_equal(was_off_rest, new != rest).nonzero()[0]
+    for n, now_off in zip(moved.tolist(), (new[moved] != rest[moved]).tolist()):
+        if now_off:
             off_rest.add(n)
         else:
             off_rest.discard(n)
-
-    state.counters["touched_updates"] += n_touched
-    state.activation = new_act
     state.cycle += 1
     state.trace.record(state)
     return state
 
 
 def run(network: Network, stimulus: str, monitor, params: Parameters | None = None,
-        trace: str | None = "sparse", step_fn=None):
+        trace: str | None = "sparse", step_fn=None,
+        input_weights: dict[int, float] | None = None):
     """Simulate one trial: set the stimulus, cycle until the task monitor
     decides or the cycle limit is reached. Returns (trace, outcome).
 
     ``step_fn(state, network, params)`` advances one cycle; None means this
     module's ``step``, looked up at call time so a wrapper installed on
-    ``dynamics.step`` sees every cycle.
+    ``dynamics.step`` sees every cycle. ``input_weights`` are passed on to
+    ``set_stimulus``.
     """
     params = params or network.params
     step_fn = step_fn or step
     state = SimulationState(network, trace=trace)
-    set_stimulus(state, network, stimulus)
+    set_stimulus(state, network, stimulus, input_weights)
     outcome = None
     while state.cycle < params.max_cycles:
         step_fn(state, network, params)

@@ -125,6 +125,9 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
     rated = [r for r in records if r.rt_ms is not None]
     if not rated:
         raise ConfigError("fit requires stimulus records with reaction times")
+    # every grid point runs the same stimuli: weight each one once per fit
+    weights = {stimulus: network.input_weights(stimulus)
+               for stimulus in dict.fromkeys(r.stimulus for r in rated)}
 
     def objective(gamma: float) -> float:
         pp = gamma if config.tie_gammas else config.fixed_pp_gamma
@@ -133,8 +136,8 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
         for record in rated:
             monitor = make_monitor(record.task, record.source_lang,
                                    record.target_lang, trial_params)
-            _trace, outcome = run(network, record.stimulus, monitor,
-                                  trial_params, trace=None)
+            _trace, outcome = run(network, record.stimulus, monitor, trial_params,
+                                  trace=None, input_weights=weights[record.stimulus])
             if outcome.responded:
                 cycles.append(float(outcome.cycles))
                 rts.append(record.rt_ms)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .lexicon import Lexicon, rest_activation
 from .params import Parameters
 
@@ -108,6 +110,10 @@ class Network:
         self.pool_ids: dict[Pool, list[int]] = {pool: [] for pool in Pool}
         self.pool_of: list[Pool] = []
         self.rest_levels: list[float] = []
+        # read-only array forms of pool_ids (a membership mask per inhibited
+        # pool) and rest_levels, set once the build is complete
+        self.pool_mask: dict[Pool, np.ndarray] = {}
+        self.rest = np.zeros(0)
 
     # -- construction -----------------------------------------------------
 
@@ -204,4 +210,11 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
             net._connect(l_id, o_id, params.LO_alpha)
             net._connect(p_id, l_id, params.PL_alpha)
             net._connect(l_id, p_id, params.LP_alpha)
+    for pool, _gamma_name in INHIBITED_POOLS:
+        mask = np.zeros(len(net), dtype=bool)
+        mask[net.pool_ids[pool]] = True
+        mask.flags.writeable = False
+        net.pool_mask[pool] = mask
+    net.rest = np.fromiter(net.rest_levels, np.float64, len(net))
+    net.rest.flags.writeable = False
     return net

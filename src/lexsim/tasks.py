@@ -111,6 +111,15 @@ def _check_language(network: Network, language: str) -> None:
                           f"network has {network.languages}")
 
 
+def _candidates(state: SimulationState, network: Network, pool: Pool,
+                threshold: float) -> list[int]:
+    """Pool members, in id order, that may be at or above ``threshold``:
+    above 0 only active nodes (a > 0) can be, at or below 0 any member."""
+    if threshold > 0.0:
+        return sorted(state.active_by_pool[pool])
+    return network.pool_ids[pool]
+
+
 def _winner(state: SimulationState, network: Network, pool: Pool,
             language: str, threshold: float) -> int | None:
     """Most active node of the pool/language at or above threshold.
@@ -119,7 +128,7 @@ def _winner(state: SimulationState, network: Network, pool: Pool,
     """
     act = state.activation
     best: int | None = None
-    for node_id in network.pool_ids[pool]:
+    for node_id in _candidates(state, network, pool, threshold):
         if network.nodes[node_id].language != language:
             continue
         a = act[node_id]
@@ -212,7 +221,7 @@ class WordTranslationMonitor:
     def _identify_input(self, state, network) -> None:
         act = state.activation
         threshold = self.params.shortlist_input_threshold
-        for o_id in network.pool_ids[Pool.ORTHO]:
+        for o_id in _candidates(state, network, Pool.ORTHO, threshold):
             if act[o_id] >= threshold:
                 self.input_list.admit(o_id, act[o_id], state.cycle)
         # scan the live list, most activated first, until the source language appears
@@ -235,8 +244,9 @@ class WordTranslationMonitor:
 
     def _select_output(self, state, network) -> TaskOutcome | None:
         act = state.activation
-        for p_id in network.pool_ids[Pool.PHONO]:
-            if act[p_id] >= self.params.shortlist_output_threshold:
+        threshold = self.params.shortlist_output_threshold
+        for p_id in _candidates(state, network, Pool.PHONO, threshold):
+            if act[p_id] >= threshold:
                 self.output_list.admit(p_id, act[p_id], state.cycle)
         if self.diagnostics.input_node is None:
             return None  # semantic check impossible until the input is fixed

@@ -1,9 +1,12 @@
-import pytest
+import math
 
-from lexsim import (DenseEngine, Lexicon, NullMonitor, Parameters, apply_lateral_inhibition,
-                    build_network, lexical_decision, parse_lexicon, run, set_stimulus, step,
-                    update_activation)
-from lexsim.dynamics import SimulationState
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lexsim import (DenseEngine, Lexicon, NullMonitor, Parameters, build_network,
+                    lexical_decision, parse_lexicon, run, set_stimulus, step, update_activation)
+from lexsim.dynamics import SimulationState, _partials
 from lexsim.network import Pool
 from lexsim.tasks import LexicalDecisionMonitor
 
@@ -74,18 +77,81 @@ def test_net_input_includes_stimulus_term(params):
 
 # -- lateral inhibition ------------------------------------------------------
 
+PAIR = SINGLE + "\nAAP,50.0,ap,50.0,MONKEY,20.0,mVNki,20.0"
+
+
+def _inhibition_step(gamma, activations):
+    """One cycle of either engine with the given orthographic nodes active.
+
+    Orthographic nodes have no orthographic sources, so their net input is
+    the inhibition alone. Returns per engine the network, the parameters,
+    the orthographic ids in build order and the new activations.
+    """
+    params = Parameters().updated(OO_gamma=gamma)
+    net = build_network(parse_lexicon(PAIR), params)
+    ortho = net.pool_ids[Pool.ORTHO]
+    results = []
+    for step_fn in _steps(net):
+        state = SimulationState(net)
+        for o, a in zip(ortho, activations):
+            _set(state, o, a)
+        step_fn(state, net, params)
+        results.append((net, params, ortho, state.activation))
+    return results
+
+
 def test_inhibition_zero_gamma():
-    assert apply_lateral_inhibition(1, [(2, 0.5), (3, 0.3)], 0.0) == 0.0
+    for net, params, ortho, act in _inhibition_step(0.0, (0.5, 0.3)):
+        assert act[ortho[0]] == update_activation(0.5, 0.0, net.rest_levels[ortho[0]], params)
+        assert act[ortho[2]] == net.rest_levels[ortho[2]]
 
 
 def test_inhibition_excludes_self():
-    assert apply_lateral_inhibition(1, [(1, 0.9)], -0.1) == 0.0
+    for net, params, ortho, act in _inhibition_step(-0.1, (0.9,)):
+        # the only active member gets no inhibition; the quiet ones get its share
+        assert act[ortho[0]] == update_activation(0.9, 0.0, net.rest_levels[ortho[0]], params)
+        rest = net.rest_levels[ortho[1]]
+        assert act[ortho[1]] == update_activation(rest, -0.1 * 0.9, rest, params)
 
 
 def test_inhibition_sums_other_members():
-    value = apply_lateral_inhibition(1, [(2, 0.5), (3, 0.3)], -0.1)
-    assert value == pytest.approx(-0.08)
-    assert value <= 0.0
+    for net, params, ortho, act in _inhibition_step(-0.1, (0.2, 0.5, 0.3)):
+        inhibition = math.fsum([-0.1 * 0.5, -0.1 * 0.3])
+        assert inhibition == pytest.approx(-0.08)
+        assert act[ortho[0]] == update_activation(0.2, inhibition, net.rest_levels[ortho[0]],
+                                                  params)
+        rest = net.rest_levels[ortho[3]]
+        shared = math.fsum([-0.1 * 0.2, -0.1 * 0.5, -0.1 * 0.3])
+        assert act[ortho[3]] == update_activation(rest, shared, rest, params)
+
+
+# -- exclusion sums from partials ---------------------------------------------
+
+# signed zeros, subnormals, the smallest normal, halfway cases around 1.0 and
+# values whose sums cancel across many binades
+TRICKY = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+          1.0, -1.0, 2.0 ** -53, -(2.0 ** -53), 2.0 ** -54, 2.0 ** -105, 1.0 + 2.0 ** -52,
+          2.0 ** 53, -(2.0 ** 53), 1e16, -1e16, 0.1, -0.1, 1e300, -1e300)
+FLOATS = st.one_of(st.sampled_from(TRICKY),
+                   st.floats(min_value=-1e300, max_value=1e300),
+                   st.floats(min_value=-1e-300, max_value=1e-300))
+TERMS = st.one_of(st.lists(FLOATS, min_size=1, max_size=12),
+                  # each even-indexed term cancelled by a later one
+                  st.lists(FLOATS, min_size=1, max_size=6).map(
+                      lambda xs: xs + [-x for x in xs[::2]]))
+
+
+def _bits(x):
+    return x.hex()  # distinguishes 0.0 from -0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(TERMS)
+def test_partials_give_exact_exclusion_sums(xs):
+    partials = _partials(xs)
+    assert _bits(math.fsum(partials)) == _bits(math.fsum(xs))
+    for i, x in enumerate(xs):
+        assert _bits(math.fsum(partials + [-x])) == _bits(math.fsum(xs[:i] + xs[i + 1:]))
 
 
 # -- update rule -------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from lexsim import (ParseOptions, Parameters, build_network, input_weight,
                     levenshtein_similarity, parse_lexicon)
-from lexsim.network import Pool
+from lexsim.network import INHIBITED_POOLS, Pool
 
 
 def reference_edit_distance(a: str, b: str) -> int:
@@ -112,6 +112,16 @@ def test_special_rest_levels(table1_network):
         assert net.nodes[s].rest == -0.2
     for l in net.pool_ids[Pool.LANG]:
         assert net.nodes[l].rest == -0.2
+
+
+def test_arrays_match_lists_and_are_read_only(table1_network):
+    net = table1_network
+    assert net.rest.tolist() == net.rest_levels
+    for pool, _gamma_name in INHIBITED_POOLS:
+        assert net.pool_mask[pool].nonzero()[0].tolist() == net.pool_ids[pool]
+    for array in (net.rest, *net.pool_mask.values()):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
 
 
 def test_ortho_phono_share_concept(table1_network):

@@ -121,3 +121,15 @@ def test_engines_agree_with_language_links(homograph_lexicon):
     _assert_engines_agree(network, params,
                           [("ROOM", "WT", "NL", "EN"), ("AARDBEI", "WT", "NL", "EN"),
                            ("AARDE", "LD", "NL", None), ("AAP", "NAME", "NL", "NL")])
+
+
+@pytest.mark.parametrize("change", [{"DECAY_RATE": 0.0}, {"DECAY_RATE": 1.0},
+                                    {"I_rest": 0.0}, {"I_rest": -0.0}])
+def test_engines_agree_at_parameter_edges(homograph_lexicon, change):
+    # MAX_REST > 0 starts the most frequent readings active, so activity and
+    # inhibition flow even when I_rest = 0.0 makes every stimulus product a
+    # (signed) zero: stimulus-weighted nodes are then updated with no input
+    params = Parameters().updated(MAX_REST=0.05, OO_gamma=-0.05, PP_gamma=-0.05, **change)
+    _assert_engines_agree(build_network(homograph_lexicon, params), params,
+                          [("ROOM", "WT", "NL", "EN"), ("AARDBEI", "WT", "NL", "EN"),
+                           ("AARDE", "LD", "NL", None), ("AAP", "NAME", "NL", "NL")])
