@@ -103,12 +103,18 @@ class Trace:
 
 
 class SimulationState:
-    """Mutable per-trial state over one immutable network."""
+    """Mutable per-trial state over one immutable network, starting at rest."""
 
     def __init__(self, network: Network, trace: str | None = "sparse"):
         self.network = network
+        self.trace = Trace(network, trace)
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to rest: rest activations, no stimulus, cycle 0, no frames."""
+        network = self.network
         self.activation: list[float] = list(network.rest_levels)
-        self.active: set[int] = {n for n, a in enumerate(self.activation) if a > 0.0}
+        self.active: set[int] = set(np.flatnonzero(network.rest > 0.0).tolist())
         self.active_by_pool: dict[Pool, set[int]] = {
             pool: {n for n in self.active if network.pool_of[n] is pool}
             for pool, _g in INHIBITED_POOLS}
@@ -117,7 +123,7 @@ class SimulationState:
         self._stimulus_input = None
         self.cycle = 0
         self.counters = {"active_node_updates": 0, "touched_updates": 0}
-        self.trace = Trace(network, trace)
+        self.trace.frames.clear()
 
     def recomputed_active(self) -> set[int]:
         """Active set derived from scratch; used to check the incremental one."""
@@ -145,18 +151,9 @@ def set_stimulus(state: SimulationState, network: Network, stimulus: str,
     ``input_weights`` are the stimulus's ``network.input_weights``, when the
     caller already has them.
     """
+    state.reset()
     state.input_weights = (network.input_weights(stimulus) if input_weights is None
                            else input_weights)
-    state._stimulus_input = None
-    state.activation = list(network.rest_levels)
-    state.active = {n for n, a in enumerate(state.activation) if a > 0.0}
-    for pool, _gamma in INHIBITED_POOLS:
-        state.active_by_pool[pool] = {n for n in state.active
-                                      if network.pool_of[n] is pool}
-    state.off_rest = set()
-    state.cycle = 0
-    state.counters = {"active_node_updates": 0, "touched_updates": 0}
-    state.trace.frames.clear()
 
 
 def update_activation(a: float, net: float, rest: float, params: Parameters) -> float:
@@ -296,13 +293,14 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
 
     ``step_fn(state, network, params)`` advances one cycle; None means this
     module's ``step``, looked up at call time so a wrapper installed on
-    ``dynamics.step`` sees every cycle. ``input_weights`` are passed on to
-    ``set_stimulus``.
+    ``dynamics.step`` sees every cycle. ``input_weights`` are the
+    stimulus's ``network.input_weights``, when the caller already has them.
     """
     params = params or network.params
     step_fn = step_fn or step
-    state = SimulationState(network, trace=trace)
-    set_stimulus(state, network, stimulus, input_weights)
+    state = SimulationState(network, trace=trace)  # at rest, like set_stimulus
+    state.input_weights = (network.input_weights(stimulus) if input_weights is None
+                           else input_weights)
     outcome = None
     while state.cycle < params.max_cycles:
         step_fn(state, network, params)

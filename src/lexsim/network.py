@@ -64,39 +64,6 @@ class Connection:
     weight: float
 
 
-def levenshtein_similarity(a: str, b: str) -> float:
-    """Length-normalised edit-distance similarity in [0, 1].
-
-    Unit-cost insert/delete/substitute only; no transposition primitive, so
-    a two-letter exchange costs 2.
-    """
-    if not a or not b:
-        raise ValueError("symbols must be non-empty")
-    if a == b:
-        return 1.0
-    # classic two-row DP over the shorter symbol
-    if len(a) > len(b):
-        a, b = b, a
-    previous = list(range(len(a) + 1))
-    for i, cb in enumerate(b, start=1):
-        current = [i]
-        for j, ca in enumerate(a, start=1):
-            current.append(min(previous[j] + 1,
-                               current[j - 1] + 1,
-                               previous[j - 1] + (ca != cb)))
-        previous = current
-    dist = previous[len(a)]
-    return 1.0 - dist / max(len(a), len(b))
-
-
-def input_weight(stimulus: str, ortho_symbol: str, params: Parameters) -> float:
-    """Stimulus-to-node weight: IO_multiplier x similarity cubed, 0 below overlap."""
-    score = levenshtein_similarity(stimulus, ortho_symbol)
-    if score <= 0.0:
-        return 0.0
-    return params.IO_multiplier * (score * score * score)
-
-
 class Network:
     """Built lexical network; structurally immutable after construction."""
 
@@ -114,6 +81,12 @@ class Network:
         # pool) and rest_levels, set once the build is complete
         self.pool_mask: dict[Pool, np.ndarray] = {}
         self.rest = np.zeros(0)
+        # read-only orthographic spellings for input weighting: node ids,
+        # symbol lengths, and code points with one row per letter position
+        # (column k is the k-th ortho node, padded with 0 past its length)
+        self.ortho_ids = np.zeros(0, dtype=np.int64)
+        self.ortho_lengths = np.zeros(0, dtype=np.intp)
+        self.ortho_codes = np.zeros((0, 0), dtype=np.uint32)
 
     # -- construction -----------------------------------------------------
 
@@ -152,16 +125,47 @@ class Network:
                 for dst, w in sorted(targets)]
 
     def input_weights(self, stimulus: str) -> dict[int, float]:
-        """Nonzero stimulus weights over orthographic nodes (symbol uppercased)."""
+        """Nonzero stimulus weights over orthographic nodes (symbol uppercased),
+        in node id order: IO_multiplier x similarity cubed, where similarity
+        is 1 - edit distance / the longer length.
+
+        One Wagner-Fischer table (Wagner & Fischer, JACM 1974) runs over
+        every orthographic node at once: each stimulus letter i makes a new
+        row of D[i][j], one vector across nodes per letter position j. A
+        node's distance is the last row's entry at its own length; the
+        padding past that length is never read there, because D[i][j]
+        depends only on positions <= j. The entries are at most i + j, so
+        the rows use the narrowest unsigned type that holds the largest.
+        The weights are float64 ufuncs in the scalar expression's operation
+        order, each a single IEEE operation rounded as Python rounds it, so
+        they equal reference.input_weight bit for bit.
+        """
         if not stimulus:
             raise ValueError("stimulus must be non-empty")
         stimulus = stimulus.upper()
-        weights: dict[int, float] = {}
-        for o_id in self.pool_ids[Pool.ORTHO]:
-            w = input_weight(stimulus, self.nodes[o_id].symbol, self.params)
-            if w > 0.0:
-                weights[o_id] = w
-        return weights
+        codes, lengths = self.ortho_codes, self.ortho_lengths
+        width, n = codes.shape
+        dtype = np.min_scalar_type(len(stimulus) + width)
+        row = np.repeat(np.arange(width + 1, dtype=dtype)[:, None], n, axis=1)
+        new = np.empty_like(row)
+        mismatch = np.empty(codes.shape, dtype=bool)
+        for i, letter in enumerate(stimulus, start=1):
+            # substitution (or match) from the diagonal, deletion from above
+            np.not_equal(codes, ord(letter), out=mismatch)
+            np.add(row[:-1], mismatch, out=new[1:])
+            row += 1
+            np.minimum(new[1:], row[1:], out=new[1:])
+            new[0] = i
+            # insertion along the row; the spent previous row is scratch
+            for j in range(1, width + 1):
+                np.add(new[j - 1], 1, out=row[j])
+                np.minimum(new[j], row[j], out=new[j])
+            row, new = new, row
+        distance = row[lengths, np.arange(n)]
+        similarity = 1.0 - distance / np.maximum(lengths, len(stimulus))
+        weights = self.params.IO_multiplier * (similarity * similarity * similarity)
+        keep = np.flatnonzero(weights > 0.0)
+        return dict(zip(self.ortho_ids[keep].tolist(), weights[keep].tolist()))
 
 
 def build_network(lexicon: Lexicon, params: Parameters) -> Network:
@@ -216,5 +220,15 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
         mask.flags.writeable = False
         net.pool_mask[pool] = mask
     net.rest = np.fromiter(net.rest_levels, np.float64, len(net))
-    net.rest.flags.writeable = False
+    symbols = [net.nodes[o_id].symbol for o_id in net.pool_ids[Pool.ORTHO]]
+    lengths = list(map(len, symbols))
+    width = max(lengths, default=0)
+    net.ortho_ids = np.array(net.pool_ids[Pool.ORTHO], dtype=np.int64)
+    net.ortho_lengths = np.array(lengths, dtype=np.intp)
+    # a fixed-width numpy string holds one UCS-4 code point per letter,
+    # zero-padded: one row per symbol, transposed to one row per position
+    padded = np.array(symbols, dtype=f"<U{width}").view("<u4").reshape(len(symbols), width)
+    net.ortho_codes = padded.T.copy()
+    for array in (net.rest, net.ortho_ids, net.ortho_lengths, net.ortho_codes):
+        array.flags.writeable = False
     return net

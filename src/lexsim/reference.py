@@ -1,8 +1,9 @@
 """Slow reference engine kept for equivalence testing.
 
 The dense engine materialises every same-pool inhibitory connection and
-recomputes every node every cycle; it exists so the fast active-set engine
-can be checked against it bit-for-bit.
+recomputes every node every cycle, and weights its stimulus with the
+scalar edit-distance loop below; it exists so the fast active-set engine
+and the array input weighting can be checked against it bit-for-bit.
 """
 
 from __future__ import annotations
@@ -18,6 +19,52 @@ from .network import INHIBITED_POOLS, Network, Pool, pool_gamma
 from .params import Parameters
 
 DENSE_ENTRY_GUARD = 500
+
+
+def levenshtein_similarity(a: str, b: str) -> float:
+    """Length-normalised edit-distance similarity in [0, 1].
+
+    Unit-cost insert/delete/substitute only; no transposition primitive, so
+    a two-letter exchange costs 2.
+    """
+    if not a or not b:
+        raise ValueError("symbols must be non-empty")
+    if a == b:
+        return 1.0
+    # classic two-row DP over the shorter symbol
+    if len(a) > len(b):
+        a, b = b, a
+    previous = list(range(len(a) + 1))
+    for i, cb in enumerate(b, start=1):
+        current = [i]
+        for j, ca in enumerate(a, start=1):
+            current.append(min(previous[j] + 1,
+                               current[j - 1] + 1,
+                               previous[j - 1] + (ca != cb)))
+        previous = current
+    dist = previous[len(a)]
+    return 1.0 - dist / max(len(a), len(b))
+
+
+def input_weight(stimulus: str, ortho_symbol: str, params: Parameters) -> float:
+    """Stimulus-to-node weight: IO_multiplier x similarity cubed, 0 below overlap."""
+    score = levenshtein_similarity(stimulus, ortho_symbol)
+    if score <= 0.0:
+        return 0.0
+    return params.IO_multiplier * (score * score * score)
+
+
+def scalar_input_weights(network: Network, stimulus: str) -> dict[int, float]:
+    """``network.input_weights(stimulus)``, one orthographic node at a time."""
+    if not stimulus:
+        raise ValueError("stimulus must be non-empty")
+    stimulus = stimulus.upper()
+    weights: dict[int, float] = {}
+    for o_id in network.pool_ids[Pool.ORTHO]:
+        w = input_weight(stimulus, network.nodes[o_id].symbol, network.params)
+        if w > 0.0:
+            weights[o_id] = w
+    return weights
 
 
 @dataclass
@@ -108,4 +155,6 @@ class DenseEngine:
 
     def run(self, stimulus: str, monitor, params: Parameters | None = None,
             trace: str | None = "sparse"):
-        return run(self.dense.base, stimulus, monitor, params, trace, step_fn=self.step)
+        network = self.dense.base
+        return run(network, stimulus, monitor, params, trace, step_fn=self.step,
+                   input_weights=scalar_input_weights(network, stimulus))

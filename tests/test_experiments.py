@@ -89,9 +89,12 @@ def test_outcome_rows_layout(table1_network, params):
     records = parse_stimuli(STIM_CSV)
     rows = outcome_rows(run_batch(table1_network, records, params))
     assert rows[0] == ["stimulus", "task", "source_lang", "target_lang", "response_kind",
-                       "response_symbol", "cycles", "rt_pred", "n_rejected", "failure"]
+                       "response_symbol", "cycles", "rt_pred", "n_rejected", "failure",
+                       "input_symbol", "rejected_symbols"]
     assert rows[1][0] == "AARDE" and rows[1][4] == "yes"
-    assert [row[-1] for row in rows[1:]] == ["", "", ""]
+    assert [row[9] for row in rows[1:]] == ["", "", ""]
+    # only the WT trial identifies an input reading
+    assert [row[10] for row in rows[1:]] == ["", "AARDBEI", ""]
 
 
 def test_outcome_rows_failure_column(homograph_lexicon):
@@ -103,9 +106,24 @@ def test_outcome_rows_failure_column(homograph_lexicon):
                StimulusRecord("XQZQX", "NL", None, "LD"),
                StimulusRecord("ROOM", "XX", "EN", "WT")]
     rows = outcome_rows(run_batch(build_network(homograph_lexicon, params), records, params))
-    assert [(row[4], row[-1]) for row in rows[1:]] == [
+    assert [(row[4], row[9]) for row in rows[1:]] == [
         ("none", "no_output_accepted"), ("none", "no_input_identified"),
         ("no", ""), ("error", "")]
+
+
+def test_outcome_rows_input_and_rejected_symbols(homograph_network, params):
+    # the WT monitor fixes the NL reading of ROOM, then turns away the
+    # output candidates of the wrong language or concept, in rejection order
+    records = [StimulusRecord("ROOM", "NL", "EN", "WT"),
+               StimulusRecord("AARDE", "NL", None, "LD"),
+               StimulusRecord("ROOM", "XX", "EN", "WT")]
+    rows = outcome_rows(run_batch(homograph_network, records, params))
+    outcome = run_batch(homograph_network, records[:1], params)[0].outcome
+    rejected = ";".join(r.symbol for r in outcome.diagnostics.output_rejections)
+    assert rows[1][8:] == [3, "", "ROOM", rejected]
+    assert len(rejected.split(";")) == 3 and "kam@r" in rejected.split(";")
+    assert rows[2][8:] == [0, "", "", ""]
+    assert rows[3][4] == "error" and rows[3][8:] == ["", "", "", ""]
 
 
 # -- active-node statistics ----------------------------------------------------

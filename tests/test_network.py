@@ -1,11 +1,12 @@
 import functools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lexsim import (ParseOptions, Parameters, build_network, input_weight,
-                    levenshtein_similarity, parse_lexicon)
+from lexsim import (Lexicon, LexiconEntry, ParseOptions, Parameters, build_network,
+                    input_weight, levenshtein_similarity, parse_lexicon)
 from lexsim.network import INHIBITED_POOLS, Pool
+from lexsim.reference import scalar_input_weights
 
 
 def reference_edit_distance(a: str, b: str) -> int:
@@ -103,6 +104,7 @@ def test_build_empty_lexicon():
     net = build_network(Lexicon(entries=[]), Parameters())
     assert len(net) == 3  # input node plus two language nodes
     assert len(net.pool_ids[Pool.ORTHO]) == 0
+    assert net.input_weights("A") == {}
 
 
 def test_special_rest_levels(table1_network):
@@ -114,14 +116,73 @@ def test_special_rest_levels(table1_network):
         assert net.nodes[l].rest == -0.2
 
 
+def _lexicon(pairs):
+    return Lexicon([LexiconEntry(a, 1.0, a.lower(), b, 2.0, b.lower()) for a, b in pairs])
+
+
 def test_arrays_match_lists_and_are_read_only(table1_network):
-    net = table1_network
+    non_ascii = build_network(_lexicon([("ÉÉN", "ONE"), ("漢字😀", "Ж"), ("AB", "ÉÉN")]),
+                              Parameters())
+    for net in (table1_network, non_ascii):
+        _check_arrays(net)
+
+
+def _check_arrays(net):
     assert net.rest.tolist() == net.rest_levels
     for pool, _gamma_name in INHIBITED_POOLS:
         assert net.pool_mask[pool].nonzero()[0].tolist() == net.pool_ids[pool]
-    for array in (net.rest, *net.pool_mask.values()):
+    ortho = net.pool_ids[Pool.ORTHO]
+    assert net.ortho_ids.tolist() == ortho
+    assert net.ortho_lengths.tolist() == [len(net.nodes[o].symbol) for o in ortho]
+    # one row per letter position, one column per node, zero past its length
+    assert net.ortho_codes.shape == (max(net.ortho_lengths), len(ortho))
+    for column, o_id, length in zip(net.ortho_codes.T, ortho, net.ortho_lengths):
+        assert "".join(map(chr, column[:length].tolist())) == net.nodes[o_id].symbol
+        assert not column[length:].any()
+    for array in (net.rest, *net.pool_mask.values(), net.ortho_ids, net.ortho_lengths,
+                  net.ortho_codes):
         with pytest.raises(ValueError):
             array[0] = array[0]
+
+
+# letters outside ASCII, one outside the Basic Multilingual Plane, and one
+# (ß) that uppercases to two letters
+LETTERS = "ABÉßЖж😀"
+SPELLINGS = st.text(alphabet=LETTERS, min_size=1, max_size=6)
+
+
+@st.composite
+def weighting_cases(draw):
+    """Pairs over a few spellings, so that spellings repeat within and across
+    languages; a stimulus that is a node's spelling, one letter, longer than
+    every symbol, or any other spelling; and a gain that may be 0 or so small
+    that a weight underflows to 0."""
+    words = draw(st.lists(SPELLINGS, min_size=1, max_size=8))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(words), st.sampled_from(words)),
+                          min_size=1, max_size=8))
+    longest = max(map(len, words))
+    stimulus = draw(st.one_of(
+        st.sampled_from(words), st.sampled_from(LETTERS),
+        st.text(alphabet=LETTERS, min_size=longest + 1, max_size=longest + 3), SPELLINGS))
+    gain = draw(st.sampled_from((0.0, 0.2, 1.0, 3.7, 5e-324)))
+    return pairs, stimulus, gain
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighting_cases())
+@example(([("ABBA", "BAAB"), ("ABBA", "ÉÉÉÉÉ")], "A", 0.2))  # shorter than every symbol
+@example(([("AB", "B"), ("ж", "ÉA")], "ABÉABÉ", 0.2))  # longer than every symbol
+@example(([("ABBA", "ABBA"), ("ABBA", "ABBE")], "ABBA", 0.2))  # homographs
+@example(([("ABBA", "AB")], "ABBA", 0.0))
+def test_input_weights_match_scalar_loop(case):
+    pairs, stimulus, gain = case
+    net = build_network(_lexicon(pairs), Parameters().updated(IO_multiplier=gain))
+    fast = net.input_weights(stimulus)
+    slow = scalar_input_weights(net, stimulus)
+    # same keys in the same order, same doubles bit for bit
+    assert [(k, w.hex()) for k, w in fast.items()] == [(k, w.hex()) for k, w in slow.items()]
+    if gain == 0.0:
+        assert fast == {}
 
 
 def test_ortho_phono_share_concept(table1_network):
