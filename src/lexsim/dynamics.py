@@ -23,6 +23,16 @@ values over numpy arrays:
   float operation does (numpy does not fuse multiply-add). Most nodes are
   quiet: their net input is that one add of the shared inhibition to 0.0
   or to their stimulus term, and no Python code runs for them one by one.
+
+Bit-identity includes the sign of zero, because no activation is ever
+-0.0. Parameters stores every float as value + 0.0, which maps -0.0 to
++0.0 and leaves every other value unchanged, so no rest level and neither
+clamp bound (MIN_ACT, MAX_ACT = -0.0 clamp to +0.0) is -0.0. The update
+a + net*d - decay*(a - rest) then cannot yield -0.0 from an a that is not:
+in round-to-nearest x + y is -0.0 only if x and y both are, and x - y only
+if x is. So a node at its rest level holds that level's exact bits, and
+the update rule maps it to itself: the nodes this engine leaves untouched
+hold what the dense engine recomputes for them.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ class Trace:
 
     mode "sparse" stores only nodes away from their resting level, "full"
     stores the complete activation vector per cycle, None records nothing
-    (benchmark runs).
+    (run never calls record then). Frames hold Python floats.
     """
 
     def __init__(self, network: Network, mode: str | None = "sparse"):
@@ -52,13 +62,12 @@ class Trace:
         self.frames: list = []
 
     def record(self, state: "SimulationState") -> None:
-        if self.mode is None:
-            return
+        act = state.activation
         if self.mode == "full":
-            self.frames.append(list(state.activation))
+            self.frames.append(act.tolist())
         else:
-            act = state.activation
-            self.frames.append({n: act[n] for n in state.off_rest})
+            off_rest = np.flatnonzero(act != self._network.rest)
+            self.frames.append(dict(zip(off_rest.tolist(), act[off_rest].tolist())))
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -113,34 +122,29 @@ class SimulationState:
     def reset(self) -> None:
         """Back to rest: rest activations, no stimulus, cycle 0, no frames."""
         network = self.network
-        self.activation: list[float] = list(network.rest_levels)
+        self.activation: np.ndarray = network.rest.copy()
         self.active: set[int] = set(np.flatnonzero(network.rest > 0.0).tolist())
+        nodes = network.nodes
         self.active_by_pool: dict[Pool, set[int]] = {
-            pool: {n for n in self.active if network.pool_of[n] is pool}
+            pool: {n for n in self.active if nodes[n].pool is pool}
             for pool, _g in INHIBITED_POOLS}
-        self.off_rest: set[int] = set()
         self.input_weights: dict[int, float] = {}
         self._stimulus_input = None
         self.cycle = 0
         self.counters = {"active_node_updates": 0, "touched_updates": 0}
         self.trace.frames.clear()
 
-    def recomputed_active(self) -> set[int]:
-        """Active set derived from scratch; used to check the incremental one."""
-        return {n for n, a in enumerate(self.activation) if a > 0.0}
-
     def stimulus_input(self, i_rest: float) -> tuple[np.ndarray, np.ndarray]:
         """(net input, mask) of the stimulus term alone: fsum([iw * I_rest])
         at every stimulus-weighted orthographic node, 0.0 elsewhere. Kept
         for the trial; rebuilt only if I_rest changes."""
-        key = (i_rest, math.copysign(1.0, i_rest))
-        if self._stimulus_input is None or self._stimulus_input[0] != key:
-            net = np.zeros(len(self.activation))
-            mask = np.zeros(len(self.activation), dtype=bool)
+        if self._stimulus_input is None or self._stimulus_input[0] != i_rest:
+            net = np.zeros(len(self.network))
+            mask = np.zeros(len(self.network), dtype=bool)
             ids = list(self.input_weights)
             net[ids] = [math.fsum((iw * i_rest,)) for iw in self.input_weights.values()]
             mask[ids] = True
-            self._stimulus_input = (key, net, mask)
+            self._stimulus_input = (i_rest, net, mask)
         return self._stimulus_input[1:]
 
 
@@ -197,22 +201,22 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
     level. Every other node is a fixed point of the update rule and keeps
     its activation.
     """
-    prev_list = state.activation
-    prev = np.fromiter(prev_list, np.float64, len(prev_list))
+    prev = state.activation
     rest = network.rest
     fsum = math.fsum
     state.counters["active_node_updates"] += len(state.active)
+    srcs = list(state.active)
+    active_act = dict(zip(srcs, prev[srcs].tolist()))
 
     # phase 1: excitation. Quiet nodes start from their stimulus-only net
     # input; every target of an active source sums its products and its
     # stimulus term (reads the snapshot only).
     stimulus_net, has_input = state.stimulus_input(params.I_rest)
     net = stimulus_net.copy()
-    was_off_rest = np.not_equal(prev, rest)
-    touched = was_off_rest | has_input
+    touched = np.not_equal(prev, rest)
+    touched |= has_input
     contributions: dict[int, list[float]] = {}
-    for src in state.active:
-        a = prev_list[src]
+    for src, a in active_act.items():
         for dst, w in network.out[src]:
             contributions.setdefault(dst, []).append(w * a)
     if contributions:
@@ -236,7 +240,7 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
         if gamma == 0.0 or not members:
             continue
         ids = list(members)
-        terms = [gamma * prev_list[m] for m in ids]
+        terms = [gamma * active_act[m] for m in ids]
         partials = _partials(terms)
         own = net[ids]
         in_pool = network.pool_mask[pool]
@@ -258,13 +262,12 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
     state.counters["touched_updates"] += int(np.count_nonzero(touched))
     np.copyto(new, prev, where=~touched)
 
-    # only nodes that crossed 0 or left or regained their rest level move
-    # between the sets
-    state.activation = new.tolist()
-    active, by_pool, pool_of = state.active, state.active_by_pool, network.pool_of
+    # only nodes that crossed 0 move between the active sets
+    state.activation = new
+    active, by_pool, nodes = state.active, state.active_by_pool, network.nodes
     crossed = np.not_equal(prev > 0.0, new > 0.0).nonzero()[0]
     for n, now_active in zip(crossed.tolist(), (new[crossed] > 0.0).tolist()):
-        pool_set = by_pool.get(pool_of[n])
+        pool_set = by_pool.get(nodes[n].pool)
         if now_active:
             active.add(n)
             if pool_set is not None:
@@ -273,15 +276,7 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
             active.discard(n)
             if pool_set is not None:
                 pool_set.discard(n)
-    off_rest = state.off_rest
-    moved = np.not_equal(was_off_rest, new != rest).nonzero()[0]
-    for n, now_off in zip(moved.tolist(), (new[moved] != rest[moved]).tolist()):
-        if now_off:
-            off_rest.add(n)
-        else:
-            off_rest.discard(n)
     state.cycle += 1
-    state.trace.record(state)
     return state
 
 
@@ -289,7 +284,8 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
         trace: str | None = "sparse", step_fn=None,
         input_weights: dict[int, float] | None = None):
     """Simulate one trial: set the stimulus, cycle until the task monitor
-    decides or the cycle limit is reached. Returns (trace, outcome).
+    decides or the cycle limit is reached. Returns (trace, outcome); the
+    trace records each cycle after its step, unless ``trace`` is None.
 
     ``step_fn(state, network, params)`` advances one cycle; None means this
     module's ``step``, looked up at call time so a wrapper installed on
@@ -304,6 +300,8 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
     outcome = None
     while state.cycle < params.max_cycles:
         step_fn(state, network, params)
+        if trace is not None:
+            state.trace.record(state)
         outcome = monitor.observe(state, network)
         if outcome is not None:
             break

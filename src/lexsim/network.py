@@ -75,10 +75,8 @@ class Network:
         # nonzero weights only; a zero-weight link never moves an activation
         self.out: list[list[tuple[int, float]]] = []
         self.pool_ids: dict[Pool, list[int]] = {pool: [] for pool in Pool}
-        self.pool_of: list[Pool] = []
-        self.rest_levels: list[float] = []
-        # read-only array forms of pool_ids (a membership mask per inhibited
-        # pool) and rest_levels, set once the build is complete
+        # read-only arrays set once the build is complete: a membership mask
+        # per inhibited pool, and every node's rest level
         self.pool_mask: dict[Pool, np.ndarray] = {}
         self.rest = np.zeros(0)
         # read-only orthographic spellings for input weighting: node ids,
@@ -97,8 +95,6 @@ class Network:
         self.nodes.append(node)
         self.out.append([])
         self.pool_ids[pool].append(node.id)
-        self.pool_of.append(pool)
-        self.rest_levels.append(rest)
         return node.id
 
     def _connect(self, from_id: int, to_id: int, weight: float) -> None:
@@ -219,7 +215,7 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
         mask[net.pool_ids[pool]] = True
         mask.flags.writeable = False
         net.pool_mask[pool] = mask
-    net.rest = np.fromiter(net.rest_levels, np.float64, len(net))
+    net.rest = np.fromiter((node.rest for node in net.nodes), np.float64, len(net))
     symbols = [net.nodes[o_id].symbol for o_id in net.pool_ids[Pool.ORTHO]]
     lengths = list(map(len, symbols))
     width = max(lengths, default=0)

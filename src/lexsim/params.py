@@ -70,6 +70,15 @@ class Parameters:
 
     max_cycles: int = 40
 
+    def __post_init__(self):
+        # value + 0.0 maps -0.0 to +0.0 and leaves every other value as it
+        # is: the model gives a zero's sign no meaning, and with no -0.0
+        # parameter no activation is ever -0.0 (see dynamics)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float):
+                object.__setattr__(self, f.name, value + 0.0)
+
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
@@ -83,6 +92,10 @@ class Parameters:
             value = getattr(self, name)
             if not (self.MIN_ACT <= value <= self.MAX_REST):
                 raise ConfigError(f"{name}={value} outside [MIN_ACT, MAX_REST]")
+        # the input node rests at I_rest; outside the clamp range the update
+        # rule would move a node that no input reaches
+        if not (self.MIN_ACT <= self.I_rest <= self.MAX_ACT):
+            raise ConfigError(f"I_rest={self.I_rest} outside [MIN_ACT, MAX_ACT]")
         for name in GAMMA_NAMES:
             if getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be <= 0")

@@ -81,10 +81,6 @@ class DenseNetwork:
     exc_in: list  # per node: list of (source id, weight), zero weights dropped
     inhib_in: list  # per node: int array of same-pool ids excluding self, or None
 
-    def inhibitory_count(self, node_id: int) -> int:
-        srcs = self.inhib_in[node_id]
-        return 0 if srcs is None else int(srcs.size)
-
 
 def materialize_dense(network: Network, max_entries: int | None = DENSE_ENTRY_GUARD) -> DenseNetwork:
     n_entries = len(network.pool_ids[Pool.SEM])
@@ -106,11 +102,10 @@ def materialize_dense(network: Network, max_entries: int | None = DENSE_ENTRY_GU
 
 def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters) -> None:
     network = dense.base
-    prev = state.activation
-    prev_np = np.asarray(prev, dtype=np.float64)
+    prev_np = state.activation
+    prev = prev_np.tolist()
     active_mask = prev_np > 0.0
-    rests = network.rest_levels
-    pool_of = network.pool_of
+    nodes = network.nodes
     gamma_of = {pool: pool_gamma(params, pool) for pool, _name in INHIBITED_POOLS}
     i_rest = params.I_rest
     n_nodes = len(network)
@@ -126,21 +121,19 @@ def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters)
             products.append(iw * i_rest)
         net = math.fsum(products)
         inhib = 0.0
-        gamma = gamma_of.get(pool_of[n], 0.0)
+        gamma = gamma_of.get(nodes[n].pool, 0.0)
         srcs = dense.inhib_in[n]
         if gamma != 0.0 and srcs is not None:
             sel = srcs[active_mask[srcs]]
             if sel.size:
                 inhib = math.fsum((gamma * prev_np[sel]).tolist())
-        new_act[n] = update_activation(prev[n], net + inhib, rests[n], params)
+        new_act[n] = update_activation(prev[n], net + inhib, nodes[n].rest, params)
 
-    state.activation = new_act
+    state.activation = np.array(new_act)
     state.active = {n for n, a in enumerate(new_act) if a > 0.0}
     for pool, _gamma in INHIBITED_POOLS:
-        state.active_by_pool[pool] = {n for n in state.active if pool_of[n] is pool}
-    state.off_rest = {n for n, a in enumerate(new_act) if a != rests[n]}
+        state.active_by_pool[pool] = {n for n in state.active if nodes[n].pool is pool}
     state.cycle += 1
-    state.trace.record(state)
 
 
 class DenseEngine:

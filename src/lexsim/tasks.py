@@ -19,45 +19,21 @@ from .network import Network, Pool
 from .params import Parameters
 
 
-@dataclass
-class ShortlistEntry:
-    node_id: int
-    entry_activation: float
-    entry_cycle: int
-    status: str = "pending"  # pending | rejected | accepted
-    reason: str | None = None
-    decided_cycle: int | None = None
-
-
 class Shortlist:
-    """Waiting room of candidate nodes; rejected candidates never re-enter."""
+    """Waiting room of candidate nodes: the ids admitted and still waiting,
+    and the ids rejected, which never re-enter."""
 
     def __init__(self):
-        self.entries: list[ShortlistEntry] = []
-        self._index: dict[int, ShortlistEntry] = {}
+        self.admitted: set[int] = set()
+        self.rejected: set[int] = set()
 
-    def admit(self, node_id: int, activation: float, cycle: int) -> None:
-        if node_id not in self._index:
-            entry = ShortlistEntry(node_id, activation, cycle)
-            self.entries.append(entry)
-            self._index[node_id] = entry
+    def admit(self, node_id: int) -> None:
+        if node_id not in self.rejected:
+            self.admitted.add(node_id)
 
-    def pending(self) -> list[ShortlistEntry]:
-        return [e for e in self.entries if e.status == "pending"]
-
-    def get(self, node_id: int) -> ShortlistEntry | None:
-        return self._index.get(node_id)
-
-    @staticmethod
-    def reject(entry: ShortlistEntry, reason: str, cycle: int) -> None:
-        entry.status = "rejected"
-        entry.reason = reason
-        entry.decided_cycle = cycle
-
-    @staticmethod
-    def accept(entry: ShortlistEntry, cycle: int) -> None:
-        entry.status = "accepted"
-        entry.decided_cycle = cycle
+    def reject(self, node_id: int) -> None:
+        self.admitted.discard(node_id)
+        self.rejected.add(node_id)
 
 
 @dataclass
@@ -74,11 +50,8 @@ class Rejection:
 class Diagnostics:
     input_node: int | None = None
     input_symbol: str | None = None
-    input_cycle: int | None = None
     input_rejections: list[Rejection] = field(default_factory=list)
     output_rejections: list[Rejection] = field(default_factory=list)
-    input_shortlist: list[ShortlistEntry] = field(default_factory=list)
-    output_shortlist: list[ShortlistEntry] = field(default_factory=list)
     failure: str | None = None
 
 
@@ -126,14 +99,14 @@ def _winner(state: SimulationState, network: Network, pool: Pool,
 
     Ties break toward higher activation, then lower node id.
     """
-    act = state.activation
+    act = state.activation.item
     best: int | None = None
     for node_id in _candidates(state, network, pool, threshold):
         if network.nodes[node_id].language != language:
             continue
-        a = act[node_id]
-        if a >= threshold and (best is None or a > act[best]):
-            best = node_id
+        a = act(node_id)
+        if a >= threshold and (best is None or a > best_a):
+            best, best_a = node_id, a
     return best
 
 
@@ -219,23 +192,19 @@ class WordTranslationMonitor:
     # -- stage 1: fix the input reading ------------------------------------
 
     def _identify_input(self, state, network) -> None:
-        act = state.activation
+        act = state.activation.item
         threshold = self.params.shortlist_input_threshold
         for o_id in _candidates(state, network, Pool.ORTHO, threshold):
-            if act[o_id] >= threshold:
-                self.input_list.admit(o_id, act[o_id], state.cycle)
+            if act(o_id) >= threshold:
+                self.input_list.admit(o_id)
         # scan the live list, most activated first, until the source language appears
-        ordered = sorted(self.input_list.pending(),
-                         key=lambda e: (-act[e.node_id], e.node_id))
-        for entry in ordered:
-            node = network.nodes[entry.node_id]
+        for o_id in sorted(self.input_list.admitted, key=lambda n: (-act(n), n)):
+            node = network.nodes[o_id]
             if node.language == self.source_language:
-                Shortlist.accept(entry, state.cycle)
                 self.diagnostics.input_node = node.id
                 self.diagnostics.input_symbol = node.symbol
-                self.diagnostics.input_cycle = state.cycle
                 return
-            Shortlist.reject(entry, "language", state.cycle)
+            self.input_list.reject(o_id)
             self.diagnostics.input_rejections.append(Rejection(
                 node.id, node.symbol, node.language, node.concept,
                 "language", state.cycle))
@@ -243,40 +212,34 @@ class WordTranslationMonitor:
     # -- stage 2: accept an output candidate -------------------------------
 
     def _select_output(self, state, network) -> TaskOutcome | None:
-        act = state.activation
+        act = state.activation.item
         threshold = self.params.shortlist_output_threshold
         for p_id in _candidates(state, network, Pool.PHONO, threshold):
-            if act[p_id] >= threshold:
-                self.output_list.admit(p_id, act[p_id], state.cycle)
+            if act(p_id) >= threshold:
+                self.output_list.admit(p_id)
         if self.diagnostics.input_node is None:
             return None  # semantic check impossible until the input is fixed
         input_concept = network.nodes[self.diagnostics.input_node].concept
-        ready = [e for e in self.output_list.pending()
-                 if act[e.node_id] >= self.params.criterion_value]
-        ready.sort(key=lambda e: (-act[e.node_id], e.node_id))
-        for entry in ready:
-            node = network.nodes[entry.node_id]
+        ready = [n for n in self.output_list.admitted
+                 if act(n) >= self.params.criterion_value]
+        ready.sort(key=lambda n: (-act(n), n))
+        for p_id in ready:
+            node = network.nodes[p_id]
             if node.language != self.target_language:
                 reason = "language"
             elif node.concept != input_concept:
                 reason = "concept"
             else:
-                Shortlist.accept(entry, state.cycle)
                 return TaskOutcome(
                     task=self.task, response_kind="symbol",
                     response_symbol=node.symbol, cycles=state.cycle,
                     rt_pred=_rt(state.cycle, self.params), node_id=node.id,
-                    diagnostics=self._finish_diagnostics())
-            Shortlist.reject(entry, reason, state.cycle)
+                    diagnostics=self.diagnostics)
+            self.output_list.reject(p_id)
             self.diagnostics.output_rejections.append(Rejection(
                 node.id, node.symbol, node.language, node.concept,
                 reason, state.cycle))
         return None
-
-    def _finish_diagnostics(self) -> Diagnostics:
-        self.diagnostics.input_shortlist = self.input_list.entries
-        self.diagnostics.output_shortlist = self.output_list.entries
-        return self.diagnostics
 
     def observe(self, state, network) -> TaskOutcome | None:
         if not self._checked:
@@ -288,7 +251,7 @@ class WordTranslationMonitor:
         return self._select_output(state, network)
 
     def timeout(self, state, network) -> TaskOutcome:
-        diagnostics = self._finish_diagnostics()
+        diagnostics = self.diagnostics
         diagnostics.failure = ("no_input_identified" if diagnostics.input_node is None
                                else "no_output_accepted")
         return TaskOutcome(task=self.task, response_kind="none", response_symbol=None,

@@ -191,3 +191,19 @@ def test_trace_export(stim_wt, tmp_path):
     assert lines[1] == "cycle,node_id,pool,language,symbol,activation"
     node_ids = {line.split(",")[1] for line in lines[2:]}
     assert len(node_ids) == 6
+
+
+def test_outputs_carry_python_floats(stim_wt, tmp_path, capsys):
+    # repr of a numpy float64 reads "np.float64(...)"; every written number
+    # must come from a Python float
+    paths = [tmp_path / name for name in ("o.csv", "report.csv", "trace.csv", "dump.csv")]
+    assert main(["simulate", "--lexicon", HOMOGRAPHS, "--stimuli", stim_wt,
+                 "--out", str(paths[0]), "--report", str(paths[1]), "--trace", str(paths[2]),
+                 "--trace-top-k", "40"]) == 0
+    assert main(["dump-network", "--lexicon", HOMOGRAPHS, "--format", "csv",
+                 "--out", str(paths[3])]) == 0
+    assert main(["dump-network", "--lexicon", HOMOGRAPHS]) == 0
+    texts = [path.read_text() for path in paths] + [capsys.readouterr().out]
+    assert len(paths[2].read_text().splitlines()) > 40
+    for text in texts:
+        assert "np.float64(" not in text and "float64" not in text

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,14 +22,16 @@ def _steps(net):
 
 
 def _set(state, node_id, activation):
-    """Put one node at ``activation``, keeping the incremental sets consistent."""
-    net = state.network
+    """Put one node at ``activation``, keeping the active sets consistent."""
     state.activation[node_id] = activation
     if activation > 0.0:
         state.active.add(node_id)
-        state.active_by_pool[net.pool_of[node_id]].add(node_id)
-    if activation != net.rest_levels[node_id]:
-        state.off_rest.add(node_id)
+        state.active_by_pool[state.network.nodes[node_id].pool].add(node_id)
+
+
+def _recomputed_active(state):
+    """The active set derived from scratch, to check the incremental one."""
+    return set(np.flatnonzero(state.activation > 0.0).tolist())
 
 
 def test_net_input_no_active_sources(table1_network, params):
@@ -36,7 +39,7 @@ def test_net_input_no_active_sources(table1_network, params):
     for step_fn in _steps(table1_network):
         state = SimulationState(table1_network)
         step_fn(state, table1_network, params)
-        assert state.activation[sem] == table1_network.rest_levels[sem]
+        assert state.activation[sem] == table1_network.nodes[sem].rest
 
 
 def test_net_input_single_source(params):
@@ -102,15 +105,15 @@ def _inhibition_step(gamma, activations):
 
 def test_inhibition_zero_gamma():
     for net, params, ortho, act in _inhibition_step(0.0, (0.5, 0.3)):
-        assert act[ortho[0]] == update_activation(0.5, 0.0, net.rest_levels[ortho[0]], params)
-        assert act[ortho[2]] == net.rest_levels[ortho[2]]
+        assert act[ortho[0]] == update_activation(0.5, 0.0, net.nodes[ortho[0]].rest, params)
+        assert act[ortho[2]] == net.nodes[ortho[2]].rest
 
 
 def test_inhibition_excludes_self():
     for net, params, ortho, act in _inhibition_step(-0.1, (0.9,)):
         # the only active member gets no inhibition; the quiet ones get its share
-        assert act[ortho[0]] == update_activation(0.9, 0.0, net.rest_levels[ortho[0]], params)
-        rest = net.rest_levels[ortho[1]]
+        assert act[ortho[0]] == update_activation(0.9, 0.0, net.nodes[ortho[0]].rest, params)
+        rest = net.nodes[ortho[1]].rest
         assert act[ortho[1]] == update_activation(rest, -0.1 * 0.9, rest, params)
 
 
@@ -118,9 +121,9 @@ def test_inhibition_sums_other_members():
     for net, params, ortho, act in _inhibition_step(-0.1, (0.2, 0.5, 0.3)):
         inhibition = math.fsum([-0.1 * 0.5, -0.1 * 0.3])
         assert inhibition == pytest.approx(-0.08)
-        assert act[ortho[0]] == update_activation(0.2, inhibition, net.rest_levels[ortho[0]],
+        assert act[ortho[0]] == update_activation(0.2, inhibition, net.nodes[ortho[0]].rest,
                                                   params)
-        rest = net.rest_levels[ortho[3]]
+        rest = net.nodes[ortho[3]].rest
         shared = math.fsum([-0.1 * 0.2, -0.1 * 0.5, -0.1 * 0.3])
         assert act[ortho[3]] == update_activation(rest, shared, rest, params)
 
@@ -187,9 +190,9 @@ def test_update_negative_net_scales_by_distance_to_floor():
 
 def test_quiescent_state_is_fixed_point(table1_network, params):
     state = SimulationState(table1_network)
-    before = list(state.activation)
+    before = [a.hex() for a in state.activation.tolist()]
     step(state, table1_network, params)
-    assert state.activation == before
+    assert [a.hex() for a in state.activation.tolist()] == before
     assert state.cycle == 1
 
 
@@ -201,9 +204,9 @@ def test_first_cycle_only_weighted_ortho_rises(table1_network, params):
     net = table1_network
     for n in range(len(net)):
         moved = state.activation[n] != net.nodes[n].rest
-        if net.pool_of[n] is Pool.ORTHO:
+        if net.nodes[n].pool is Pool.ORTHO:
             assert moved == (n in weighted)
-        elif net.pool_of[n] in (Pool.PHONO, Pool.SEM, Pool.LANG):
+        elif net.nodes[n].pool in (Pool.PHONO, Pool.SEM, Pool.LANG):
             assert not moved
 
 
@@ -214,8 +217,23 @@ def test_set_stimulus_resets(table1_network, params):
         step(state, table1_network, params)
     set_stimulus(state, table1_network, "AAP")
     assert state.cycle == 0
-    assert state.activation == table1_network.rest_levels
-    assert state.active == state.recomputed_active()
+    assert [a.hex() for a in state.activation.tolist()] \
+        == [node.rest.hex() for node in table1_network.nodes]
+    assert state.active == _recomputed_active(state)
+
+
+def test_activation_is_an_own_float64_array(homograph_network, params):
+    # after the reset and after each of three steps, in both engines
+    for step_fn in _steps(homograph_network):
+        state = SimulationState(homograph_network)
+        set_stimulus(state, homograph_network, "ROOM")
+        for cycle in range(4):
+            if cycle:
+                step_fn(state, homograph_network, params)
+            act = state.activation
+            assert isinstance(act, np.ndarray) and act.dtype == np.float64
+            assert act.shape == (len(homograph_network),)
+            assert not np.shares_memory(act, homograph_network.rest)
 
 
 def test_active_set_exactness_along_run(homograph_network, params):
@@ -223,9 +241,9 @@ def test_active_set_exactness_along_run(homograph_network, params):
     set_stimulus(state, homograph_network, "ROOM")
     for _ in range(params.max_cycles):
         step(state, homograph_network, params)
-        assert state.active == state.recomputed_active()
+        assert state.active == _recomputed_active(state)
         for pool in (Pool.ORTHO, Pool.PHONO, Pool.SEM):
-            expected = {n for n in state.active if homograph_network.pool_of[n] is pool}
+            expected = {n for n in state.active if homograph_network.nodes[n].pool is pool}
             assert state.active_by_pool[pool] == expected
 
 
@@ -239,13 +257,16 @@ def test_clamp_invariant_strong_inhibition(homograph_network):
 
 
 def test_off_rest_tracking_matches_activations(table1_network, params):
-    state = SimulationState(table1_network)
-    set_stimulus(state, table1_network, "AARDBEI")
-    for _ in range(10):
-        step(state, table1_network, params)
-        expected = {n for n, a in enumerate(state.activation)
-                    if a != table1_network.nodes[n].rest}
-        assert state.off_rest == expected
+    # each sparse frame holds exactly the nodes away from their rest level,
+    # as Python floats
+    trace, outcome = run(table1_network, "AARDBEI", NullMonitor(), params, trace="sparse")
+    full, _ = run(table1_network, "AARDBEI", NullMonitor(), params, trace="full")
+    rests = [node.rest for node in table1_network.nodes]
+    assert len(trace) == len(full) == outcome.cycles
+    for frame, activations in zip(trace.frames, full.frames):
+        expected = {n: a for n, (a, r) in enumerate(zip(activations, rests)) if a != r}
+        assert frame == expected
+        assert all(type(a) is float for a in frame.values())
 
 
 def test_entry_order_does_not_change_symbol_activations(table1, params):

@@ -128,7 +128,7 @@ def test_arrays_match_lists_and_are_read_only(table1_network):
 
 
 def _check_arrays(net):
-    assert net.rest.tolist() == net.rest_levels
+    assert net.rest.tolist() == [node.rest for node in net.nodes]
     for pool, _gamma_name in INHIBITED_POOLS:
         assert net.pool_mask[pool].nonzero()[0].tolist() == net.pool_ids[pool]
     ortho = net.pool_ids[Pool.ORTHO]
@@ -209,7 +209,7 @@ def test_no_same_pool_connections(table1_network):
     net = table1_network
     for src, targets in enumerate(net.out):
         for dst, _w in targets:
-            assert net.pool_of[src] != net.pool_of[dst]
+            assert net.nodes[src].pool is not net.nodes[dst].pool
 
 
 def test_connection_index_unique_pairs(table1_network):

@@ -78,6 +78,25 @@ def test_validate_rejects_threshold_above_max_act(name):
     assert getattr(Parameters().updated(**{name: 0.0}), name) == 0.0
 
 
+def test_validate_input_rest_within_clamp_range():
+    # outside [MIN_ACT, MAX_ACT] the dense engine clamps the input node on its
+    # first update while the fast engine, which never touches it, does not
+    for value in (-0.21, 1.01):
+        with pytest.raises(ConfigError, match="I_rest"):
+            Parameters().updated(I_rest=value)
+    for value in (-0.2, 1.0):
+        assert Parameters().updated(I_rest=value).I_rest == value
+
+
+def test_negative_zero_parameters_stored_as_positive_zero():
+    p = Parameters(MIN_ACT=-0.0, MIN_REST=0.0, S_rest=0.0, L_rest=0.0, I_rest=-0.0,
+                   OO_gamma=-0.0)
+    assert [p.MIN_ACT.hex(), p.I_rest.hex(), p.OO_gamma.hex()] == ["0x0.0p+0"] * 3
+    assert Parameters().updated(MAX_REST=-0.0).MAX_REST.hex() == "0x0.0p+0"
+    assert load_parameters("I_rest = -0.0").I_rest.hex() == "0x0.0p+0"
+    assert Parameters().MIN_ACT == -0.2  # every other value unchanged
+
+
 def test_semantic_inhibition_scaled_by_multiplier(homograph_network):
     # raising the multiplier turns on concept-level competition; the two
     # readings of an interlingual homograph then suppress each other and

@@ -11,14 +11,19 @@ from lexsim.tasks import make_monitor
 
 def test_dense_materialization_counts(table1_network):
     dense = materialize_dense(table1_network)
+
+    def inhibitory_count(node_id):
+        srcs = dense.inhib_in[node_id]
+        return 0 if srcs is None else srcs.size
+
     for o in table1_network.pool_ids[Pool.ORTHO]:
-        assert dense.inhibitory_count(o) == 19  # every other orthographic node
+        assert inhibitory_count(o) == 19  # every other orthographic node
     for p in table1_network.pool_ids[Pool.PHONO]:
-        assert dense.inhibitory_count(p) == 19
+        assert inhibitory_count(p) == 19
     for s in table1_network.pool_ids[Pool.SEM]:
-        assert dense.inhibitory_count(s) == 9
+        assert inhibitory_count(s) == 9
     for other in table1_network.pool_ids[Pool.LANG] + table1_network.pool_ids[Pool.INPUT]:
-        assert dense.inhibitory_count(other) == 0
+        assert inhibitory_count(other) == 0
 
 
 def test_size_guard_refuses_large_lexicons():
@@ -30,15 +35,21 @@ def test_size_guard_refuses_large_lexicons():
     assert materialize_dense(net, max_entries=600) is not None
 
 
+def _bits(frames):
+    """Every activation of every frame as float.hex, which tells 0.0 from
+    -0.0 where == does not."""
+    return [[a.hex() for a in frame] for frame in frames]
+
+
 def _assert_engines_agree(network, params, trials):
-    """Full traces and outcomes of both engines agree on every trial."""
+    """Full traces, bit for bit, and outcomes of both engines agree on every trial."""
     engine = DenseEngine(network)
     for stimulus, task, source, target in trials:
         fast_trace, fast = run(network, stimulus, make_monitor(task, source, target, params),
                                params, trace="full")
         dense_trace, dense = engine.run(stimulus, make_monitor(task, source, target, params),
                                         params, trace="full")
-        assert fast_trace.frames == dense_trace.frames, (stimulus, task)
+        assert _bits(fast_trace.frames) == _bits(dense_trace.frames), (stimulus, task)
         assert (fast.response_kind, fast.response_symbol, fast.cycles, fast.node_id) \
             == (dense.response_kind, dense.response_symbol, dense.cycles, dense.node_id)
 
@@ -123,13 +134,19 @@ def test_engines_agree_with_language_links(homograph_lexicon):
                            ("AARDE", "LD", "NL", None), ("AAP", "NAME", "NL", "NL")])
 
 
-@pytest.mark.parametrize("change", [{"DECAY_RATE": 0.0}, {"DECAY_RATE": 1.0},
-                                    {"I_rest": 0.0}, {"I_rest": -0.0}])
+@pytest.mark.parametrize("change", [
+    {"DECAY_RATE": 0.0}, {"DECAY_RATE": 1.0}, {"I_rest": 0.0}, {"I_rest": -0.0},
+    # clamp bounds of -0.0, with the rest levels and thresholds they allow
+    {"MIN_ACT": -0.0, "MIN_REST": 0.0, "S_rest": 0.0, "L_rest": 0.0, "OO_gamma": -1.0,
+     "PP_gamma": -1.0},
+    {"MAX_ACT": -0.0, "MAX_REST": 0.0, "I_rest": -0.0, "criterion_value": -0.0,
+     "shortlist_input_threshold": -0.0, "shortlist_output_threshold": -0.0}])
 def test_engines_agree_at_parameter_edges(homograph_lexicon, change):
     # MAX_REST > 0 starts the most frequent readings active, so activity and
     # inhibition flow even when I_rest = 0.0 makes every stimulus product a
-    # (signed) zero: stimulus-weighted nodes are then updated with no input
-    params = Parameters().updated(MAX_REST=0.05, OO_gamma=-0.05, PP_gamma=-0.05, **change)
+    # zero: stimulus-weighted nodes are then updated with no input
+    params = Parameters().updated(**{"MAX_REST": 0.05, "OO_gamma": -0.05, "PP_gamma": -0.05,
+                                     **change})
     _assert_engines_agree(build_network(homograph_lexicon, params), params,
                           [("ROOM", "WT", "NL", "EN"), ("AARDBEI", "WT", "NL", "EN"),
                            ("AARDE", "LD", "NL", None), ("AAP", "NAME", "NL", "NL")])

@@ -106,7 +106,8 @@ def test_translation_unknown_stimulus_diagnostics(table1_network, params):
     assert outcome.response_kind == "none"
     assert outcome.cycles == params.max_cycles
     assert outcome.diagnostics.failure == "no_input_identified"
-    assert outcome.diagnostics.input_shortlist == []
+    assert outcome.diagnostics.input_node is None
+    assert outcome.diagnostics.input_rejections == []
 
 
 def test_translation_input_node_fixed_to_source_language(homograph_network):
@@ -140,21 +141,20 @@ def test_translation_accepts_only_matching_concept_and_language(homograph_networ
 
 def test_shortlist_rejection_is_permanent():
     shortlist = Shortlist()
-    shortlist.admit(7, 0.55, 3)
-    entry = shortlist.get(7)
-    Shortlist.reject(entry, "language", 4)
-    shortlist.admit(7, 0.8, 6)  # re-crossing must not re-enter
-    assert len(shortlist.entries) == 1
-    assert shortlist.entries[0].status == "rejected"
-    assert shortlist.pending() == []
+    shortlist.admit(7)
+    shortlist.reject(7)
+    shortlist.admit(7)  # re-crossing must not re-enter
+    assert shortlist.admitted == set()
+    assert shortlist.rejected == {7}
 
 
 def test_shortlist_entry_records_crossing():
     shortlist = Shortlist()
-    shortlist.admit(3, 0.51, 9)
-    entry = shortlist.entries[0]
-    assert (entry.node_id, entry.entry_activation, entry.entry_cycle) == (3, 0.51, 9)
-    assert entry.status == "pending"
+    shortlist.admit(3)
+    shortlist.admit(3)  # still above threshold on a later cycle
+    shortlist.admit(5)
+    assert shortlist.admitted == {3, 5}
+    assert shortlist.rejected == set()
 
 
 # -- monitor factory --------------------------------------------------------------
