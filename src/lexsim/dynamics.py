@@ -11,18 +11,36 @@ node's products into one fsum per sum. This engine computes the same
 values over numpy arrays:
 
 - Excitation: a node with no product gets 0.0; a node whose only product
-  is its stimulus term gets fsum of that one term, computed once per trial;
-  every target of an active source gets fsum over its products.
+  is its stimulus term x = iw*I_rest gets x + 0.0, computed once per trial
+  over all such nodes (for finite x, fsum((x,)) equals x + 0.0, and both
+  map -0.0 to +0.0); every target of an active source gets fsum over its
+  products.
 - Inhibition: the members of a pool that are not active all get the same
-  fsum over the active members' gamma*a. An active member gets
-  fsum(partials + [-gamma*a_m]), where the partials are Shewchuk's exact
-  non-overlapping expansion of that whole sum: its exact value is the sum
-  over the other members, so fsum rounds it to the same double.
+  fsum over the active members' terms gamma*a, added through the pool's
+  index array. An active member gets fsum(expansion + [-gamma*a_m]). The
+  expansion is built by repeated fsum: r_0 = fsum(terms), then
+  r_k = fsum(terms + [-r_0, ..., -r_{k-1}]) until r_k == 0.0. Each r_k is
+  the correctly rounded residual, and every residual is an exact multiple
+  of 2**-1074 (the terms and the r_k all are), so r_k == 0.0 only when the
+  residual is exactly 0: the expansion then sums exactly to the terms, and
+  fsum(expansion + [-t]) is the correctly rounded sum over the other
+  members, the double the dense engine computes. It stops: each residual
+  is at most half an ulp of the r_k before it, so |r_{k+1}| <= 2**-53 *
+  |r_k| and |r_k| < 2**(1024 - 53*k). r_40 would lie under 2**-1096,
+  below the smallest subnormal, so the expansion has at most 40 entries.
 - The add and the update rule run as elementwise float64 ufuncs in
-  update_activation's operation order. Each rounds exactly as the Python
-  float operation does (numpy does not fuse multiply-add). Most nodes are
-  quiet: their net input is that one add of the shared inhibition to 0.0
-  or to their stimulus term, and no Python code runs for them one by one.
+  update_activation's operation order; none takes a where= mask. Each
+  rounds exactly as the Python float operation does (numpy does not fuse
+  multiply-add). The branch on net > 0.0 is np.where over both
+  differences, the clamps are np.minimum then np.maximum, and untouched
+  nodes take prev back through np.where. min/max pick what the
+  comparisons of update_activation pick, NaN activations included (a tie
+  is between equal doubles, as no value is -0.0), except at a NaN bound,
+  where the comparison never fires and min/max would return NaN;
+  Parameters.validate rejects non-finite MIN_ACT and MAX_ACT.
+  Most nodes are quiet: their net input is that one add of the shared
+  inhibition to 0.0 or to their stimulus term, and no Python code runs for
+  them one by one.
 
 Bit-identity includes the sign of zero, because no activation is ever
 -0.0. Parameters stores every float as value + 0.0, which maps -0.0 to
@@ -135,14 +153,15 @@ class SimulationState:
         self.trace.frames.clear()
 
     def stimulus_input(self, i_rest: float) -> tuple[np.ndarray, np.ndarray]:
-        """(net input, mask) of the stimulus term alone: fsum([iw * I_rest])
+        """(net input, mask) of the stimulus term alone: iw * I_rest + 0.0
         at every stimulus-weighted orthographic node, 0.0 elsewhere. Kept
         for the trial; rebuilt only if I_rest changes."""
         if self._stimulus_input is None or self._stimulus_input[0] != i_rest:
             net = np.zeros(len(self.network))
             mask = np.zeros(len(self.network), dtype=bool)
             ids = list(self.input_weights)
-            net[ids] = [math.fsum((iw * i_rest,)) for iw in self.input_weights.values()]
+            weights = np.fromiter(self.input_weights.values(), np.float64, len(ids))
+            net[ids] = weights * i_rest + 0.0
             mask[ids] = True
             self._stimulus_input = (i_rest, net, mask)
         return self._stimulus_input[1:]
@@ -173,23 +192,16 @@ def update_activation(a: float, net: float, rest: float, params: Parameters) -> 
     return a_new
 
 
-def _partials(terms: list[float]) -> list[float]:
-    """Shewchuk's non-overlapping partials of ``terms`` (the first phase of
-    math.fsum): their exact sum is the exact sum of ``terms``."""
-    partials: list[float] = []
-    for x in terms:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-    return partials
+def _expansion(terms: list[float]) -> list[float]:
+    """Nonzero doubles whose exact sum is the exact sum of ``terms``:
+    r_k = fsum(terms + [-r_0, ..., -r_{k-1}]) until r_k == 0.0. The first
+    is fsum(terms); finite terms give at most 40 (see the module docstring)."""
+    expansion: list[float] = []
+    residual = list(terms)
+    while r := math.fsum(residual):
+        expansion.append(r)
+        residual.append(-r)
+    return expansion
 
 
 def step(state: SimulationState, network: Network, params: Parameters) -> SimulationState:
@@ -233,34 +245,33 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
 
     # phase 2: one inhibition step per pool with a nonzero gamma and an
     # active member. Every member gets the sum over the active members,
-    # each active member the sum over the others, from one set of partials.
+    # each active member the sum over the others, from one expansion.
     for pool, _gamma_name in INHIBITED_POOLS:
         gamma = pool_gamma(params, pool)
         members = state.active_by_pool[pool]
         if gamma == 0.0 or not members:
             continue
         ids = list(members)
-        terms = [gamma * active_act[m] for m in ids]
-        partials = _partials(terms)
+        terms = (gamma * prev[ids]).tolist()
+        expansion = _expansion(terms)
         own = net[ids]
-        in_pool = network.pool_mask[pool]
-        np.add(net, fsum(partials), out=net, where=in_pool)
-        net[ids] = own + [fsum(partials + [-t]) for t in terms]
-        touched |= in_pool
+        in_pool = network.pool_index[pool]
+        net[in_pool] += fsum(expansion)
+        net[ids] = own + [fsum(expansion + [-t]) for t in terms]
+        touched[in_pool] = True
 
     # phase 3: update_activation elementwise, in its operation order
     max_act, min_act = params.MAX_ACT, params.MIN_ACT
-    new = np.subtract(prev, min_act)
-    np.subtract(max_act, prev, out=new, where=net > 0.0)
+    new = np.where(net > 0.0, max_act - prev, prev - min_act)
     new *= net
     new += prev
     decay = np.subtract(prev, rest)
     decay *= params.DECAY_RATE
     new -= decay
-    np.copyto(new, max_act, where=new > max_act)
-    np.copyto(new, min_act, where=new < min_act)
+    np.minimum(new, max_act, out=new)
+    np.maximum(new, min_act, out=new)
     state.counters["touched_updates"] += int(np.count_nonzero(touched))
-    np.copyto(new, prev, where=~touched)
+    new = np.where(touched, new, prev)
 
     # only nodes that crossed 0 move between the active sets
     state.activation = new

@@ -4,14 +4,13 @@ The lexicon file is comma-separated with eight columns per row:
 orthography/frequency/phonology/frequency for language A, then the same four
 for language B. Frequencies are occurrences per million. Phonological
 readings carry the same frequency as their orthographic sibling; rows where
-the two columns disagree are rejected so that parse/serialize round-trips
-exactly.
+the two columns disagree are rejected, because both nodes of a reading rest
+at the level of that one frequency.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -66,17 +65,6 @@ class Lexicon:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def to_csv(self, header: bool = True) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        if header:
-            writer.writerow(["ortho_a", "freq_a", "phono_a", "freq_pa",
-                             "ortho_b", "freq_b", "phono_b", "freq_pb"])
-        for e in self.entries:
-            writer.writerow([e.ortho_a, repr(e.freq_a), e.phono_a, repr(e.freq_a),
-                             e.ortho_b, repr(e.freq_b), e.phono_b, repr(e.freq_b)])
-        return out.getvalue()
 
 
 def opb(freq: float) -> float:

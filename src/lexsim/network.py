@@ -75,9 +75,9 @@ class Network:
         # nonzero weights only; a zero-weight link never moves an activation
         self.out: list[list[tuple[int, float]]] = []
         self.pool_ids: dict[Pool, list[int]] = {pool: [] for pool in Pool}
-        # read-only arrays set once the build is complete: a membership mask
-        # per inhibited pool, and every node's rest level
-        self.pool_mask: dict[Pool, np.ndarray] = {}
+        # read-only arrays set once the build is complete: the member ids of
+        # each inhibited pool, and every node's rest level
+        self.pool_index: dict[Pool, np.ndarray] = {}
         self.rest = np.zeros(0)
         # read-only orthographic spellings for input weighting: node ids,
         # symbol lengths, and code points with one row per letter position
@@ -210,11 +210,8 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
             net._connect(l_id, o_id, params.LO_alpha)
             net._connect(p_id, l_id, params.PL_alpha)
             net._connect(l_id, p_id, params.LP_alpha)
-    for pool, _gamma_name in INHIBITED_POOLS:
-        mask = np.zeros(len(net), dtype=bool)
-        mask[net.pool_ids[pool]] = True
-        mask.flags.writeable = False
-        net.pool_mask[pool] = mask
+    net.pool_index = {pool: np.array(net.pool_ids[pool], dtype=np.intp)
+                      for pool, _gamma_name in INHIBITED_POOLS}
     net.rest = np.fromiter((node.rest for node in net.nodes), np.float64, len(net))
     symbols = [net.nodes[o_id].symbol for o_id in net.pool_ids[Pool.ORTHO]]
     lengths = list(map(len, symbols))
@@ -225,6 +222,7 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
     # zero-padded: one row per symbol, transposed to one row per position
     padded = np.array(symbols, dtype=f"<U{width}").view("<u4").reshape(len(symbols), width)
     net.ortho_codes = padded.T.copy()
-    for array in (net.rest, net.ortho_ids, net.ortho_lengths, net.ortho_codes):
+    for array in (*net.pool_index.values(), net.rest, net.ortho_ids, net.ortho_lengths,
+                  net.ortho_codes):
         array.flags.writeable = False
     return net

@@ -180,12 +180,3 @@ def load_parameters(source: str | IO[str], base: Parameters | None = None) -> Pa
     params.validate()
     return params
 
-
-def dump_parameters(params: Parameters) -> str:
-    """Render a parameter set in the file format accepted by load_parameters."""
-    lines = []
-    for name, value in params.as_dict().items():
-        if value is None:
-            continue
-        lines.append(f"{name} = {value!r}")
-    return "\n".join(lines) + "\n"

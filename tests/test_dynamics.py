@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lexsim import (DenseEngine, Lexicon, NullMonitor, Parameters, build_network,
                     lexical_decision, parse_lexicon, run, set_stimulus, step, update_activation)
-from lexsim.dynamics import SimulationState, _partials
+from lexsim.dynamics import SimulationState, _expansion
 from lexsim.network import Pool
 from lexsim.tasks import LexicalDecisionMonitor
 
@@ -128,7 +128,7 @@ def test_inhibition_sums_other_members():
         assert act[ortho[3]] == update_activation(rest, shared, rest, params)
 
 
-# -- exclusion sums from partials ---------------------------------------------
+# -- exclusion sums from the repeated-fsum expansion ---------------------------
 
 # signed zeros, subnormals, the smallest normal, halfway cases around 1.0 and
 # values whose sums cancel across many binades
@@ -138,23 +138,46 @@ TRICKY = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.22507385850720
 FLOATS = st.one_of(st.sampled_from(TRICKY),
                    st.floats(min_value=-1e300, max_value=1e300),
                    st.floats(min_value=-1e-300, max_value=1e-300))
+# terms anywhere from about 2**997 down to the smallest subnormal, so that no
+# double holds their sum and the expansion needs round after round
+SPANNING = st.lists(st.builds(math.ldexp, st.floats(min_value=-2.0, max_value=2.0),
+                              st.integers(min_value=-1074, max_value=996)),
+                    min_size=1, max_size=24)
 TERMS = st.one_of(st.lists(FLOATS, min_size=1, max_size=12),
                   # each even-indexed term cancelled by a later one
                   st.lists(FLOATS, min_size=1, max_size=6).map(
-                      lambda xs: xs + [-x for x in xs[::2]]))
+                      lambda xs: xs + [-x for x in xs[::2]]),
+                  SPANNING)
+# 1e300, 1e275, ..., 1e-300 and 5e-324: no two within a factor of 2**53
+LADDER = [10.0 ** e for e in range(300, -301, -25)] + [5e-324]
+# each residual is at most 2**-53 of the round before it, and the first is
+# below 2**1024, so a 41st would lie under the smallest subnormal
+MAX_ROUNDS = 40
 
 
 def _bits(x):
     return x.hex()  # distinguishes 0.0 from -0.0
 
 
+def _assert_exact_exclusion_sums(xs):
+    expansion = _expansion(xs)
+    assert len(expansion) <= MAX_ROUNDS
+    assert 0.0 not in expansion
+    assert _bits(math.fsum(expansion)) == _bits(math.fsum(xs))
+    for i, x in enumerate(xs):
+        assert _bits(math.fsum(expansion + [-x])) == _bits(math.fsum(xs[:i] + xs[i + 1:]))
+
+
 @settings(max_examples=400, deadline=None)
 @given(TERMS)
-def test_partials_give_exact_exclusion_sums(xs):
-    partials = _partials(xs)
-    assert _bits(math.fsum(partials)) == _bits(math.fsum(xs))
-    for i, x in enumerate(xs):
-        assert _bits(math.fsum(partials + [-x])) == _bits(math.fsum(xs[:i] + xs[i + 1:]))
+def test_expansion_gives_exact_exclusion_sums(xs):
+    _assert_exact_exclusion_sums(xs)
+
+
+def test_expansion_of_terms_spanning_every_binade_takes_many_rounds():
+    assert len(_expansion(LADDER)) > 20
+    _assert_exact_exclusion_sums(LADDER)
+    _assert_exact_exclusion_sums(LADDER[::-1])
 
 
 # -- update rule -------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -130,7 +131,8 @@ def test_arrays_match_lists_and_are_read_only(table1_network):
 def _check_arrays(net):
     assert net.rest.tolist() == [node.rest for node in net.nodes]
     for pool, _gamma_name in INHIBITED_POOLS:
-        assert net.pool_mask[pool].nonzero()[0].tolist() == net.pool_ids[pool]
+        assert net.pool_index[pool].dtype == np.intp
+        assert net.pool_index[pool].tolist() == net.pool_ids[pool]
     ortho = net.pool_ids[Pool.ORTHO]
     assert net.ortho_ids.tolist() == ortho
     assert net.ortho_lengths.tolist() == [len(net.nodes[o].symbol) for o in ortho]
@@ -139,7 +141,7 @@ def _check_arrays(net):
     for column, o_id, length in zip(net.ortho_codes.T, ortho, net.ortho_lengths):
         assert "".join(map(chr, column[:length].tolist())) == net.nodes[o_id].symbol
         assert not column[length:].any()
-    for array in (net.rest, *net.pool_mask.values(), net.ortho_ids, net.ortho_lengths,
+    for array in (net.rest, *net.pool_index.values(), net.ortho_ids, net.ortho_lengths,
                   net.ortho_codes):
         with pytest.raises(ValueError):
             array[0] = array[0]

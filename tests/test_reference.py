@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexsim import (ParseOptions, Parameters, ValidationError, build_network,
-                    materialize_dense, parse_lexicon, run, synthetic_lexicon)
+                    materialize_dense, parse_lexicon, run, synthetic_lexicon, update_activation)
 from lexsim.network import Pool
+from lexsim.params import ALPHA_NAMES, THRESHOLD_NAMES
 from lexsim.reference import DenseEngine
 from lexsim.tasks import make_monitor
 
@@ -69,45 +72,70 @@ def test_zero_gamma_matches_inhibition_free_run(table1_network):
 
 # -- equivalence beyond the fixtures ------------------------------------------
 
-SWEEP_GAMMAS = (0.0, -0.001, -0.05, -0.5)
+SWEEP_GAMMAS = (0.0, -0.001, -0.05, -0.5, -1.0)
 
 
-def _random_case(seed):
+def _random_case(rng):
     """A small lexicon over a four-letter alphabet (dense neighbourhoods,
-    homographs in and across languages) and parameters with semantic
-    inhibition, positive rest levels and strong gammas."""
-    rng = random.Random(seed)
+    homographs in and across languages), parameters drawn from the whole
+    validated space, and a few short trials of every task.
 
+    ``rng`` is a random.Random, or the one hypothesis draws from.
+    """
     def word():
         return "".join(rng.choice("ABDE") for _ in range(rng.randint(2, 5)))
 
     rows = []
-    for _ in range(rng.randint(3, 7)):
+    for _ in range(rng.randint(2, 6)):
         (a, fa), (b, fb) = [(word(), rng.choice((0.0, round(rng.uniform(0.5, 300.0), 2))))
                             for _ in range(2)]
         rows.append(f"{a},{fa},{a.lower()},{fa},{b},{fb},{b.lower()},{fb}")
     lexicon = parse_lexicon("\n".join(rows),
                             ParseOptions(allow_within_language_homographs=True))
+    min_act = rng.choice((-0.2, -1.0, -0.0))
+    max_act = rng.choice((1.0, 0.8))
     # frequency-derived rests span [MIN_REST, MAX_REST], so a positive MAX_REST
     # starts the most frequent readings active
-    max_rest = rng.choice((0.0, 0.05, 0.3))
-    params = Parameters().updated(OO_gamma=rng.choice(SWEEP_GAMMAS),
-                                  PP_gamma=rng.choice(SWEEP_GAMMAS),
-                                  SS_multiplier=rng.choice((0.0, 0.2, 1.0)),
-                                  MAX_REST=max_rest,
-                                  MIN_REST=rng.choice((-0.2, max_rest / 2)),
-                                  S_rest=rng.choice((-0.2, max_rest)))
-    stimuli = [rng.choice(lexicon.entries).ortho_a, rng.choice(lexicon.entries).ortho_b, word()]
-    trials = [(stim, task, source, target)
-              for stim in stimuli
-              for task, source, target in (("LD", "NL", None), ("NAME", "EN", "EN"),
-                                           ("WT", "NL", "EN"), ("WT", "EN", "NL"))]
+    max_rest = rng.choice((0.0, 0.05, 0.3, -0.0))
+    min_rest = rng.choice((min_act, max_rest / 2, max_rest))
+
+    def rest_level():
+        return rng.choice((min_act, min_rest, max_rest))
+
+    def threshold():
+        return rng.choice((-0.1, 0.0, -0.0, 0.3, 0.72, max_act))
+
+    def alpha(default):
+        return rng.choice((0.0, default, round(rng.uniform(0.0, 0.5), 3)))
+
+    defaults = Parameters()
+    params = defaults.updated(
+        MIN_ACT=min_act, MAX_ACT=max_act, MAX_REST=max_rest, MIN_REST=min_rest,
+        S_rest=rest_level(), L_rest=rest_level(),
+        I_rest=rng.choice((max_act, 0.5, 0.0, -0.0, min_act)),
+        DECAY_RATE=rng.choice((0.0, 0.07, 1.0, rng.random())),
+        IO_multiplier=rng.choice((0.2, 1.0, 5.0)),
+        **{name: rng.choice(SWEEP_GAMMAS) for name in ("OO_gamma", "PP_gamma", "SS_gamma")},
+        SS_multiplier=rng.choice((0.0, 0.2, 1.0)),
+        **{name: alpha(getattr(defaults, name)) for name in ALPHA_NAMES},
+        **{name: threshold() for name in THRESHOLD_NAMES},
+        max_cycles=rng.randint(1, 12))
+    tasks = (("LD", "NL", None), ("NAME", "EN", "EN"), ("WT", "NL", "EN"), ("WT", "EN", "NL"))
+    stimuli = (rng.choice(lexicon.entries).ortho_a, rng.choice(lexicon.entries).ortho_b, word())
+    trials = [(rng.choice(stimuli), *task) for task in tasks]
     return lexicon, params, trials
 
 
 @pytest.mark.parametrize("seed", range(16))
 def test_engines_agree_on_random_lexicons(seed):
-    lexicon, params, trials = _random_case(seed)
+    lexicon, params, trials = _random_case(random.Random(seed))
+    _assert_engines_agree(build_network(lexicon, params), params, trials)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_engines_agree_on_searched_lexicons(rng):
+    lexicon, params, trials = _random_case(rng)
     _assert_engines_agree(build_network(lexicon, params), params, trials)
 
 
@@ -150,3 +178,25 @@ def test_engines_agree_at_parameter_edges(homograph_lexicon, change):
     _assert_engines_agree(build_network(homograph_lexicon, params), params,
                           [("ROOM", "WT", "NL", "EN"), ("AARDBEI", "WT", "NL", "EN"),
                            ("AARDE", "LD", "NL", None), ("AAP", "NAME", "NL", "NL")])
+
+
+def test_engines_agree_where_both_clamps_bind(homograph_lexicon, monkeypatch):
+    # a strong stimulus term pushes its nodes past MAX_ACT and full-strength
+    # inhibition pushes the losers past MIN_ACT, so the fast step's
+    # np.minimum and np.maximum both change values
+    params = Parameters().updated(OO_gamma=-1.0, PP_gamma=-1.0, IO_multiplier=5.0,
+                                  MAX_REST=0.05)
+    bound = set()
+
+    def recording_update(a, net, rest, p):
+        d = p.MAX_ACT - a if net > 0.0 else a - p.MIN_ACT
+        unclamped = a + net * d - p.DECAY_RATE * (a - rest)
+        bound.update(side for side, hit in (("MAX_ACT", unclamped > p.MAX_ACT),
+                                            ("MIN_ACT", unclamped < p.MIN_ACT)) if hit)
+        return update_activation(a, net, rest, p)
+
+    monkeypatch.setattr("lexsim.reference.update_activation", recording_update)
+    _assert_engines_agree(build_network(homograph_lexicon, params), params,
+                          [("ROOM", "WT", "NL", "EN"), ("AARDBEI", "WT", "NL", "EN"),
+                           ("AARDE", "LD", "NL", None)])
+    assert bound == {"MAX_ACT", "MIN_ACT"}
