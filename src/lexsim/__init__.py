@@ -7,7 +7,7 @@ with reaction-time data.
 """
 
 from .dynamics import SimulationState, Trace, run, set_stimulus, step, update_activation
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, InvariantError, ParseError, ValidationError
 from .experiments import (BatchRow, ConditionReport, StimulusRecord, active_node_stats,
                           benchmark, condition_report, parse_stimuli, run_batch,
                           synthetic_lexicon)

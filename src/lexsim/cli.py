@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from . import __version__
 from .dynamics import run as run_trial
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, InvariantError, ParseError, ValidationError
 from .experiments import (active_node_stats, benchmark, condition_report, outcome_rows,
                           parse_stimuli, report_rows, run_batch, stats_rows)
 from .fitting import SearchConfig, fit_inhibition
@@ -150,11 +150,13 @@ def _cmd_fit(args) -> int:
         "search": {"domain": args.domain, "n": args.n, "epsilon": args.epsilon,
                    "tie": not args.untie_pp, "pp_gamma": args.pp_gamma},
     })
-    log_rows = [["iteration", "window_lo", "window_hi", "point", "fitness"]]
+    log_rows = [["iteration", "window_lo", "window_hi", "point", "fitness",
+                 "n_responded", "n_trials", "note"]]
     for i, it in enumerate(result.iterations, start=1):
-        for point, fitness in zip(it.points, it.fitnesses):
+        for point, fitness, responded, trials, note in zip(
+                it.points, it.fitnesses, it.n_responded, it.n_trials, it.notes):
             log_rows.append([i, repr(it.window_lo), repr(it.window_hi),
-                             repr(point), repr(fitness)])
+                             repr(point), repr(fitness), responded, trials, note])
     _write_csv(log_rows, manifest, args.log)
     summary = {"best_value": result.best_value, "best_fitness": result.best_fitness,
                "iterations": len(result.iterations),
@@ -292,7 +294,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError, ConfigError, OSError, ValueError) as exc:
         print(f"lexsim: error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # invariant violation; distinct exit code
+    except InvariantError as exc:
+        print(f"lexsim: invariant violated: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault of the program; distinct exit code
         print(f"lexsim: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -10,36 +10,45 @@ math.fsum returns it whatever their order. The dense engine gathers each
 node's products into one fsum per sum. This engine computes the same
 values over numpy arrays:
 
-- Excitation: a node with no product gets 0.0; a node whose only product
-  is its stimulus term x = iw*I_rest gets x + 0.0, computed once per trial
-  over all such nodes (for finite x, fsum((x,)) equals x + 0.0, and both
-  map -0.0 to +0.0); every target of an active source gets fsum over its
-  products.
+- Excitation: every node starts from its stimulus-only net input, x + 0.0
+  for a stimulus term x = iw*I_rest and 0.0 elsewhere, computed once per
+  trial (for finite x, fsum((x,)) equals x + 0.0, and both map -0.0 to
+  +0.0). A target of one active source adds its product p = w*a to that
+  in one vector add. fsum of one or two finite terms with a finite sum is
+  one IEEE add: both return the sum rounded to nearest-even, and a zero
+  sum is +0.0 in both, because p is never -0.0 (w > 0, a > 0). If any such
+  sum is not finite, fsum sums every target again, so a finite sum that
+  overflows raises OverflowError as it does in the dense engine. A target
+  of two or more active sources gets fsum over its products and x.
 - Inhibition: the members of a pool that are not active all get the same
   fsum over the active members' terms gamma*a, added through the pool's
-  index array. An active member gets fsum(expansion + [-gamma*a_m]). The
-  expansion is built by repeated fsum: r_0 = fsum(terms), then
-  r_k = fsum(terms + [-r_0, ..., -r_{k-1}]) until r_k == 0.0. Each r_k is
-  the correctly rounded residual, and every residual is an exact multiple
-  of 2**-1074 (the terms and the r_k all are), so r_k == 0.0 only when the
-  residual is exactly 0: the expansion then sums exactly to the terms, and
-  fsum(expansion + [-t]) is the correctly rounded sum over the other
-  members, the double the dense engine computes. It stops: each residual
-  is at most half an ulp of the r_k before it, so |r_{k+1}| <= 2**-53 *
-  |r_k| and |r_k| < 2**(1024 - 53*k). r_40 would lie under 2**-1096,
-  below the smallest subnormal, so the expansion has at most 40 entries.
-- The add and the update rule run as elementwise float64 ufuncs in
-  update_activation's operation order; none takes a where= mask. Each
-  rounds exactly as the Python float operation does (numpy does not fuse
-  multiply-add). The branch on net > 0.0 is np.where over both
-  differences, the clamps are np.minimum then np.maximum, and untouched
-  nodes take prev back through np.where. min/max pick what the
-  comparisons of update_activation pick, NaN activations included (a tie
-  is between equal doubles, as no value is -0.0), except at a NaN bound,
-  where the comparison never fires and min/max would return NaN;
+  basic slices (Network.pool_slices). build_network lays out every entry
+  as [O_a, P_a, O_b, P_b, S], so a pool is one stride-5 slice per place
+  it takes there, and the slices cover each member exactly once. An
+  active member gets fsum(expansion + [-gamma*a_m]) on its excitatory net,
+  read before the shared adds. The expansion is built by repeated fsum:
+  r_0 = fsum(terms), then r_k = fsum(terms + [-r_0, ..., -r_{k-1}]) until
+  r_k == 0.0. Each r_k is the correctly rounded residual, and every
+  residual is an exact multiple of 2**-1074 (the terms and the r_k all
+  are), so r_k == 0.0 only when the residual is exactly 0: the expansion
+  then sums exactly to the terms, and fsum(expansion + [-t]) is the
+  correctly rounded sum over the other members, the double the dense
+  engine computes. It stops: each residual is at most half an ulp of the
+  r_k before it, so |r_{k+1}| <= 2**-53 * |r_k| and |r_k| < 2**(1024 -
+  53*k). r_40 would lie under 2**-1096, below the smallest subnormal, so
+  the expansion has at most 40 entries.
+- The add and the update rule run over every node as elementwise float64
+  ufuncs in update_activation's operation order. Each rounds exactly as
+  the Python float operation does (numpy does not fuse multiply-add). The
+  branch on net > 0.0 is prev - MIN_ACT, overwritten by MAX_ACT - prev
+  where net > 0.0 (a where= mask: few nodes take that branch), and the
+  clamps are np.minimum then np.maximum. min/max pick what the comparisons
+  of update_activation pick, NaN activations included (a tie is between
+  equal doubles, as no value is -0.0), except at a NaN bound, where the
+  comparison never fires and min/max would return NaN;
   Parameters.validate rejects non-finite MIN_ACT and MAX_ACT.
-  Most nodes are quiet: their net input is that one add of the shared
-  inhibition to 0.0 or to their stimulus term, and no Python code runs for
+  Most nodes are quiet: their net input is 0.0, their stimulus term, or
+  one add of the shared inhibition to either, and no Python code runs for
   them one by one.
 
 Bit-identity includes the sign of zero, because no activation is ever
@@ -48,9 +57,16 @@ Bit-identity includes the sign of zero, because no activation is ever
 clamp bound (MIN_ACT, MAX_ACT = -0.0 clamp to +0.0) is -0.0. The update
 a + net*d - decay*(a - rest) then cannot yield -0.0 from an a that is not:
 in round-to-nearest x + y is -0.0 only if x and y both are, and x - y only
-if x is. So a node at its rest level holds that level's exact bits, and
-the update rule maps it to itself: the nodes this engine leaves untouched
-hold what the dense engine recomputes for them.
+if x is.
+
+Untouched nodes are fixed points. A node that is no target, has no
+stimulus term, is in no pool that steps and sits at its rest level r has
+net +0.0, and r lies in [MIN_ACT, MAX_ACT] (Parameters.validate), so
+d = r - MIN_ACT >= +0.0 and, while that difference does not overflow,
+net*d = +0.0, r + 0.0 = r, decay*(r - r) = +0.0, r - 0.0 = r and the
+clamps keep r: the update maps the node to its own bits. The step computes
+such nodes all the same, as the dense engine does, so only the
+touched_updates counter depends on this; it counts the other nodes.
 """
 
 from __future__ import annotations
@@ -60,6 +76,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import InvariantError
 from .network import INHIBITED_POOLS, Network, Pool, pool_gamma
 from .params import Parameters
 
@@ -148,23 +165,36 @@ class SimulationState:
             for pool, _g in INHIBITED_POOLS}
         self.input_weights: dict[int, float] = {}
         self._stimulus_input = None
+        self._touched_by: dict[tuple[Pool, ...], np.ndarray] = {}
         self.cycle = 0
         self.counters = {"active_node_updates": 0, "touched_updates": 0}
         self.trace.frames.clear()
 
-    def stimulus_input(self, i_rest: float) -> tuple[np.ndarray, np.ndarray]:
-        """(net input, mask) of the stimulus term alone: iw * I_rest + 0.0
-        at every stimulus-weighted orthographic node, 0.0 elsewhere. Kept
-        for the trial; rebuilt only if I_rest changes."""
+    def stimulus_input(self, i_rest: float) -> np.ndarray:
+        """Net input of the stimulus term alone: iw * I_rest + 0.0 at every
+        stimulus-weighted orthographic node, 0.0 elsewhere. Kept for the
+        trial; rebuilt only if I_rest changes."""
         if self._stimulus_input is None or self._stimulus_input[0] != i_rest:
             net = np.zeros(len(self.network))
-            mask = np.zeros(len(self.network), dtype=bool)
             ids = list(self.input_weights)
             weights = np.fromiter(self.input_weights.values(), np.float64, len(ids))
             net[ids] = weights * i_rest + 0.0
-            mask[ids] = True
-            self._stimulus_input = (i_rest, net, mask)
-        return self._stimulus_input[1:]
+            self._stimulus_input = (i_rest, net)
+        return self._stimulus_input[1]
+
+    def touched_by(self, pools: tuple[Pool, ...]) -> np.ndarray:
+        """Mask of the stimulus-weighted nodes and the members of ``pools``:
+        what a step in which those pools take an inhibition step touches
+        whatever the excitation. Kept for the trial, one per pool tuple."""
+        mask = self._touched_by.get(pools)
+        if mask is None:
+            mask = np.zeros(len(self.network), dtype=bool)
+            mask[list(self.input_weights)] = True
+            for pool in pools:
+                for part in self.network.pool_slices[pool]:
+                    mask[part] = True
+            self._touched_by[pools] = mask
+        return mask
 
 
 def set_stimulus(state: SimulationState, network: Network, stimulus: str,
@@ -207,71 +237,91 @@ def _expansion(terms: list[float]) -> list[float]:
 def step(state: SimulationState, network: Network, params: Parameters) -> SimulationState:
     """Advance one cycle: net inputs, lateral inhibition, activation update.
 
-    A node is touched -- updated and counted -- when it is the target of an
-    active node's connection, a stimulus-weighted orthographic node, a
-    member of a pool with an active inhibition step, or away from its rest
-    level. Every other node is a fixed point of the update rule and keeps
-    its activation.
+    Every node is updated. A node is touched -- counted in touched_updates
+    -- when it is the target of an active node's connection, a
+    stimulus-weighted orthographic node, a member of a pool with an active
+    inhibition step, or away from its rest level. Every other node is a
+    fixed point of the update rule (module docstring).
     """
     prev = state.activation
-    rest = network.rest
     fsum = math.fsum
     state.counters["active_node_updates"] += len(state.active)
     srcs = list(state.active)
     active_act = dict(zip(srcs, prev[srcs].tolist()))
 
-    # phase 1: excitation. Quiet nodes start from their stimulus-only net
-    # input; every target of an active source sums its products and its
-    # stimulus term (reads the snapshot only).
-    stimulus_net, has_input = state.stimulus_input(params.I_rest)
-    net = stimulus_net.copy()
-    touched = np.not_equal(prev, rest)
-    touched |= has_input
-    contributions: dict[int, list[float]] = {}
+    # phase 1: excitation. Every node starts from its stimulus-only net
+    # input. A target of one active source adds that product to it in one
+    # vector add; a target of several takes fsum over its products and its
+    # stimulus term.
+    net = state.stimulus_input(params.I_rest).copy()
+    first: dict[int, float] = {}
+    several: dict[int, list[float]] = {}
+    out = network.out
     for src, a in active_act.items():
-        for dst, w in network.out[src]:
-            contributions.setdefault(dst, []).append(w * a)
-    if contributions:
+        for dst, w in out[src]:
+            if dst in first:
+                several.setdefault(dst, [first[dst]]).append(w * a)
+            else:
+                first[dst] = w * a
+    targets = np.fromiter(first, np.intp, len(first))
+    if first:
+        sums = net[targets]
+        sums += np.fromiter(first.values(), np.float64, len(first))
+        if math.isfinite(np.add.reduce(sums)):
+            net[targets] = sums
+        else:
+            # some sum is not finite, or only their total overflows: fsum
+            # decides them all, and raises where a finite sum overflows
+            several = {dst: several.get(dst, [p]) for dst, p in first.items()}
+    if several:
         weights, i_rest = state.input_weights, params.I_rest
         sums = []
-        for dst, prods in contributions.items():
+        for dst, prods in several.items():
             iw = weights.get(dst)
-            if iw is not None:
-                prods.append(iw * i_rest)
-            sums.append(fsum(prods))
-        targets = list(contributions)
-        net[targets] = sums
-        touched[targets] = True
+            sums.append(fsum(prods if iw is None else prods + [iw * i_rest]))
+        net[list(several)] = sums
 
     # phase 2: one inhibition step per pool with a nonzero gamma and an
     # active member. Every member gets the sum over the active members,
     # each active member the sum over the others, from one expansion.
+    stepped, shared, members, exclusion = [], [], [], []
     for pool, _gamma_name in INHIBITED_POOLS:
         gamma = pool_gamma(params, pool)
-        members = state.active_by_pool[pool]
-        if gamma == 0.0 or not members:
+        active_members = state.active_by_pool[pool]
+        if gamma == 0.0 or not active_members:
             continue
-        ids = list(members)
-        terms = (gamma * prev[ids]).tolist()
+        ids = list(active_members)
+        terms = [gamma * active_act[m] for m in ids]
         expansion = _expansion(terms)
-        own = net[ids]
-        in_pool = network.pool_index[pool]
-        net[in_pool] += fsum(expansion)
-        net[ids] = own + [fsum(expansion + [-t]) for t in terms]
-        touched[in_pool] = True
+        stepped.append(pool)
+        shared.append(fsum(expansion))
+        members += ids
+        exclusion += [fsum(expansion + [-t]) for t in terms]
+    if members:
+        own = net[members]
+        for pool, inhibition in zip(stepped, shared):
+            for part in network.pool_slices[pool]:
+                in_part = net[part]
+                in_part += inhibition
+        own += exclusion
+        net[members] = own
 
-    # phase 3: update_activation elementwise, in its operation order
+    # phase 3: update_activation elementwise, in its operation order, over
+    # every node; an untouched node maps to itself (module docstring)
     max_act, min_act = params.MAX_ACT, params.MIN_ACT
-    new = np.where(net > 0.0, max_act - prev, prev - min_act)
+    new = prev - min_act
+    np.subtract(max_act, prev, out=new, where=net > 0.0)
     new *= net
     new += prev
-    decay = np.subtract(prev, rest)
+    decay = np.subtract(prev, network.rest)
     decay *= params.DECAY_RATE
     new -= decay
     np.minimum(new, max_act, out=new)
     np.maximum(new, min_act, out=new)
+    touched = np.not_equal(prev, network.rest)
+    touched |= state.touched_by(tuple(stepped))
+    touched[targets] = True
     state.counters["touched_updates"] += int(np.count_nonzero(touched))
-    new = np.where(touched, new, prev)
 
     # only nodes that crossed 0 move between the active sets
     state.activation = new
@@ -318,4 +368,29 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
             break
     if outcome is None:
         outcome = monitor.timeout(state, network)
+    check_invariants(state, network, params)
     return state.trace, outcome
+
+
+def check_invariants(state: SimulationState, network: Network, params: Parameters) -> None:
+    """Raise InvariantError unless every activation is finite and inside
+    [MIN_ACT, MAX_ACT], and ``active`` and ``active_by_pool`` hold exactly
+    the nodes whose activation is > 0. run checks once per trial."""
+    act = state.activation
+    # NaN fails both comparisons, and the bounds are finite (validate)
+    inside = act >= params.MIN_ACT
+    inside &= act <= params.MAX_ACT
+    if not inside.all():
+        n = int(np.argmin(inside))
+        raise InvariantError(f"cycle {state.cycle}: node {n} has activation {act.item(n)!r}, "
+                             f"outside [{params.MIN_ACT!r}, {params.MAX_ACT!r}]")
+    active = set((act > 0.0).nonzero()[0].tolist())
+    nodes = network.nodes
+    sets = [("active", state.active, active)]
+    sets += [(f"active_by_pool[{pool.value}]", state.active_by_pool[pool],
+              {n for n in active if nodes[n].pool is pool})
+             for pool, _gamma_name in INHIBITED_POOLS]
+    for name, held, recomputed in sets:
+        if held != recomputed:
+            raise InvariantError(f"cycle {state.cycle}: {name} differs from activation > 0 "
+                                 f"at nodes {sorted(held ^ recomputed)}")

@@ -11,3 +11,9 @@ class ValidationError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid parameter name, value, or task configuration."""
+
+
+class InvariantError(RuntimeError):
+    """A simulation state the engine must never reach: the program is at
+    fault, not its input. Not a ValueError, so batches never record it as
+    a row error and carry on."""

@@ -140,18 +140,19 @@ def outcome_rows(rows: Sequence[BatchRow]) -> list[list]:
     """Outcome table in the fixed CSV column order."""
     out = [["stimulus", "task", "source_lang", "target_lang", "response_kind",
             "response_symbol", "cycles", "rt_pred", "n_rejected", "failure",
-            "input_symbol", "rejected_symbols"]]
+            "input_symbol", "rejected_symbols", "input_rejected_symbols"]]
     for row in rows:
         r = row.record
         if row.outcome is None:
             out.append([r.stimulus, r.task, r.source_lang, r.target_lang or "",
-                        "error", row.error or "", "", "", "", "", "", ""])
+                        "error", row.error or "", "", "", "", "", "", "", ""])
             continue
         o, d = row.outcome, row.outcome.diagnostics
         out.append([r.stimulus, r.task, r.source_lang, r.target_lang or "",
                     o.response_kind, o.response_symbol or "",
                     o.cycles, repr(o.rt_pred), o.n_rejected, d.failure or "",
-                    d.input_symbol or "", ";".join(rej.symbol for rej in d.output_rejections)])
+                    d.input_symbol or "", ";".join(rej.symbol for rej in d.output_rejections),
+                    ";".join(rej.symbol for rej in d.input_rejections)])
     return out
 
 

@@ -72,6 +72,11 @@ class IterationLog:
     window_hi: float
     points: list[float]
     fitnesses: list[float]
+    # per point, when fit_inhibition ran the search: trials that responded,
+    # trials run, and why a point scored WORST_FITNESS ("" when it did not)
+    n_responded: list[int] = field(default_factory=list)
+    n_trials: list[int] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -116,8 +121,10 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
 
     ``records`` are stimulus records (see experiments.StimulusRecord) whose
     rt_ms column is required. Trials that produce no response are excluded
-    pairwise; a parameter point with fewer than two responded trials scores
-    worst fitness.
+    pairwise; a parameter point with fewer than two responded trials, or
+    with a constant sequence of cycle counts or reaction times, scores
+    worst fitness. Each iteration log carries every point's counts and the
+    reason for a worst score.
     """
     config = config or SearchConfig()
     params = params or Parameters()
@@ -128,6 +135,9 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
     # every grid point runs the same stimuli: weight each one once per fit
     weights = {stimulus: network.input_weights(stimulus)
                for stimulus in dict.fromkeys(r.stimulus for r in rated)}
+
+    # point -> (responded, trials, note); a point's trials are deterministic
+    scored: dict[float, tuple[int, int, str]] = {}
 
     def objective(gamma: float) -> float:
         pp = gamma if config.tie_gammas else config.fixed_pp_gamma
@@ -141,11 +151,21 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
             if outcome.responded:
                 cycles.append(float(outcome.cycles))
                 rts.append(record.rt_ms)
+        fitness, note = WORST_FITNESS, ""
         if len(cycles) < 2:
-            return WORST_FITNESS
-        try:
-            return pearson(cycles, rts)
-        except ValueError:
-            return WORST_FITNESS
+            note = "fewer_than_two_responses"
+        else:
+            try:
+                fitness = pearson(cycles, rts)
+            except ValueError:
+                note = "constant_cycles" if len(set(cycles)) == 1 else "constant_rts"
+        scored[gamma] = (len(cycles), len(rated), note)
+        return fitness
 
-    return grid_search(objective, config)
+    result = grid_search(objective, config)
+    for it in result.iterations:
+        counts = [scored[point] for point in it.points]
+        it.n_responded = [responded for responded, _trials, _note in counts]
+        it.n_trials = [trials for _responded, trials, _note in counts]
+        it.notes = [note for _responded, _trials, note in counts]
+    return result

@@ -75,9 +75,10 @@ class Network:
         # nonzero weights only; a zero-weight link never moves an activation
         self.out: list[list[tuple[int, float]]] = []
         self.pool_ids: dict[Pool, list[int]] = {pool: [] for pool in Pool}
-        # read-only arrays set once the build is complete: the member ids of
-        # each inhibited pool, and every node's rest level
-        self.pool_index: dict[Pool, np.ndarray] = {}
+        # set once the build is complete: the members of each inhibited pool
+        # as basic slices of the node ids, and every node's rest level as a
+        # read-only array
+        self.pool_slices: dict[Pool, tuple[slice, ...]] = {}
         self.rest = np.zeros(0)
         # read-only orthographic spellings for input weighting: node ids,
         # symbol lengths, and code points with one row per letter position
@@ -185,6 +186,7 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
                                           lexicon.language_b, rest=params.L_rest),
     }
 
+    first_entry = len(net)
     for concept, entry in enumerate(lexicon.entries):
         readings = (
             (entry.ortho_a, entry.phono_a, entry.freq_a, lexicon.language_a),
@@ -210,8 +212,12 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
             net._connect(l_id, o_id, params.LO_alpha)
             net._connect(p_id, l_id, params.PL_alpha)
             net._connect(l_id, p_id, params.LP_alpha)
-    net.pool_index = {pool: np.array(net.pool_ids[pool], dtype=np.intp)
-                      for pool, _gamma_name in INHIBITED_POOLS}
+    # every entry adds its nodes as [O_a, P_a, O_b, P_b, S], so a pool's
+    # members are one stride-5 slice per place it takes in that layout
+    layout = (Pool.ORTHO, Pool.PHONO, Pool.ORTHO, Pool.PHONO, Pool.SEM)
+    net.pool_slices = {pool: tuple(slice(first_entry + k, len(net), len(layout))
+                                   for k, member in enumerate(layout) if member is pool)
+                       for pool, _gamma_name in INHIBITED_POOLS}
     net.rest = np.fromiter((node.rest for node in net.nodes), np.float64, len(net))
     symbols = [net.nodes[o_id].symbol for o_id in net.pool_ids[Pool.ORTHO]]
     lengths = list(map(len, symbols))
@@ -222,7 +228,6 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
     # zero-padded: one row per symbol, transposed to one row per position
     padded = np.array(symbols, dtype=f"<U{width}").view("<u4").reshape(len(symbols), width)
     net.ortho_codes = padded.T.copy()
-    for array in (*net.pool_index.values(), net.rest, net.ortho_ids, net.ortho_lengths,
-                  net.ortho_codes):
+    for array in (net.rest, net.ortho_ids, net.ortho_lengths, net.ortho_codes):
         array.flags.writeable = False
     return net

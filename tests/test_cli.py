@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lexsim import table1_path
+from lexsim import step, table1_path
 from lexsim.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -115,6 +115,17 @@ def test_missing_lexicon_is_input_error(stim_wt, capsys):
     assert code == 1
 
 
+def test_broken_invariant_exits_2(stim_wt, capsys, monkeypatch):
+    def nan_step(state, network, params):
+        step(state, network, params)
+        state.activation[5] = float("nan")
+
+    monkeypatch.setattr("lexsim.dynamics.step", nan_step)
+    code = main(["simulate", "--lexicon", HOMOGRAPHS, "--stimuli", stim_wt])
+    assert code == 2
+    assert "lexsim: invariant violated: cycle" in capsys.readouterr().err
+
+
 def test_fit_subcommand_summary(stim_ld, tmp_path, capsys):
     log = tmp_path / "fit.csv"
     code = main(["fit", "--lexicon", HOMOGRAPHS, "--stimuli", stim_ld,
@@ -123,8 +134,14 @@ def test_fit_subcommand_summary(stim_ld, tmp_path, capsys):
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert {"best_value", "best_fitness", "iterations", "manifest_sha256"} <= set(summary)
-    header = log.read_text().splitlines()[1]
-    assert header == "iteration,window_lo,window_hi,point,fitness"
+    header, *rows = log.read_text().splitlines()[1:]
+    assert header == "iteration,window_lo,window_hi,point,fitness,n_responded,n_trials,note"
+    assert len(rows) == 5 * summary["iterations"]
+    for row in rows:
+        fitness, responded, trials, note = row.split(",")[4:]
+        assert int(trials) == 5 and 0 <= int(responded) <= 5
+        # a point scores -inf exactly when the note says why
+        assert (fitness == "-inf") == (note != "")
 
 
 def test_stats_subcommand(stim_ld, capsys):

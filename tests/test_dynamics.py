@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexsim import (DenseEngine, Lexicon, NullMonitor, Parameters, build_network,
-                    lexical_decision, parse_lexicon, run, set_stimulus, step, update_activation)
+from lexsim import (DenseEngine, InvariantError, Lexicon, NullMonitor, Parameters,
+                    StimulusRecord, build_network, lexical_decision, parse_lexicon, run,
+                    run_batch, set_stimulus, step, update_activation)
 from lexsim.dynamics import SimulationState, _expansion
 from lexsim.network import Pool
 from lexsim.tasks import LexicalDecisionMonitor
@@ -366,3 +367,50 @@ def test_work_counter_accumulates(table1_network, params):
         step(state, table1_network, params)
     assert state.counters["active_node_updates"] > 0
     assert state.counters["touched_updates"] >= state.counters["active_node_updates"]
+
+
+# -- the per-trial invariant -------------------------------------------------
+
+def corrupting_step(corrupt):
+    """A step_fn that runs the fast step, then applies ``corrupt`` to the state."""
+    def step_fn(state, network, params):
+        step(state, network, params)
+        corrupt(state)
+    return step_fn
+
+
+def _drop_ortho_member(state):
+    if state.active_by_pool[Pool.ORTHO]:
+        state.active_by_pool[Pool.ORTHO].pop()
+
+
+# node 5 is the EN orthographic node of the first entry, node 1 a language node
+CORRUPTIONS = {
+    "nan": (lambda s: s.activation.__setitem__(5, math.nan), "node 5 has activation nan"),
+    "inf": (lambda s: s.activation.__setitem__(5, math.inf), "node 5 has activation inf"),
+    "above MAX_ACT": (lambda s: s.activation.__setitem__(5, 1.5), "node 5 has activation 1.5"),
+    "below MIN_ACT": (lambda s: s.activation.__setitem__(5, -0.5),
+                      "node 5 has activation -0.5"),
+    "inactive node in active": (lambda s: s.active.add(1),
+                                r"active differs from activation > 0 at nodes \[1\]"),
+    "pool set misses a member": (_drop_ortho_member,
+                                 r"active_by_pool\[ortho\] differs from activation > 0"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_run_raises_invariant_error_on_corrupt_state(table1_network, params, name):
+    corrupt, message = CORRUPTIONS[name]
+    with pytest.raises(InvariantError, match=message):
+        run(table1_network, "AARDE", NullMonitor(), params, trace=None,
+            step_fn=corrupting_step(corrupt))
+
+
+def test_invariant_error_is_not_a_batch_row_error(table1_network, params, monkeypatch):
+    # run_batch records a ValueError as a row error and goes on; a broken
+    # invariant must stop the batch instead
+    assert not issubclass(InvariantError, ValueError)
+    monkeypatch.setattr("lexsim.dynamics.step", corrupting_step(CORRUPTIONS["nan"][0]))
+    with pytest.raises(InvariantError):
+        run_batch(table1_network, [StimulusRecord("AARDE", "NL", task="LD")], params)

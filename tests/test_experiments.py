@@ -90,7 +90,7 @@ def test_outcome_rows_layout(table1_network, params):
     rows = outcome_rows(run_batch(table1_network, records, params))
     assert rows[0] == ["stimulus", "task", "source_lang", "target_lang", "response_kind",
                        "response_symbol", "cycles", "rt_pred", "n_rejected", "failure",
-                       "input_symbol", "rejected_symbols"]
+                       "input_symbol", "rejected_symbols", "input_rejected_symbols"]
     assert rows[1][0] == "AARDE" and rows[1][4] == "yes"
     assert [row[9] for row in rows[1:]] == ["", "", ""]
     # only the WT trial identifies an input reading
@@ -112,18 +112,21 @@ def test_outcome_rows_failure_column(homograph_lexicon):
 
 
 def test_outcome_rows_input_and_rejected_symbols(homograph_network, params):
-    # the WT monitor fixes the NL reading of ROOM, then turns away the
-    # output candidates of the wrong language or concept, in rejection order
+    # the WT monitor turns away the EN reading of ROOM at the input stage,
+    # fixes the NL reading, then turns away the output candidates of the
+    # wrong language or concept, in rejection order
     records = [StimulusRecord("ROOM", "NL", "EN", "WT"),
                StimulusRecord("AARDE", "NL", None, "LD"),
                StimulusRecord("ROOM", "XX", "EN", "WT")]
     rows = outcome_rows(run_batch(homograph_network, records, params))
     outcome = run_batch(homograph_network, records[:1], params)[0].outcome
     rejected = ";".join(r.symbol for r in outcome.diagnostics.output_rejections)
-    assert rows[1][8:] == [3, "", "ROOM", rejected]
+    input_rejected = ";".join(r.symbol for r in outcome.diagnostics.input_rejections)
+    assert rows[1][8:] == [3, "", "ROOM", rejected, input_rejected]
     assert len(rejected.split(";")) == 3 and "kam@r" in rejected.split(";")
-    assert rows[2][8:] == [0, "", "", ""]
-    assert rows[3][4] == "error" and rows[3][8:] == ["", "", "", ""]
+    assert "ROOM" in input_rejected.split(";")
+    assert rows[2][8:] == [0, "", "", "", ""]
+    assert rows[3][4] == "error" and rows[3][8:] == ["", "", "", "", ""]
 
 
 # -- active-node statistics ----------------------------------------------------

@@ -154,3 +154,26 @@ def test_fit_all_timeouts_scores_worst(table1, params):
     config = SearchConfig(n_points=3, epsilon=1e-3, max_iterations=2)
     result = fit_inhibition(table1, records, config, params)
     assert result.best_fitness == WORST_FITNESS
+
+
+def test_fit_logs_counts_and_why_a_point_scores_worst(table1, params):
+    config = SearchConfig(lower=-0.01, upper=0.0, n_points=3, max_iterations=1)
+
+    def only_iteration(*stimuli_and_rts):
+        records = [StimulusRecord(stimulus=s, source_lang="NL", task="LD", rt_ms=rt)
+                   for s, rt in stimuli_and_rts]
+        result = fit_inhibition(table1, records, config, params)
+        assert len(result.iterations) == 1
+        return result.iterations[0]
+
+    repeated = only_iteration(("AARDE", 500.0), ("AARDE", 510.0))
+    assert repeated.n_responded == [2, 2, 2] and repeated.n_trials == [2, 2, 2]
+    assert repeated.notes == ["constant_cycles"] * 3
+    assert repeated.fitnesses == [WORST_FITNESS] * 3
+    same_rt = only_iteration(("AARDE", 500.0), ("AARDBEI", 500.0))
+    assert same_rt.notes == ["constant_rts"] * 3
+    unknown = only_iteration(("XQZQX", 500.0), ("AARDE", 510.0), ("QQXXJ", 520.0))
+    assert unknown.n_responded == [1, 1, 1] and unknown.n_trials == [3, 3, 3]
+    assert unknown.notes == ["fewer_than_two_responses"] * 3
+    fitted = only_iteration(("AARDE", 500.0), ("AARDBEI", 560.0), ("AAP", 530.0))
+    assert fitted.notes == [""] * 3 and WORST_FITNESS not in fitted.fitnesses

@@ -128,11 +128,23 @@ def test_arrays_match_lists_and_are_read_only(table1_network):
         _check_arrays(net)
 
 
+@pytest.mark.parametrize("pairs", [[], [("AARDE", "EARTH")]])
+def test_pool_slices_of_empty_and_one_entry_lexicons(pairs):
+    _check_pool_slices(build_network(_lexicon(pairs), Parameters()))
+
+
+def _check_pool_slices(net):
+    """Each inhibited pool's basic slices enumerate its members, once each."""
+    ids = np.arange(len(net))
+    for pool, _gamma_name in INHIBITED_POOLS:
+        assert all(type(part) is slice for part in net.pool_slices[pool])
+        covered = [n for part in net.pool_slices[pool] for n in ids[part].tolist()]
+        assert sorted(covered) == net.pool_ids[pool]
+
+
 def _check_arrays(net):
     assert net.rest.tolist() == [node.rest for node in net.nodes]
-    for pool, _gamma_name in INHIBITED_POOLS:
-        assert net.pool_index[pool].dtype == np.intp
-        assert net.pool_index[pool].tolist() == net.pool_ids[pool]
+    _check_pool_slices(net)
     ortho = net.pool_ids[Pool.ORTHO]
     assert net.ortho_ids.tolist() == ortho
     assert net.ortho_lengths.tolist() == [len(net.nodes[o].symbol) for o in ortho]
@@ -141,8 +153,7 @@ def _check_arrays(net):
     for column, o_id, length in zip(net.ortho_codes.T, ortho, net.ortho_lengths):
         assert "".join(map(chr, column[:length].tolist())) == net.nodes[o_id].symbol
         assert not column[length:].any()
-    for array in (net.rest, *net.pool_index.values(), net.ortho_ids, net.ortho_lengths,
-                  net.ortho_codes):
+    for array in (net.rest, net.ortho_ids, net.ortho_lengths, net.ortho_codes):
         with pytest.raises(ValueError):
             array[0] = array[0]
 

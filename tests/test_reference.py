@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexsim import (ParseOptions, Parameters, ValidationError, build_network,
-                    materialize_dense, parse_lexicon, run, synthetic_lexicon, update_activation)
+from lexsim import (InvariantError, NullMonitor, ParseOptions, Parameters, ValidationError,
+                    build_network, materialize_dense, parse_lexicon, run, step,
+                    synthetic_lexicon, update_activation)
 from lexsim.network import Pool
 from lexsim.params import ALPHA_NAMES, THRESHOLD_NAMES
-from lexsim.reference import DenseEngine
+from lexsim.reference import DenseEngine, scalar_input_weights
 from lexsim.tasks import make_monitor
 
 
@@ -200,3 +201,47 @@ def test_engines_agree_where_both_clamps_bind(homograph_lexicon, monkeypatch):
                           [("ROOM", "WT", "NL", "EN"), ("AARDBEI", "WT", "NL", "EN"),
                            ("AARDE", "LD", "NL", None)])
     assert bound == {"MAX_ACT", "MIN_ACT"}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_engines_raise_alike_when_a_one_product_sum_overflows(table1):
+    # an orthographic node's only source is its phonological node, and its
+    # stimulus term is near the largest double: once that node is active,
+    # the one product plus the stimulus term overflows, which fsum raises
+    # and a plain add would round to inf
+    params = Parameters().updated(IO_multiplier=1.7e308, PO_alpha=1.7e308, SO_alpha=0.0)
+    network = build_network(table1, params)
+    ortho = network.find(Pool.ORTHO, "AARDE", "NL").id
+    assert [src for src, targets in enumerate(network.out)
+            for dst, _w in targets if dst == ortho] == [network.find(Pool.PHONO, "ard@", "NL").id]
+    raised = []
+    for step_fn in (step, DenseEngine(network).step):
+        cycles = []
+
+        def counting(state, net, p, step_fn=step_fn):
+            cycles.append(state.cycle)
+            step_fn(state, net, p)
+
+        with pytest.raises(OverflowError) as info:
+            run(network, "AARDE", NullMonitor(), params, trace=None, step_fn=counting,
+                input_weights=scalar_input_weights(network, "AARDE"))
+        raised.append((str(info.value), cycles[-1]))
+    assert raised[0] == raised[1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_engines_agree_where_a_node_at_rest_is_no_fixed_point(table1):
+    # rest - MIN_ACT overflows for the language nodes, so the update rule
+    # maps them from rest to NaN (0.0 * inf); the fast step updates every
+    # node as the dense one does, and the per-trial check catches the NaN
+    params = Parameters(MIN_ACT=-1e308, MAX_ACT=1e308, MAX_REST=1e308, L_rest=9e307)
+    network = build_network(table1, params)
+    messages = []
+    for engine_run in (lambda: run(network, "AARDE", NullMonitor(), params),
+                       lambda: DenseEngine(network).run("AARDE", NullMonitor(), params)):
+        with pytest.raises(InvariantError) as info:
+            engine_run()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "node 1 has activation nan" in messages[0]
