@@ -18,9 +18,9 @@ from dataclasses import replace
 
 from . import __version__
 from .dynamics import run as run_trial
-from .errors import ConfigError, InvariantError, ParseError, ValidationError
-from .experiments import (active_node_stats, benchmark, condition_report, outcome_rows,
-                          parse_stimuli, report_rows, run_batch, stats_rows)
+from .errors import ConfigError, InvariantError
+from .experiments import (TASKS, active_node_stats, benchmark, condition_report,
+                          outcome_rows, parse_stimuli, report_rows, run_batch, stats_rows)
 from .fitting import SearchConfig, fit_inhibition
 from .lexicon import ParseOptions, load_lexicon
 from .network import build_network
@@ -56,20 +56,23 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _write_text(text: str, out_path: str | None) -> None:
+    if out_path is None:
+        sys.stdout.write(text)
+        return
+    with open(out_path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
 def _write_csv(rows, manifest: dict, out_path: str | None) -> None:
     buffer = io.StringIO()
     buffer.write(f"# manifest sha256:{manifest_hash(manifest)}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
-    text = buffer.getvalue()
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
+    _write_text(buffer.getvalue(), out_path)
+    if out_path is not None:
+        _write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n",
+                    out_path + ".manifest.json")
 
 
 def _resolve_params(args) -> Parameters:
@@ -91,6 +94,15 @@ def _load_lexicon(args):
     return load_lexicon(args.lexicon, options)
 
 
+def _load_inputs(args, default_task: str | None, default_target: str | None):
+    params = _resolve_params(args)
+    lexicon = _load_lexicon(args)
+    with open(args.stimuli, encoding="utf-8") as handle:
+        records = parse_stimuli(handle, default_task=default_task,
+                                default_source=args.source, default_target=default_target)
+    return params, lexicon, records
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lexicon", required=True, help="lexicon CSV path")
     parser.add_argument("--params", help="parameter file (NAME = VALUE lines)")
@@ -105,12 +117,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output CSV path (default: stdout)")
 
 
+def _add_stimuli(parser: argparse.ArgumentParser, task_defaults: bool,
+                 stimuli_help: str = "stimulus CSV path") -> None:
+    parser.add_argument("--stimuli", required=True, help=stimuli_help)
+    parser.add_argument("--source", help="default source language")
+    if task_defaults:
+        parser.add_argument("--task", choices=TASKS, help="default task for rows without one")
+        parser.add_argument("--target", help="default target language")
+
+
 def _cmd_simulate(args) -> int:
-    params = _resolve_params(args)
-    lexicon = _load_lexicon(args)
-    with open(args.stimuli, encoding="utf-8") as handle:
-        records = parse_stimuli(handle, default_task=args.task,
-                                default_source=args.source, default_target=args.target)
+    params, lexicon, records = _load_inputs(args, args.task, args.target)
     network = build_network(lexicon, params)
     rows = run_batch(network, records, params, engine=args.engine, jobs=args.jobs)
     manifest = build_manifest("simulate", params, args.lexicon, {
@@ -135,11 +152,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    params = _resolve_params(args)
-    lexicon = _load_lexicon(args)
-    with open(args.stimuli, encoding="utf-8") as handle:
-        records = parse_stimuli(handle, default_task=args.task,
-                                default_source=args.source, default_target=args.target)
+    params, lexicon, records = _load_inputs(args, args.task, args.target)
     lo, _sep, hi = args.domain.partition(":")
     config = SearchConfig(lower=float(lo), upper=float(hi), n_points=args.n,
                           epsilon=args.epsilon, tie_gammas=not args.untie_pp,
@@ -166,10 +179,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    params = _resolve_params(args)
-    lexicon = _load_lexicon(args)
-    with open(args.stimuli, encoding="utf-8") as handle:
-        records = parse_stimuli(handle, default_task="LD", default_source=args.source)
+    params, lexicon, records = _load_inputs(args, "LD", None)
     gammas = [float(g) for g in args.gammas.split(",") if g.strip() != ""]
     stats = active_node_stats(lexicon, [r.stimulus for r in records], gammas, params)
     manifest = build_manifest("stats", params, args.lexicon, {
@@ -180,10 +190,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    params = _resolve_params(args)
-    lexicon = _load_lexicon(args)
-    with open(args.stimuli, encoding="utf-8") as handle:
-        records = parse_stimuli(handle, default_task="LD", default_source=args.source)
+    params, lexicon, records = _load_inputs(args, "LD", None)
     result = benchmark(lexicon, [r.stimulus for r in records], engine=args.engine,
                        params=params, repeats=args.repeats,
                        dense_max_entries=args.dense_max_entries)
@@ -211,12 +218,7 @@ def _cmd_dump_network(args) -> int:
             "connections": [{"from": c.from_id, "to": c.to_id, "weight": c.weight}
                             for c in network.connections()],
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+        _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         rows = [["from", "to", "weight"]]
         rows += [[c.from_id, c.to_id, repr(c.weight)] for c in network.connections()]
@@ -232,10 +234,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a stimulus batch and emit outcomes")
     _add_common(p)
-    p.add_argument("--stimuli", required=True, help="stimulus CSV path")
-    p.add_argument("--task", choices=["LD", "NAME", "WT"], help="default task for rows without one")
-    p.add_argument("--source", help="default source language")
-    p.add_argument("--target", help="default target language")
+    _add_stimuli(p, task_defaults=True)
     p.add_argument("--engine", choices=["final", "dense"], default="final")
     p.add_argument("--jobs", type=int, default=1, help="parallel trials (default 1)")
     p.add_argument("--report", help="also write a condition report CSV to this path")
@@ -247,10 +246,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="grid-search the inhibition parameters against RTs")
     _add_common(p)
-    p.add_argument("--stimuli", required=True, help="stimulus CSV with rt_ms column")
-    p.add_argument("--task", choices=["LD", "NAME", "WT"])
-    p.add_argument("--source", help="default source language")
-    p.add_argument("--target", help="default target language")
+    _add_stimuli(p, task_defaults=True, stimuli_help="stimulus CSV with rt_ms column")
     p.add_argument("--domain", default="-1:0", help="search domain lo:hi (default -1:0)")
     p.add_argument("--n", type=int, default=20, help="points per window (default 20)")
     p.add_argument("--epsilon", type=float, default=1e-6, help="minimum improvement")
@@ -263,16 +259,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="active-node counts per inhibition setting")
     _add_common(p)
-    p.add_argument("--stimuli", required=True)
-    p.add_argument("--source", help="default source language")
+    _add_stimuli(p, task_defaults=False)
     p.add_argument("--gammas", default="0,-0.0001,-0.001,-0.01,-0.1,-0.2,-0.3,-0.4,-0.5",
                    help="comma-separated inhibition values")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("bench", help="wall-clock benchmark of the engines")
     _add_common(p)
-    p.add_argument("--stimuli", required=True)
-    p.add_argument("--source", help="default source language")
+    _add_stimuli(p, task_defaults=False)
     p.add_argument("--engine", choices=["final", "dense"], default="final")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--dense-max-entries", type=int, default=None,
@@ -291,7 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, ConfigError, OSError, ValueError) as exc:
+    # input errors are ValueErrors; OverflowError: a net input beyond a double
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"lexsim: error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:

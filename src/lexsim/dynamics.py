@@ -61,12 +61,12 @@ if x is.
 
 Untouched nodes are fixed points. A node that is no target, has no
 stimulus term, is in no pool that steps and sits at its rest level r has
-net +0.0, and r lies in [MIN_ACT, MAX_ACT] (Parameters.validate), so
-d = r - MIN_ACT >= +0.0 and, while that difference does not overflow,
-net*d = +0.0, r + 0.0 = r, decay*(r - r) = +0.0, r - 0.0 = r and the
-clamps keep r: the update maps the node to its own bits. The step computes
-such nodes all the same, as the dense engine does, so only the
-touched_updates counter depends on this; it counts the other nodes.
+net +0.0, and r lies in [MIN_ACT, MAX_ACT], a span Parameters.validate
+keeps finite, so d = r - MIN_ACT is finite and >= +0.0, net*d = +0.0,
+r + 0.0 = r, decay*(r - r) = +0.0, r - 0.0 = r and the clamps keep r:
+the update maps the node to its own bits. The step computes such nodes
+all the same, as the dense engine does, so only the touched_updates
+counter depends on this; it counts the other nodes.
 """
 
 from __future__ import annotations
@@ -355,9 +355,8 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
     """
     params = params or network.params
     step_fn = step_fn or step
-    state = SimulationState(network, trace=trace)  # at rest, like set_stimulus
-    state.input_weights = (network.input_weights(stimulus) if input_weights is None
-                           else input_weights)
+    state = SimulationState(network, trace=trace)
+    set_stimulus(state, network, stimulus, input_weights)
     outcome = None
     while state.cycle < params.max_cycles:
         step_fn(state, network, params)

@@ -113,8 +113,9 @@ def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
     """One outcome per stimulus record, in input order.
 
     Per-row task errors are recorded and the batch continues. Rows are
-    independent trials over the shared network, so ``jobs`` only controls
-    parallelism; results are deterministic either way.
+    independent trials over the shared network, so the result is the same
+    for every ``jobs``. ``jobs > 1`` runs rows on a thread pool, which the
+    GIL serialises: it takes about as long as ``jobs = 1``.
     """
     network = lexicon if isinstance(lexicon, Network) else build_network(lexicon, params or Parameters())
     params = params or network.params
@@ -143,16 +144,15 @@ def outcome_rows(rows: Sequence[BatchRow]) -> list[list]:
             "input_symbol", "rejected_symbols", "input_rejected_symbols"]]
     for row in rows:
         r = row.record
+        record = [r.stimulus, r.task, r.source_lang, r.target_lang or ""]
         if row.outcome is None:
-            out.append([r.stimulus, r.task, r.source_lang, r.target_lang or "",
-                        "error", row.error or "", "", "", "", "", "", "", ""])
+            out.append(record + ["error", row.error or "", "", "", "", "", "", "", ""])
             continue
         o, d = row.outcome, row.outcome.diagnostics
-        out.append([r.stimulus, r.task, r.source_lang, r.target_lang or "",
-                    o.response_kind, o.response_symbol or "",
-                    o.cycles, repr(o.rt_pred), o.n_rejected, d.failure or "",
-                    d.input_symbol or "", ";".join(rej.symbol for rej in d.output_rejections),
-                    ";".join(rej.symbol for rej in d.input_rejections)])
+        out.append(record + [o.response_kind, o.response_symbol or "", o.cycles,
+                             repr(o.rt_pred), o.n_rejected, d.failure or "", d.input_symbol or "",
+                             ";".join(rej.symbol for rej in d.output_rejections),
+                             ";".join(rej.symbol for rej in d.input_rejections)])
     return out
 
 
@@ -235,8 +235,6 @@ class ConditionReport:
 
 
 def _safe_pearson(xs: list[float], ys: list[float]) -> float | None:
-    if len(xs) < 2:
-        return None
     try:
         return pearson(xs, ys)
     except ValueError:
@@ -247,6 +245,21 @@ def _mean(values: list[float]) -> float | None:
     return math.fsum(values) / len(values) if values else None
 
 
+def _group_report(condition: str, rows: Sequence[BatchRow]) -> ConditionReport:
+    """Counts, means and the cycles-RT correlation of one group of rows."""
+    responded = [r for r in rows if r.outcome is not None and r.outcome.responded]
+    paired = [(float(r.outcome.cycles), r.record.rt_ms)
+              for r in responded if r.record.rt_ms is not None]
+    return ConditionReport(
+        condition=condition,
+        n_responded=len(responded),
+        n_timeout=len(rows) - len(responded),
+        mean_rt=_mean([rt for _, rt in paired]),
+        mean_cycles=_mean([float(r.outcome.cycles) for r in responded]),
+        pearson_r=_safe_pearson([c for c, _ in paired], [rt for _, rt in paired]),
+    )
+
+
 def condition_report(rows: Sequence[BatchRow]) -> list[ConditionReport]:
     """Per-condition means and correlations, plus overall by-item and
     by-condition rows. Non-responses are excluded pairwise; undefined
@@ -255,38 +268,11 @@ def condition_report(rows: Sequence[BatchRow]) -> list[ConditionReport]:
     for row in rows:
         by_condition.setdefault(row.record.condition or "", []).append(row)
 
-    reports = []
-    condition_means: list[tuple[float, float]] = []
-    for condition in sorted(by_condition):
-        group = by_condition[condition]
-        responded = [r for r in group if r.outcome is not None and r.outcome.responded]
-        cycles = [float(r.outcome.cycles) for r in responded]
-        rts = [r.record.rt_ms for r in responded if r.record.rt_ms is not None]
-        paired = [(float(r.outcome.cycles), r.record.rt_ms)
-                  for r in responded if r.record.rt_ms is not None]
-        report = ConditionReport(
-            condition=condition,
-            n_responded=len(responded),
-            n_timeout=len(group) - len(responded),
-            mean_rt=_mean(rts),
-            mean_cycles=_mean(cycles),
-            pearson_r=_safe_pearson([c for c, _ in paired], [rt for _, rt in paired]),
-        )
-        reports.append(report)
-        if report.mean_cycles is not None and report.mean_rt is not None:
-            condition_means.append((report.mean_cycles, report.mean_rt))
-
-    responded = [r for r in rows if r.outcome is not None and r.outcome.responded]
-    paired = [(float(r.outcome.cycles), r.record.rt_ms)
-              for r in responded if r.record.rt_ms is not None]
-    reports.append(ConditionReport(
-        condition="overall_by_item",
-        n_responded=len(responded),
-        n_timeout=len(rows) - len(responded),
-        mean_rt=_mean([rt for _, rt in paired]),
-        mean_cycles=_mean([float(r.outcome.cycles) for r in responded]),
-        pearson_r=_safe_pearson([c for c, _ in paired], [rt for _, rt in paired]),
-    ))
+    reports = [_group_report(condition, by_condition[condition])
+               for condition in sorted(by_condition)]
+    condition_means = [(r.mean_cycles, r.mean_rt) for r in reports
+                       if r.mean_cycles is not None and r.mean_rt is not None]
+    reports.append(_group_report("overall_by_item", rows))
     reports.append(ConditionReport(
         condition="overall_by_condition",
         n_responded=len(condition_means),

@@ -88,6 +88,11 @@ class Parameters:
             raise ConfigError("max_cycles must be >= 1")
         if not (self.MIN_ACT <= self.MIN_REST <= self.MAX_REST <= self.MAX_ACT):
             raise ConfigError("rest range must satisfy MIN_ACT <= MIN_REST <= MAX_REST <= MAX_ACT")
+        # activations and rest levels lie in [MIN_ACT, MAX_ACT]: a finite span
+        # keeps the update's a - MIN_ACT, MAX_ACT - a and a - rest finite
+        if not math.isfinite(self.MAX_ACT - self.MIN_ACT):
+            raise ConfigError(f"MAX_ACT - MIN_ACT must be finite; got MIN_ACT={self.MIN_ACT!r}, "
+                              f"MAX_ACT={self.MAX_ACT!r}")
         for name in ("S_rest", "L_rest"):
             value = getattr(self, name)
             if not (self.MIN_ACT <= value <= self.MAX_REST):

@@ -74,14 +74,13 @@ class TaskOutcome:
         return len(self.diagnostics.output_rejections)
 
 
-def _rt(cycles: int, params: Parameters) -> float:
-    return cycles * params.timestep_multiplier + params.timestep_adder
-
-
-def _check_language(network: Network, language: str) -> None:
-    if language not in network.languages:
-        raise ConfigError(f"unknown language tag {language!r}; "
-                          f"network has {network.languages}")
+def _outcome(task: str, params: Parameters, state: SimulationState, kind: str,
+             node_id: int | None = None, symbol: str | None = None,
+             diagnostics: Diagnostics | None = None) -> TaskOutcome:
+    """The outcome at the state's cycle; rt_pred is linear in the cycles."""
+    rt_pred = state.cycle * params.timestep_multiplier + params.timestep_adder
+    return TaskOutcome(task, kind, symbol, state.cycle, rt_pred, node_id,
+                       diagnostics or Diagnostics())
 
 
 def _candidates(state: SimulationState, network: Network, pool: Pool,
@@ -119,63 +118,64 @@ class NullMonitor:
         return None
 
     def timeout(self, state, network):
-        params = network.params
-        return TaskOutcome(task=self.task, response_kind="none", response_symbol=None,
-                           cycles=state.cycle, rt_pred=_rt(state.cycle, params))
+        return _outcome(self.task, network.params, state, "none")
 
 
-class LexicalDecisionMonitor:
-    task = "LD"
+class _Monitor:
+    """The monitor protocol: run calls ``observe(state, network)`` after each
+    cycle's step, which returns the trial's TaskOutcome or None to go on,
+    and ``timeout(state, network)`` for the outcome once max_cycles pass
+    with none. A task monitor's observe checks on its first cycle that the
+    network has each of ``self.languages``, then ``_observe`` decides."""
+
+    _checked = False
+
+    def observe(self, state, network) -> TaskOutcome | None:
+        if not self._checked:
+            for language in self.languages:
+                if language not in network.languages:
+                    raise ConfigError(f"unknown language tag {language!r}; "
+                                      f"network has {network.languages}")
+            self._checked = True
+        return self._observe(state, network)
+
+
+class _ThresholdMonitor(_Monitor):
+    """Responds ``kinds[0]`` once a ``pool`` node of the target language
+    reaches the criterion, naming it if that kind is "symbol"; times out
+    with ``kinds[1]``."""
+
+    task: str
+    pool: Pool
+    kinds: tuple[str, str]
 
     def __init__(self, target_language: str, params: Parameters):
         self.target_language = target_language
         self.params = params
-        self._checked = False
+        self.languages = (target_language,)
 
-    def observe(self, state, network) -> TaskOutcome | None:
-        if not self._checked:
-            _check_language(network, self.target_language)
-            self._checked = True
-        winner = _winner(state, network, Pool.ORTHO, self.target_language,
+    def _observe(self, state, network) -> TaskOutcome | None:
+        winner = _winner(state, network, self.pool, self.target_language,
                          self.params.criterion_value)
         if winner is None:
             return None
-        return TaskOutcome(task=self.task, response_kind="yes", response_symbol=None,
-                           cycles=state.cycle, rt_pred=_rt(state.cycle, self.params),
-                           node_id=winner)
+        kind = self.kinds[0]
+        return _outcome(self.task, self.params, state, kind, winner,
+                        network.nodes[winner].symbol if kind == "symbol" else None)
 
     def timeout(self, state, network) -> TaskOutcome:
-        return TaskOutcome(task=self.task, response_kind="no", response_symbol=None,
-                           cycles=state.cycle, rt_pred=_rt(state.cycle, self.params))
+        return _outcome(self.task, self.params, state, self.kinds[1])
 
 
-class NamingMonitor:
-    task = "NAME"
-
-    def __init__(self, target_language: str, params: Parameters):
-        self.target_language = target_language
-        self.params = params
-        self._checked = False
-
-    def observe(self, state, network) -> TaskOutcome | None:
-        if not self._checked:
-            _check_language(network, self.target_language)
-            self._checked = True
-        winner = _winner(state, network, Pool.PHONO, self.target_language,
-                         self.params.criterion_value)
-        if winner is None:
-            return None
-        return TaskOutcome(task=self.task, response_kind="symbol",
-                           response_symbol=network.nodes[winner].symbol,
-                           cycles=state.cycle, rt_pred=_rt(state.cycle, self.params),
-                           node_id=winner)
-
-    def timeout(self, state, network) -> TaskOutcome:
-        return TaskOutcome(task=self.task, response_kind="none", response_symbol=None,
-                           cycles=state.cycle, rt_pred=_rt(state.cycle, self.params))
+class LexicalDecisionMonitor(_ThresholdMonitor):
+    task, pool, kinds = "LD", Pool.ORTHO, ("yes", "no")
 
 
-class WordTranslationMonitor:
+class NamingMonitor(_ThresholdMonitor):
+    task, pool, kinds = "NAME", Pool.PHONO, ("symbol", "none")
+
+
+class WordTranslationMonitor(_Monitor):
     task = "WT"
 
     def __init__(self, source_language: str, target_language: str, params: Parameters):
@@ -184,10 +184,10 @@ class WordTranslationMonitor:
         self.source_language = source_language
         self.target_language = target_language
         self.params = params
+        self.languages = (source_language, target_language)
         self.input_list = Shortlist()
         self.output_list = Shortlist()
         self.diagnostics = Diagnostics()
-        self._checked = False
 
     # -- stage 1: fix the input reading ------------------------------------
 
@@ -230,22 +230,15 @@ class WordTranslationMonitor:
             elif node.concept != input_concept:
                 reason = "concept"
             else:
-                return TaskOutcome(
-                    task=self.task, response_kind="symbol",
-                    response_symbol=node.symbol, cycles=state.cycle,
-                    rt_pred=_rt(state.cycle, self.params), node_id=node.id,
-                    diagnostics=self.diagnostics)
+                return _outcome(self.task, self.params, state, "symbol", node.id,
+                                node.symbol, self.diagnostics)
             self.output_list.reject(p_id)
             self.diagnostics.output_rejections.append(Rejection(
                 node.id, node.symbol, node.language, node.concept,
                 reason, state.cycle))
         return None
 
-    def observe(self, state, network) -> TaskOutcome | None:
-        if not self._checked:
-            _check_language(network, self.source_language)
-            _check_language(network, self.target_language)
-            self._checked = True
+    def _observe(self, state, network) -> TaskOutcome | None:
         if self.diagnostics.input_node is None:
             self._identify_input(state, network)
         return self._select_output(state, network)
@@ -254,9 +247,7 @@ class WordTranslationMonitor:
         diagnostics = self.diagnostics
         diagnostics.failure = ("no_input_identified" if diagnostics.input_node is None
                                else "no_output_accepted")
-        return TaskOutcome(task=self.task, response_kind="none", response_symbol=None,
-                           cycles=state.cycle, rt_pred=_rt(state.cycle, self.params),
-                           diagnostics=diagnostics)
+        return _outcome(self.task, self.params, state, "none", diagnostics=diagnostics)
 
 
 def make_monitor(task: str, source_language: str | None, target_language: str | None,
@@ -278,29 +269,23 @@ def make_monitor(task: str, source_language: str | None, target_language: str | 
     raise ConfigError(f"unknown task {task!r}; expected LD, NAME, or WT")
 
 
+def _respond(network: Network, stimulus: str, monitor) -> TaskOutcome:
+    _trace, outcome = run(network, stimulus, monitor, monitor.params, trace=None)
+    return outcome
+
+
 def lexical_decision(network: Network, stimulus: str, target_language: str,
                      params: Parameters | None = None) -> TaskOutcome:
-    params = params or network.params
-    _check_language(network, target_language)
-    monitor = LexicalDecisionMonitor(target_language, params)
-    _trace, outcome = run(network, stimulus, monitor, params, trace=None)
-    return outcome
+    return _respond(network, stimulus,
+                    LexicalDecisionMonitor(target_language, params or network.params))
 
 
 def naming(network: Network, stimulus: str, target_language: str,
            params: Parameters | None = None) -> TaskOutcome:
-    params = params or network.params
-    _check_language(network, target_language)
-    monitor = NamingMonitor(target_language, params)
-    _trace, outcome = run(network, stimulus, monitor, params, trace=None)
-    return outcome
+    return _respond(network, stimulus, NamingMonitor(target_language, params or network.params))
 
 
 def word_translation(network: Network, stimulus: str, source_language: str,
                      target_language: str, params: Parameters | None = None) -> TaskOutcome:
-    params = params or network.params
-    _check_language(network, source_language)
-    _check_language(network, target_language)
-    monitor = WordTranslationMonitor(source_language, target_language, params)
-    _trace, outcome = run(network, stimulus, monitor, params, trace=None)
-    return outcome
+    return _respond(network, stimulus, WordTranslationMonitor(
+        source_language, target_language, params or network.params))

@@ -110,6 +110,25 @@ def test_simulate_rejects_unusable_parameter(stim_wt, capsys, assignment):
     assert assignment.split("=")[0] in capsys.readouterr().err
 
 
+def test_simulate_rejects_infinite_activation_span(stim_wt, capsys):
+    code = main(["simulate", "--lexicon", str(table1_path()), "--stimuli", stim_wt,
+                 "--set", "MIN_ACT=-1e308", "--set", "MAX_ACT=1e308",
+                 "--set", "MAX_REST=1e308", "--set", "L_rest=9e307"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lexsim: error: MAX_ACT - MIN_ACT must be finite")
+    assert "MIN_ACT=-1e+308" in err and "MAX_ACT=1e+308" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_net_input_is_input_error(stim_wt, capsys):
+    code = main(["simulate", "--lexicon", str(table1_path()), "--stimuli", stim_wt,
+                 "--set", "OP_alpha=1e308", "--set", "PO_alpha=1e308",
+                 "--set", "IO_multiplier=1e308"])
+    assert code == 1
+    assert capsys.readouterr().err == "lexsim: error: intermediate overflow in fsum\n"
+
+
 def test_missing_lexicon_is_input_error(stim_wt, capsys):
     code = main(["simulate", "--lexicon", "/nonexistent.csv", "--stimuli", stim_wt])
     assert code == 1

@@ -71,6 +71,15 @@ def test_run_batch_records_row_errors_and_continues(table1_network, params):
     assert rows[2].outcome is not None
 
 
+def test_run_batch_records_unknown_naming_language(table1_network, params):
+    records = [StimulusRecord(stimulus="AARDE", source_lang="NL", target_lang="DE",
+                              task="NAME"),
+               StimulusRecord(stimulus="AARDE", source_lang="NL", task="NAME")]
+    rows = run_batch(table1_network, records, params)
+    assert rows[0].outcome is None and "unknown language tag 'DE'" in rows[0].error
+    assert rows[1].outcome.response_kind == "symbol"
+
+
 def test_run_batch_jobs_deterministic(table1_network, table1, params):
     records = [StimulusRecord(stimulus=e.ortho_a, source_lang="NL", target_lang="EN",
                               task="WT") for e in table1.entries]

@@ -88,6 +88,15 @@ def test_validate_input_rest_within_clamp_range():
         assert Parameters().updated(I_rest=value).I_rest == value
 
 
+def test_validate_rejects_infinite_activation_span():
+    # each bound is finite, but MAX_ACT - MIN_ACT overflows; the update rule
+    # would turn a - MIN_ACT into inf and a node at rest into NaN
+    with pytest.raises(ConfigError, match=r"MIN_ACT=-1e\+308, MAX_ACT=1e\+308"):
+        Parameters().updated(MIN_ACT=-1e308, MAX_ACT=1e308, MAX_REST=1e308, L_rest=9e307)
+    wide = Parameters().updated(MIN_ACT=-8e307, MAX_ACT=8e307)
+    assert math.isfinite(wide.MAX_ACT - wide.MIN_ACT)
+
+
 def test_negative_zero_parameters_stored_as_positive_zero():
     p = Parameters(MIN_ACT=-0.0, MIN_REST=0.0, S_rest=0.0, L_rest=0.0, I_rest=-0.0,
                    OO_gamma=-0.0)

@@ -28,9 +28,15 @@ def test_ld_degenerate_zero_criterion(table1_network):
     assert outcome.cycles == 1
 
 
-def test_ld_unknown_language(table1_network):
-    with pytest.raises(ConfigError, match="unknown language"):
-        lexical_decision(table1_network, "AARDE", "DE")
+@pytest.mark.parametrize("helper, languages", [
+    (lexical_decision, ("DE",)),
+    (naming, ("DE",)),
+    (word_translation, ("DE", "EN")),
+    (word_translation, ("NL", "DE")),
+], ids=["lexical_decision", "naming", "word_translation_source", "word_translation_target"])
+def test_task_helper_unknown_language(table1_network, helper, languages):
+    with pytest.raises(ConfigError, match="unknown language tag 'DE'"):
+        helper(table1_network, "AARDE", *languages)
 
 
 def test_ld_language_specific(table1_network):
