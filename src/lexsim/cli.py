@@ -143,7 +143,7 @@ def _cmd_simulate(args) -> int:
             raise ConfigError(f"--trace-row {args.trace_row} outside the stimulus file")
         record = records[args.trace_row]
         monitor = make_monitor(record.task, record.source_lang, record.target_lang, params)
-        trace, _outcome = run_trial(network, record.stimulus, monitor, params, trace="sparse")
+        trace, _outcome = run_trial(network, record.stimulus, monitor, params, trace="full")
         trace_rows = [["cycle", "node_id", "pool", "language", "symbol", "activation"]]
         for cycle, node_id, pool, language, symbol, act in trace.rows(top_k=args.trace_top_k):
             trace_rows.append([cycle, node_id, pool, language, symbol, repr(act)])
@@ -226,9 +226,17 @@ def _cmd_dump_network(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, as input errors do;
+    exit 2 is left to faults of the program. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lexsim",
-                                     description="bilingual lexical-access simulator")
+    parser = _Parser(prog="lexsim", description="bilingual lexical-access simulator")
     parser.add_argument("--version", action="version", version=f"lexsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

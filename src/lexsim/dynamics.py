@@ -84,46 +84,30 @@ from .params import Parameters
 class Trace:
     """Per-cycle activation samples.
 
-    mode "sparse" stores only nodes away from their resting level, "full"
-    stores the complete activation vector per cycle, None records nothing
-    (run never calls record then). Frames hold Python floats.
+    mode "full" stores the complete activation vector per cycle as Python
+    floats, None records nothing (run never calls record then).
     """
 
-    def __init__(self, network: Network, mode: str | None = "sparse"):
-        if mode not in ("sparse", "full", None):
+    def __init__(self, network: Network, mode: str | None = "full"):
+        if mode not in ("full", None):
             raise ValueError(f"unknown trace mode {mode!r}")
-        self.mode = mode
         self._network = network
-        self.frames: list = []
+        self.frames: list[list[float]] = []
 
     def record(self, state: "SimulationState") -> None:
-        act = state.activation
-        if self.mode == "full":
-            self.frames.append(act.tolist())
-        else:
-            off_rest = np.flatnonzero(act != self._network.rest)
-            self.frames.append(dict(zip(off_rest.tolist(), act[off_rest].tolist())))
+        self.frames.append(state.activation.tolist())
 
     def __len__(self) -> int:
         return len(self.frames)
 
     def activation_at(self, cycle: int, node_id: int) -> float:
         """Activation of a node after the given 1-based cycle."""
-        frame = self.frames[cycle - 1]
-        if self.mode == "full":
-            return frame[node_id]
-        return frame.get(node_id, self._network.nodes[node_id].rest)
+        return self.frames[cycle - 1][node_id]
 
     def sampled_nodes(self) -> list[int]:
         """Nodes whose activation exceeded their resting level at any cycle."""
-        nodes = self._network.nodes
-        seen: set[int] = set()
-        for frame in self.frames:
-            items = enumerate(frame) if self.mode == "full" else frame.items()
-            for n, a in items:
-                if a > nodes[n].rest:
-                    seen.add(n)
-        return sorted(seen)
+        frames = np.reshape(self.frames, (-1, len(self._network)))
+        return np.flatnonzero((frames > self._network.rest).any(axis=0)).tolist()
 
     def rows(self, node_ids: Iterable[int] | None = None, top_k: int | None = None):
         """Expand to (cycle, node_id, pool, language, symbol, activation) rows.
@@ -133,23 +117,22 @@ class Trace:
         """
         ids = list(node_ids) if node_ids is not None else self.sampled_nodes()
         if top_k is not None and len(ids) > top_k:
-            peak = {n: max(self.activation_at(c, n) for c in range(1, len(self.frames) + 1))
-                    for n in ids}
+            peak = {n: max(frame[n] for frame in self.frames) for n in ids}
             ids = sorted(sorted(ids, key=lambda n: -peak[n])[:top_k])
         nodes = self._network.nodes
         out = []
-        for cycle in range(1, len(self.frames) + 1):
+        for cycle, frame in enumerate(self.frames, start=1):
             for n in ids:
                 node = nodes[n]
                 out.append((cycle, n, node.pool.value, node.language or "",
-                            node.symbol, self.activation_at(cycle, n)))
+                            node.symbol, frame[n]))
         return out
 
 
 class SimulationState:
     """Mutable per-trial state over one immutable network, starting at rest."""
 
-    def __init__(self, network: Network, trace: str | None = "sparse"):
+    def __init__(self, network: Network, trace: str | None = "full"):
         self.network = network
         self.trace = Trace(network, trace)
         self.reset()
@@ -158,17 +141,17 @@ class SimulationState:
         """Back to rest: rest activations, no stimulus, cycle 0, no frames."""
         network = self.network
         self.activation: np.ndarray = network.rest.copy()
-        self.active: set[int] = set(np.flatnonzero(network.rest > 0.0).tolist())
-        nodes = network.nodes
-        self.active_by_pool: dict[Pool, set[int]] = {
-            pool: {n for n in self.active if nodes[n].pool is pool}
-            for pool, _g in INHIBITED_POOLS}
         self.input_weights: dict[int, float] = {}
         self._stimulus_input = None
         self._touched_by: dict[tuple[Pool, ...], np.ndarray] = {}
         self.cycle = 0
         self.counters = {"active_node_updates": 0, "touched_updates": 0}
         self.trace.frames.clear()
+
+    @property
+    def active_by_pool(self) -> dict[Pool, list[int]]:
+        """The active nodes (activation > 0) of each inhibited pool, in id order."""
+        return _by_pool(self.network, (self.activation > 0.0).nonzero()[0].tolist())
 
     def stimulus_input(self, i_rest: float) -> np.ndarray:
         """Net input of the stimulus term alone: iw * I_rest + 0.0 at every
@@ -199,7 +182,7 @@ class SimulationState:
 
 def set_stimulus(state: SimulationState, network: Network, stimulus: str,
                  input_weights: dict[int, float] | None = None) -> None:
-    """Reset the trial: rest activations, cleared active set, fresh weights.
+    """Reset the trial: rest activations, no frames, fresh weights.
 
     ``input_weights`` are the stimulus's ``network.input_weights``, when the
     caller already has them.
@@ -234,6 +217,13 @@ def _expansion(terms: list[float]) -> list[float]:
     return expansion
 
 
+def _by_pool(network: Network, ids: list[int]) -> dict[Pool, list[int]]:
+    """The members of each inhibited pool among ``ids``, in their order."""
+    nodes = network.nodes
+    return {pool: [n for n in ids if nodes[n].pool is pool]
+            for pool, _gamma_name in INHIBITED_POOLS}
+
+
 def step(state: SimulationState, network: Network, params: Parameters) -> SimulationState:
     """Advance one cycle: net inputs, lateral inhibition, activation update.
 
@@ -245,8 +235,8 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
     """
     prev = state.activation
     fsum = math.fsum
-    state.counters["active_node_updates"] += len(state.active)
-    srcs = list(state.active)
+    srcs = (prev > 0.0).nonzero()[0].tolist()
+    state.counters["active_node_updates"] += len(srcs)
     active_act = dict(zip(srcs, prev[srcs].tolist()))
 
     # phase 1: excitation. Every node starts from its stimulus-only net
@@ -267,11 +257,11 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
     if first:
         sums = net[targets]
         sums += np.fromiter(first.values(), np.float64, len(first))
-        if math.isfinite(np.add.reduce(sums)):
+        if np.isfinite(sums).all():
             net[targets] = sums
         else:
-            # some sum is not finite, or only their total overflows: fsum
-            # decides them all, and raises where a finite sum overflows
+            # some sum is not finite: fsum decides them all, and raises
+            # where a finite sum overflows
             several = {dst: several.get(dst, [p]) for dst, p in first.items()}
     if several:
         weights, i_rest = state.input_weights, params.I_rest
@@ -285,12 +275,10 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
     # active member. Every member gets the sum over the active members,
     # each active member the sum over the others, from one expansion.
     stepped, shared, members, exclusion = [], [], [], []
-    for pool, _gamma_name in INHIBITED_POOLS:
+    for pool, ids in _by_pool(network, srcs).items():
         gamma = pool_gamma(params, pool)
-        active_members = state.active_by_pool[pool]
-        if gamma == 0.0 or not active_members:
+        if gamma == 0.0 or not ids:
             continue
-        ids = list(active_members)
         terms = [gamma * active_act[m] for m in ids]
         expansion = _expansion(terms)
         stepped.append(pool)
@@ -323,26 +311,13 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
     touched[targets] = True
     state.counters["touched_updates"] += int(np.count_nonzero(touched))
 
-    # only nodes that crossed 0 move between the active sets
     state.activation = new
-    active, by_pool, nodes = state.active, state.active_by_pool, network.nodes
-    crossed = np.not_equal(prev > 0.0, new > 0.0).nonzero()[0]
-    for n, now_active in zip(crossed.tolist(), (new[crossed] > 0.0).tolist()):
-        pool_set = by_pool.get(nodes[n].pool)
-        if now_active:
-            active.add(n)
-            if pool_set is not None:
-                pool_set.add(n)
-        else:
-            active.discard(n)
-            if pool_set is not None:
-                pool_set.discard(n)
     state.cycle += 1
     return state
 
 
 def run(network: Network, stimulus: str, monitor, params: Parameters | None = None,
-        trace: str | None = "sparse", step_fn=None,
+        trace: str | None = "full", step_fn=None,
         input_weights: dict[int, float] | None = None):
     """Simulate one trial: set the stimulus, cycle until the task monitor
     decides or the cycle limit is reached. Returns (trace, outcome); the
@@ -367,14 +342,13 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
             break
     if outcome is None:
         outcome = monitor.timeout(state, network)
-    check_invariants(state, network, params)
+    check_invariants(state, params)
     return state.trace, outcome
 
 
-def check_invariants(state: SimulationState, network: Network, params: Parameters) -> None:
+def check_invariants(state: SimulationState, params: Parameters) -> None:
     """Raise InvariantError unless every activation is finite and inside
-    [MIN_ACT, MAX_ACT], and ``active`` and ``active_by_pool`` hold exactly
-    the nodes whose activation is > 0. run checks once per trial."""
+    [MIN_ACT, MAX_ACT]. run checks once per trial."""
     act = state.activation
     # NaN fails both comparisons, and the bounds are finite (validate)
     inside = act >= params.MIN_ACT
@@ -383,13 +357,3 @@ def check_invariants(state: SimulationState, network: Network, params: Parameter
         n = int(np.argmin(inside))
         raise InvariantError(f"cycle {state.cycle}: node {n} has activation {act.item(n)!r}, "
                              f"outside [{params.MIN_ACT!r}, {params.MAX_ACT!r}]")
-    active = set((act > 0.0).nonzero()[0].tolist())
-    nodes = network.nodes
-    sets = [("active", state.active, active)]
-    sets += [(f"active_by_pool[{pool.value}]", state.active_by_pool[pool],
-              {n for n in active if nodes[n].pool is pool})
-             for pool, _gamma_name in INHIBITED_POOLS]
-    for name, held, recomputed in sets:
-        if held != recomputed:
-            raise InvariantError(f"cycle {state.cycle}: {name} differs from activation > 0 "
-                                 f"at nodes {sorted(held ^ recomputed)}")

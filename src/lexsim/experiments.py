@@ -180,8 +180,8 @@ class _PoolSizes(NullMonitor):
 
     def observe(self, state, network):
         cycle_sums = self.sums[state.cycle - 1]
-        for pool in STAT_POOLS:
-            cycle_sums[pool.value] += len(state.active_by_pool[pool])
+        for pool, members in state.active_by_pool.items():
+            cycle_sums[pool.value] += len(members)
         return None
 
 

@@ -105,7 +105,8 @@ def grid_search(objective: Callable[[float], float], config: SearchConfig) -> Fi
         improvement = it_fitness - best_fitness
         if best_value is None or it_fitness > best_fitness:
             best_value, best_fitness = it_value, it_fitness
-        if improvement <= config.epsilon:
+        # a NaN improvement (-inf - -inf: no point scores yet) stops too
+        if not improvement > config.epsilon:
             break
         # halve the window, centre on this iteration's optimum, stay in domain
         quarter = width / 4.0

@@ -2,8 +2,8 @@
 and stimulus-dependent input weighting.
 
 The network is immutable once built. Anything that depends on the stimulus
-(input weights, activations, the active set) lives in the per-simulation
-state so that many simulations can share one network concurrently.
+(input weights, activations) lives in the per-simulation state so that many
+simulations can share one network concurrently.
 """
 
 from __future__ import annotations

@@ -110,7 +110,7 @@ def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters)
     i_rest = params.I_rest
     n_nodes = len(network)
 
-    state.counters["active_node_updates"] += len(state.active)
+    state.counters["active_node_updates"] += int(np.count_nonzero(active_mask))
     state.counters["touched_updates"] += n_nodes
 
     new_act = [0.0] * n_nodes
@@ -130,9 +130,6 @@ def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters)
         new_act[n] = update_activation(prev[n], net + inhib, nodes[n].rest, params)
 
     state.activation = np.array(new_act)
-    state.active = {n for n, a in enumerate(new_act) if a > 0.0}
-    for pool, _gamma in INHIBITED_POOLS:
-        state.active_by_pool[pool] = {n for n in state.active if nodes[n].pool is pool}
     state.cycle += 1
 
 
@@ -147,7 +144,7 @@ class DenseEngine:
         _dense_step(state, self.dense, params)
 
     def run(self, stimulus: str, monitor, params: Parameters | None = None,
-            trace: str | None = "sparse"):
+            trace: str | None = "full"):
         network = self.dense.base
         return run(network, stimulus, monitor, params, trace, step_fn=self.step,
                    input_weights=scalar_input_weights(network, stimulus))

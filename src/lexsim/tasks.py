@@ -85,11 +85,10 @@ def _outcome(task: str, params: Parameters, state: SimulationState, kind: str,
 
 def _candidates(state: SimulationState, network: Network, pool: Pool,
                 threshold: float) -> list[int]:
-    """Pool members, in id order, that may be at or above ``threshold``:
-    above 0 only active nodes (a > 0) can be, at or below 0 any member."""
-    if threshold > 0.0:
-        return sorted(state.active_by_pool[pool])
-    return network.pool_ids[pool]
+    """Pool members at or above ``threshold``, in id order."""
+    nodes = network.nodes
+    return [n for n in (state.activation >= threshold).nonzero()[0].tolist()
+            if nodes[n].pool is pool]
 
 
 def _winner(state: SimulationState, network: Network, pool: Pool,
@@ -98,15 +97,9 @@ def _winner(state: SimulationState, network: Network, pool: Pool,
 
     Ties break toward higher activation, then lower node id.
     """
-    act = state.activation.item
-    best: int | None = None
-    for node_id in _candidates(state, network, pool, threshold):
-        if network.nodes[node_id].language != language:
-            continue
-        a = act(node_id)
-        if a >= threshold and (best is None or a > best_a):
-            best, best_a = node_id, a
-    return best
+    nodes = network.nodes
+    return max((n for n in _candidates(state, network, pool, threshold)
+                if nodes[n].language == language), key=state.activation.item, default=None)
 
 
 class NullMonitor:
@@ -193,10 +186,9 @@ class WordTranslationMonitor(_Monitor):
 
     def _identify_input(self, state, network) -> None:
         act = state.activation.item
-        threshold = self.params.shortlist_input_threshold
-        for o_id in _candidates(state, network, Pool.ORTHO, threshold):
-            if act(o_id) >= threshold:
-                self.input_list.admit(o_id)
+        for o_id in _candidates(state, network, Pool.ORTHO,
+                                self.params.shortlist_input_threshold):
+            self.input_list.admit(o_id)
         # scan the live list, most activated first, until the source language appears
         for o_id in sorted(self.input_list.admitted, key=lambda n: (-act(n), n)):
             node = network.nodes[o_id]
@@ -213,10 +205,9 @@ class WordTranslationMonitor(_Monitor):
 
     def _select_output(self, state, network) -> TaskOutcome | None:
         act = state.activation.item
-        threshold = self.params.shortlist_output_threshold
-        for p_id in _candidates(state, network, Pool.PHONO, threshold):
-            if act(p_id) >= threshold:
-                self.output_list.admit(p_id)
+        for p_id in _candidates(state, network, Pool.PHONO,
+                                self.params.shortlist_output_threshold):
+            self.output_list.admit(p_id)
         if self.diagnostics.input_node is None:
             return None  # semantic check impossible until the input is fixed
         input_concept = network.nodes[self.diagnostics.input_node].concept

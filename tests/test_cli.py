@@ -134,6 +134,28 @@ def test_missing_lexicon_is_input_error(stim_wt, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--task", "XX"], "argument --task: invalid choice: 'XX'"),
+    (["stats", "--task", "LD"], "unrecognized arguments: --task LD"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+], ids=["invalid_choice", "unrecognized_argument", "unknown_subcommand"])
+def test_usage_error_exits_1(stim_ld, capsys, args, message):
+    # exit 2 is left to faults of the program
+    with pytest.raises(SystemExit) as info:
+        main([*args, "--lexicon", HOMOGRAPHS, "--stimuli", stim_ld])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lexsim") and message in err
+
+
+@pytest.mark.parametrize("args", [["--version"], ["-h"], ["simulate", "--help"]])
+def test_version_and_help_exit_0(capsys, args):
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(("lexsim 0.", "usage: lexsim"))
+
+
 def test_broken_invariant_exits_2(stim_wt, capsys, monkeypatch):
     def nan_step(state, network, params):
         step(state, network, params)

@@ -22,19 +22,6 @@ def _steps(net):
     return [step, DenseEngine(net).step]
 
 
-def _set(state, node_id, activation):
-    """Put one node at ``activation``, keeping the active sets consistent."""
-    state.activation[node_id] = activation
-    if activation > 0.0:
-        state.active.add(node_id)
-        state.active_by_pool[state.network.nodes[node_id].pool].add(node_id)
-
-
-def _recomputed_active(state):
-    """The active set derived from scratch, to check the incremental one."""
-    return set(np.flatnonzero(state.activation > 0.0).tolist())
-
-
 def test_net_input_no_active_sources(table1_network, params):
     sem = table1_network.pool_ids[Pool.SEM][0]
     for step_fn in _steps(table1_network):
@@ -50,7 +37,7 @@ def test_net_input_single_source(params):
     expected = update_activation(s.rest, 0.03 * 0.5, s.rest, params)
     for step_fn in _steps(net):
         state = SimulationState(net)
-        _set(state, o.id, 0.5)
+        state.activation[o.id] = 0.5
         step_fn(state, net, params)
         assert state.activation[s.id] == expected
 
@@ -63,7 +50,7 @@ def test_net_input_subthreshold_source_gated(params):
     for activation in (-0.1, 0.0):
         for step_fn in _steps(net):
             state = SimulationState(net)
-            _set(state, o.id, activation)
+            state.activation[o.id] = activation
             step_fn(state, net, params)
             assert state.activation[p.id] == p.rest
 
@@ -97,8 +84,7 @@ def _inhibition_step(gamma, activations):
     results = []
     for step_fn in _steps(net):
         state = SimulationState(net)
-        for o, a in zip(ortho, activations):
-            _set(state, o, a)
+        state.activation[ortho[:len(activations)]] = activations
         step_fn(state, net, params)
         results.append((net, params, ortho, state.activation))
     return results
@@ -243,7 +229,6 @@ def test_set_stimulus_resets(table1_network, params):
     assert state.cycle == 0
     assert [a.hex() for a in state.activation.tolist()] \
         == [node.rest.hex() for node in table1_network.nodes]
-    assert state.active == _recomputed_active(state)
 
 
 def test_activation_is_an_own_float64_array(homograph_network, params):
@@ -260,17 +245,6 @@ def test_activation_is_an_own_float64_array(homograph_network, params):
             assert not np.shares_memory(act, homograph_network.rest)
 
 
-def test_active_set_exactness_along_run(homograph_network, params):
-    state = SimulationState(homograph_network)
-    set_stimulus(state, homograph_network, "ROOM")
-    for _ in range(params.max_cycles):
-        step(state, homograph_network, params)
-        assert state.active == _recomputed_active(state)
-        for pool in (Pool.ORTHO, Pool.PHONO, Pool.SEM):
-            expected = {n for n in state.active if homograph_network.nodes[n].pool is pool}
-            assert state.active_by_pool[pool] == expected
-
-
 def test_clamp_invariant_strong_inhibition(homograph_network):
     p = Parameters().updated(OO_gamma=-1.0, PP_gamma=-1.0)
     state = SimulationState(homograph_network)
@@ -281,16 +255,26 @@ def test_clamp_invariant_strong_inhibition(homograph_network):
 
 
 def test_off_rest_tracking_matches_activations(table1_network, params):
-    # each sparse frame holds exactly the nodes away from their rest level,
-    # as Python floats
-    trace, outcome = run(table1_network, "AARDBEI", NullMonitor(), params, trace="sparse")
-    full, _ = run(table1_network, "AARDBEI", NullMonitor(), params, trace="full")
+    # each frame is the activation array after its cycle, as Python floats,
+    # and the sampled nodes are those above their rest level in some frame
+    trace, outcome = run(table1_network, "AARDBEI", NullMonitor(), params)
+    state = SimulationState(table1_network)
+    set_stimulus(state, table1_network, "AARDBEI")
     rests = [node.rest for node in table1_network.nodes]
-    assert len(trace) == len(full) == outcome.cycles
-    for frame, activations in zip(trace.frames, full.frames):
-        expected = {n: a for n, (a, r) in enumerate(zip(activations, rests)) if a != r}
-        assert frame == expected
-        assert all(type(a) is float for a in frame.values())
+    above = set()
+    assert len(trace) == outcome.cycles
+    for frame in trace.frames:
+        step(state, table1_network, params)
+        assert [a.hex() for a in frame] == [a.hex() for a in state.activation.tolist()]
+        assert all(type(a) is float for a in frame)
+        above |= {n for n, (a, r) in enumerate(zip(frame, rests)) if a > r}
+    assert trace.sampled_nodes() == sorted(above)
+    assert trace.activation_at(3, 5) == trace.frames[2][5]
+
+
+def test_sparse_trace_mode_is_rejected(table1_network):
+    with pytest.raises(ValueError, match="unknown trace mode 'sparse'"):
+        SimulationState(table1_network, trace="sparse")
 
 
 def test_entry_order_does_not_change_symbol_activations(table1, params):
@@ -379,22 +363,23 @@ def corrupting_step(corrupt):
     return step_fn
 
 
-def _drop_ortho_member(state):
-    if state.active_by_pool[Pool.ORTHO]:
-        state.active_by_pool[Pool.ORTHO].pop()
+def _after_last_cycle(corrupt):
+    """``corrupt`` applied once, after the cycle limit's step: an active inf
+    would make the next step's inhibition sum raise before any check."""
+    def apply(state):
+        if state.cycle == state.network.params.max_cycles:
+            corrupt(state)
+    return apply
 
 
-# node 5 is the EN orthographic node of the first entry, node 1 a language node
+# node 5 is the EN orthographic node of the first entry
 CORRUPTIONS = {
     "nan": (lambda s: s.activation.__setitem__(5, math.nan), "node 5 has activation nan"),
-    "inf": (lambda s: s.activation.__setitem__(5, math.inf), "node 5 has activation inf"),
+    "inf": (_after_last_cycle(lambda s: s.activation.__setitem__(5, math.inf)),
+            "node 5 has activation inf"),
     "above MAX_ACT": (lambda s: s.activation.__setitem__(5, 1.5), "node 5 has activation 1.5"),
     "below MIN_ACT": (lambda s: s.activation.__setitem__(5, -0.5),
                       "node 5 has activation -0.5"),
-    "inactive node in active": (lambda s: s.active.add(1),
-                                r"active differs from activation > 0 at nodes \[1\]"),
-    "pool set misses a member": (_drop_ortho_member,
-                                 r"active_by_pool\[ortho\] differs from activation > 0"),
 }
 
 

@@ -78,6 +78,13 @@ def test_grid_search_constant_objective_stops_second_iteration():
     assert result.best_fitness == 5.0
 
 
+def test_grid_search_stops_when_no_point_scores():
+    # -inf - -inf is NaN, which is no improvement: one window, not max_iterations
+    result = grid_search(lambda x: WORST_FITNESS, SearchConfig(n_points=5, epsilon=1e-3))
+    assert len(result.iterations) == 1
+    assert result.best_value == -1.0 and result.best_fitness == WORST_FITNESS
+
+
 def test_grid_search_window_stays_inside_domain():
     config = SearchConfig(lower=-1.0, upper=0.0, n_points=10, epsilon=1e-9)
     result = grid_search(lambda x: x, config)  # optimum at the upper edge
@@ -153,6 +160,18 @@ def test_fit_all_timeouts_scores_worst(table1, params):
                StimulusRecord(stimulus="QQXXJ", source_lang="NL", task="LD", rt_ms=510.0)]
     config = SearchConfig(n_points=3, epsilon=1e-3, max_iterations=2)
     result = fit_inhibition(table1, records, config, params)
+    assert result.best_fitness == WORST_FITNESS
+
+
+def test_fit_stops_when_no_point_scores(homograph_lexicon, params):
+    # NL->EN translation never responds at gamma <= -0.2, so no point of the
+    # first window (step 0.2 on [-1, 0)) scores
+    rts = [600.0 + 10.0 * i for i in range(len(homograph_lexicon))]
+    records = _records(homograph_lexicon, task="WT", target="EN", rts=rts)
+    result = fit_inhibition(homograph_lexicon, records, SearchConfig(n_points=5, epsilon=1e-3),
+                            params)
+    assert len(result.iterations) == 1
+    assert result.iterations[0].notes == ["fewer_than_two_responses"] * 5
     assert result.best_fitness == WORST_FITNESS
 
 

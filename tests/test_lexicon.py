@@ -84,12 +84,13 @@ def test_round_trip_preserves_numeric_content(freq_a, freq_b):
 
 
 def test_table1_fixture_shape():
-    lex = parse_lexicon(open(table1_path()).read())
+    with open(table1_path(), encoding="utf-8") as handle:
+        text = handle.read()
+    lex = parse_lexicon(text)
     assert len(lex) == 10
     assert math.isclose(lex.max_opb, opb(191.95))
     # phonological readings reuse the orthographic frequency by construction
-    text = open(table1_path()).read().splitlines()[1:]
-    for line in text:
+    for line in text.splitlines()[1:]:
         cols = line.split(",")
         assert cols[1] == cols[3] and cols[5] == cols[7]
 

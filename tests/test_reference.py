@@ -227,3 +227,11 @@ def test_engines_raise_alike_when_a_one_product_sum_overflows(table1):
                 input_weights=scalar_input_weights(network, "AARDE"))
         raised.append((str(info.value), cycles[-1]))
     assert raised[0] == raised[1]
+
+
+def test_engines_agree_when_only_the_total_of_the_sums_overflows(table1):
+    # every one-add sum is finite, but their total overflows: the fast step
+    # must take no fsum fallback and warn about nothing (warnings are errors)
+    params = Parameters().updated(OP_alpha=1e308, PO_alpha=1e308, IO_multiplier=1e308)
+    _assert_engines_agree(build_network(table1, params), params,
+                          [("AARDBEI", "WT", "NL", "EN")])

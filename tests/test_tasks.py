@@ -2,6 +2,7 @@ import pytest
 
 from lexsim import (ConfigError, Parameters, lexical_decision, naming, run,
                     word_translation)
+from lexsim import tasks
 from lexsim.network import Pool
 from lexsim.tasks import (NullMonitor, Shortlist, WordTranslationMonitor, make_monitor)
 
@@ -141,6 +142,35 @@ def test_translation_accepts_only_matching_concept_and_language(homograph_networ
     src = homograph_network.find(Pool.ORTHO, "ROOM", "NL")
     assert chosen.language == "EN"
     assert chosen.concept == src.concept
+
+
+# -- candidates ------------------------------------------------------------------
+
+@pytest.mark.parametrize("threshold", [-0.1, 0.0, 0.72])
+def test_candidates_match_a_scan_of_the_pool(homograph_network, monkeypatch, threshold):
+    # every candidate list the monitors take along full LD, NAME and WT runs
+    # is the pool's members at or above the threshold, in id order
+    candidates = tasks._candidates
+    calls = []
+
+    def checked(state, network, pool, limit):
+        got = candidates(state, network, pool, limit)
+        act = state.activation
+        assert got == [n for n in network.pool_ids[pool] if act[n] >= limit]
+        calls.append((pool, limit, len(got)))
+        return got
+
+    monkeypatch.setattr(tasks, "_candidates", checked)
+    p = Parameters().updated(criterion_value=threshold, shortlist_input_threshold=threshold,
+                             shortlist_output_threshold=threshold)
+    for stimulus in ("ROOM", "AARDE", "TUNNEL", "XQZQX"):
+        for task, source, target in (("LD", "NL", None), ("NAME", "EN", "EN"),
+                                     ("WT", "NL", "EN")):
+            run(homograph_network, stimulus, make_monitor(task, source, target, p), p,
+                trace=None)
+    assert {(pool, limit) for pool, limit, _n in calls} \
+        == {(Pool.ORTHO, threshold), (Pool.PHONO, threshold)}
+    assert any(n for _pool, _limit, n in calls)
 
 
 # -- shortlist mechanics ---------------------------------------------------------
