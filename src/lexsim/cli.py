@@ -128,8 +128,13 @@ def _add_stimuli(parser: argparse.ArgumentParser, task_defaults: bool,
 
 def _cmd_simulate(args) -> int:
     params, lexicon, records = _load_inputs(args, args.task, args.target)
+    if args.trace and not 0 <= args.trace_row < len(records):
+        raise ConfigError(f"--trace-row {args.trace_row} outside the stimulus file")
     network = build_network(lexicon, params)
     rows = run_batch(network, records, params, engine=args.engine, jobs=args.jobs)
+    if args.trace and rows[args.trace_row].error:
+        raise ConfigError(f"--trace-row {args.trace_row} ({records[args.trace_row].stimulus}) "
+                          f"cannot be traced: {rows[args.trace_row].error}")
     manifest = build_manifest("simulate", params, args.lexicon, {
         "stimuli_sha256": _file_sha256(args.stimuli),
         "task_defaults": {"task": args.task, "source": args.source, "target": args.target},
@@ -139,8 +144,6 @@ def _cmd_simulate(args) -> int:
     if args.report:
         _write_csv(report_rows(condition_report(rows)), manifest, args.report)
     if args.trace:
-        if not 0 <= args.trace_row < len(records):
-            raise ConfigError(f"--trace-row {args.trace_row} outside the stimulus file")
         record = records[args.trace_row]
         monitor = make_monitor(record.task, record.source_lang, record.target_lang, params)
         trace, _outcome = run_trial(network, record.stimulus, monitor, params, trace="full")

@@ -19,8 +19,14 @@ values over numpy arrays:
   sum is +0.0 in both, because p is never -0.0 (w > 0, a > 0). If any such
   sum is not finite, fsum sums every target again, so a finite sum that
   overflows raises OverflowError as it does in the dense engine. A target
-  of two or more active sources gets fsum over its products and x.
-- Inhibition: the members of a pool that are not active all get the same
+  of two or more active sources gets fsum over its products and x. The
+  links follow the entry layout (Network.entry_edges, to_language and
+  from_language); the dense engine builds its own from node metadata.
+- Inhibition: the excitation loop buckets the active entry nodes by place,
+  and a pool's active members are the buckets of its places, not in id
+  order. That is safe: every sum over them is an fsum, whose value does
+  not depend on the order of its terms, and each member keeps its own
+  term. The members of a pool that are not active all get the same
   fsum over the active members' terms gamma*a, added through the pool's
   basic slices (Network.pool_slices). build_network lays out every entry
   as [O_a, P_a, O_b, P_b, S], so a pool is one stride-5 slice per place
@@ -71,6 +77,7 @@ counter depends on this; it counts the other nodes.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterable
 
@@ -151,7 +158,10 @@ class SimulationState:
     @property
     def active_by_pool(self) -> dict[Pool, list[int]]:
         """The active nodes (activation > 0) of each inhibited pool, in id order."""
-        return _by_pool(self.network, (self.activation > 0.0).nonzero()[0].tolist())
+        nodes = self.network.nodes
+        ids = (self.activation > 0.0).nonzero()[0].tolist()
+        return {pool: [n for n in ids if nodes[n].pool is pool]
+                for pool, _gamma_name in INHIBITED_POOLS}
 
     def stimulus_input(self, i_rest: float) -> np.ndarray:
         """Net input of the stimulus term alone: iw * I_rest + 0.0 at every
@@ -217,13 +227,6 @@ def _expansion(terms: list[float]) -> list[float]:
     return expansion
 
 
-def _by_pool(network: Network, ids: list[int]) -> dict[Pool, list[int]]:
-    """The members of each inhibited pool among ``ids``, in their order."""
-    nodes = network.nodes
-    return {pool: [n for n in ids if nodes[n].pool is pool]
-            for pool, _gamma_name in INHIBITED_POOLS}
-
-
 def step(state: SimulationState, network: Network, params: Parameters) -> SimulationState:
     """Advance one cycle: net inputs, lateral inhibition, activation update.
 
@@ -237,22 +240,40 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
     fsum = math.fsum
     srcs = (prev > 0.0).nonzero()[0].tolist()
     state.counters["active_node_updates"] += len(srcs)
-    active_act = dict(zip(srcs, prev[srcs].tolist()))
+    acts = prev[srcs].tolist()
+    active_act = dict(zip(srcs, acts))
 
     # phase 1: excitation. Every node starts from its stimulus-only net
     # input. A target of one active source adds that product to it in one
     # vector add; a target of several takes fsum over its products and its
-    # stimulus term.
+    # stimulus term. An entry node's targets sit at its place's offsets;
+    # the loop also buckets the active entry nodes by place.
     net = state.stimulus_input(params.I_rest).copy()
     first: dict[int, float] = {}
     several: dict[int, list[float]] = {}
-    out = network.out
-    for src, a in active_act.items():
-        for dst, w in out[src]:
+    start, entry_edges = network.first_entry, network.entry_edges
+    by_place: tuple[list[int], ...] = ([], [], [], [], [])
+    heads = bisect.bisect_left(srcs, start)  # the input and language nodes
+    for src, a in zip(srcs[heads:], acts[heads:]):
+        place = (src - start) % 5
+        by_place[place].append(src)
+        for offset, w in entry_edges[place]:
+            dst = src + offset
             if dst in first:
                 several.setdefault(dst, [first[dst]]).append(w * a)
             else:
                 first[dst] = w * a
+    if network.to_language or network.from_language:
+        # language links: a place's nodes and their language's node, both ways
+        extra = [(l_id, w * active_act[m])
+                 for place, l_id, w in network.to_language for m in by_place[place]]
+        extra += [(dst, w * active_act[l_id]) for l_id, place, w in network.from_language
+                  if l_id in active_act for dst in range(start + place, len(net), 5)]
+        for dst, p in extra:
+            if dst in first:
+                several.setdefault(dst, [first[dst]]).append(p)
+            else:
+                first[dst] = p
     targets = np.fromiter(first, np.intp, len(first))
     if first:
         sums = net[targets]
@@ -275,9 +296,13 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
     # active member. Every member gets the sum over the active members,
     # each active member the sum over the others, from one expansion.
     stepped, shared, members, exclusion = [], [], [], []
-    for pool, ids in _by_pool(network, srcs).items():
+    for pool, parts in network.pool_slices.items():
         gamma = pool_gamma(params, pool)
-        if gamma == 0.0 or not ids:
+        if gamma == 0.0:
+            continue
+        # a pool's slices start at first_entry + each place it takes
+        ids = [m for part in parts for m in by_place[part.start - start]]
+        if not ids:
             continue
         terms = [gamma * active_act[m] for m in ids]
         expansion = _expansion(terms)

@@ -1,5 +1,5 @@
-"""Lexical network structure: node pools, sparse excitatory connections,
-and stimulus-dependent input weighting.
+"""Lexical network structure: node pools in a fixed entry layout that
+implies the excitatory links, and stimulus-dependent input weighting.
 
 The network is immutable once built. Anything that depends on the stimulus
 (input weights, activations) lives in the per-simulation state so that many
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .lexicon import Lexicon, rest_activation
 from .params import Parameters
 
@@ -71,10 +72,15 @@ class Network:
         self.params = params
         self.languages = (language_a, language_b)
         self.nodes: list[Node] = []
-        # outgoing excitatory connections per source: (target id, weight),
-        # nonzero weights only; a zero-weight link never moves an activation
-        self.out: list[list[tuple[int, float]]] = []
         self.pool_ids: dict[Pool, list[int]] = {pool: [] for pool in Pool}
+        # set once the build is complete: node k of entry e has id
+        # first_entry + 5*e + k, and the links with a nonzero alpha are
+        # (target id offset, alpha) per place k, (place, language node id,
+        # alpha) to a language node and (language node id, place, alpha) from one
+        self.first_entry = 0
+        self.entry_edges: tuple[tuple[tuple[int, float], ...], ...] = ()
+        self.to_language: tuple[tuple[int, int, float], ...] = ()
+        self.from_language: tuple[tuple[int, int, float], ...] = ()
         # set once the build is complete: the members of each inhibited pool
         # as basic slices of the node ids, and every node's rest level as a
         # read-only array
@@ -94,13 +100,8 @@ class Network:
         node = Node(id=len(self.nodes), pool=pool, symbol=symbol,
                     language=language, rest=rest, concept=concept)
         self.nodes.append(node)
-        self.out.append([])
         self.pool_ids[pool].append(node.id)
         return node.id
-
-    def _connect(self, from_id: int, to_id: int, weight: float) -> None:
-        if weight != 0.0:
-            self.out[from_id].append((to_id, weight))
 
     # -- queries ----------------------------------------------------------
 
@@ -117,9 +118,11 @@ class Network:
         return matches[0]
 
     def connections(self) -> list[Connection]:
-        return [Connection(src, dst, w)
-                for src, targets in enumerate(self.out)
-                for dst, w in sorted(targets)]
+        """Nonzero excitatory connections by source and target id, as the
+        reference engine builds them from the node metadata."""
+        from .reference import excitatory_in  # reference imports this module
+        return [Connection(*edge) for edge in sorted(
+            (src, dst, w) for dst, sources in enumerate(excitatory_in(self)) for src, w in sources)]
 
     def input_weights(self, stimulus: str) -> dict[int, float]:
         """Nonzero stimulus weights over orthographic nodes (symbol uppercased),
@@ -170,48 +173,43 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
 
     Per entry: one semantic node shared by both languages' orthographic and
     phonological nodes, bidirectional O-P / O-S / P-S pairs, and the
-    language-membership links (zero by default, and then not stored).
+    language-membership links (zero by default, and then not stored), all
+    implied by the entry layout: no edge list, one table per place.
     Same-pool inhibitory connections are never materialised here; the cycle
     engine applies them from the active set.
     """
     params.validate()
+    if lexicon.language_a == lexicon.language_b:
+        raise ValidationError(f"the two languages must differ, both are {lexicon.language_a!r}")
     net = Network(params, lexicon.language_a, lexicon.language_b)
     max_opb = params.MAX_OPB if params.MAX_OPB is not None else lexicon.max_opb
 
     net._add_node(Pool.INPUT, "INPUT", None, rest=params.I_rest)
-    lang_ids = {
-        lexicon.language_a: net._add_node(Pool.LANG, lexicon.language_a,
-                                          lexicon.language_a, rest=params.L_rest),
-        lexicon.language_b: net._add_node(Pool.LANG, lexicon.language_b,
-                                          lexicon.language_b, rest=params.L_rest),
-    }
+    lang_ids = [net._add_node(Pool.LANG, language, language, rest=params.L_rest)
+                for language in net.languages]
 
-    first_entry = len(net)
+    net.first_entry = first_entry = len(net)
     for concept, entry in enumerate(lexicon.entries):
         readings = (
             (entry.ortho_a, entry.phono_a, entry.freq_a, lexicon.language_a),
             (entry.ortho_b, entry.phono_b, entry.freq_b, lexicon.language_b),
         )
-        word_ids = []
         for ortho, phono, freq, language in readings:
             rest = rest_activation(freq, max_opb, params)
-            o_id = net._add_node(Pool.ORTHO, ortho, language, rest, concept)
-            p_id = net._add_node(Pool.PHONO, phono, language, rest, concept)
-            word_ids.append((o_id, p_id, language))
-        s_id = net._add_node(Pool.SEM, entry.ortho_b, None, params.S_rest, concept)
-
-        for o_id, p_id, language in word_ids:
-            l_id = lang_ids[language]
-            net._connect(o_id, p_id, params.OP_alpha)
-            net._connect(p_id, o_id, params.PO_alpha)
-            net._connect(o_id, s_id, params.OS_alpha)
-            net._connect(s_id, o_id, params.SO_alpha)
-            net._connect(p_id, s_id, params.PS_alpha)
-            net._connect(s_id, p_id, params.SP_alpha)
-            net._connect(o_id, l_id, params.OL_alpha)
-            net._connect(l_id, o_id, params.LO_alpha)
-            net._connect(p_id, l_id, params.PL_alpha)
-            net._connect(l_id, p_id, params.LP_alpha)
+            net._add_node(Pool.ORTHO, ortho, language, rest, concept)
+            net._add_node(Pool.PHONO, phono, language, rest, concept)
+        net._add_node(Pool.SEM, entry.ortho_b, None, params.S_rest, concept)
+    p = params
+    # from each place of [O_a, P_a, O_b, P_b, S] to the others of its entry
+    within = (((1, p.OP_alpha), (4, p.OS_alpha)), ((-1, p.PO_alpha), (3, p.PS_alpha)),
+              ((1, p.OP_alpha), (2, p.OS_alpha)), ((-1, p.PO_alpha), (1, p.PS_alpha)),
+              ((-4, p.SO_alpha), (-3, p.SP_alpha), (-2, p.SO_alpha), (-1, p.SP_alpha)))
+    net.entry_edges = tuple(tuple(edge for edge in place if edge[1] != 0.0) for place in within)
+    # places 0 and 1 belong to language a, 2 and 3 to language b
+    net.to_language = tuple((place, lang_ids[place // 2], w) for place, w
+                            in enumerate((p.OL_alpha, p.PL_alpha) * 2) if w != 0.0)
+    net.from_language = tuple((lang_ids[place // 2], place, w) for place, w
+                              in enumerate((p.LO_alpha, p.LP_alpha) * 2) if w != 0.0)
     # every entry adds its nodes as [O_a, P_a, O_b, P_b, S], so a pool's
     # members are one stride-5 slice per place it takes in that layout
     layout = (Pool.ORTHO, Pool.PHONO, Pool.ORTHO, Pool.PHONO, Pool.SEM)

@@ -67,6 +67,34 @@ def scalar_input_weights(network: Network, stimulus: str) -> dict[int, float]:
     return weights
 
 
+def excitatory_in(network: Network) -> list[list[tuple[int, float]]]:
+    """Each node's nonzero excitatory (source id, weight) pairs by source id,
+    from node metadata alone: an O or P node links with the other of its
+    concept and language, its concept's S node and its language's node,
+    both ways, with one alpha per (source, target) pool pair."""
+    p, O, P, S, L = network.params, Pool.ORTHO, Pool.PHONO, Pool.SEM, Pool.LANG
+    alpha = {(O, P): p.OP_alpha, (P, O): p.PO_alpha, (O, S): p.OS_alpha, (S, O): p.SO_alpha,
+             (P, S): p.PS_alpha, (S, P): p.SP_alpha, (O, L): p.OL_alpha, (L, O): p.LO_alpha,
+             (P, L): p.PL_alpha, (L, P): p.LP_alpha}
+    concepts: dict[int, list] = {}
+    for node in network.nodes:
+        if node.concept is not None:
+            concepts.setdefault(node.concept, []).append(node)
+    # candidates: two nodes of one concept and language, or of one concept
+    # with its S node; a language node and each node of its language
+    pairs = [(u, v) for group in concepts.values() for u in group for v in group
+             if u.language == v.language or S in (u.pool, v.pool)]
+    pairs += [pair for lang in (network.nodes[i] for i in network.pool_ids[L])
+              for n in network.nodes if n.language == lang.language
+              for pair in ((lang, n), (n, lang))]
+    exc_in: list = [[] for _ in network.nodes]
+    for u, v in pairs:
+        w = alpha.get((u.pool, v.pool), 0.0)
+        if w != 0.0:
+            exc_in[v.id].append((u.id, w))
+    return [sorted(sources) for sources in exc_in]
+
+
 @dataclass
 class DenseNetwork:
     """A built network plus its gathered in-connections.
@@ -88,10 +116,7 @@ def materialize_dense(network: Network, max_entries: int | None = DENSE_ENTRY_GU
         raise ValidationError(
             f"dense materialization refused for {n_entries} entries "
             f"(guard {max_entries}); raise max_entries explicitly for benchmark use")
-    exc_in: list = [[] for _ in range(len(network))]
-    for src, targets in enumerate(network.out):
-        for dst, w in targets:
-            exc_in[dst].append((src, w))
+    exc_in = excitatory_in(network)
     inhib_in: list = [None] * len(network)
     for pool, _gamma in INHIBITED_POOLS:
         ids = np.asarray(network.pool_ids[pool], dtype=np.int64)

@@ -251,6 +251,23 @@ def test_trace_export(stim_wt, tmp_path):
     assert len(node_ids) == 6
 
 
+@pytest.mark.parametrize("row, cause", [
+    ("2", "--trace-row 2 outside the stimulus file"),
+    ("1", "--trace-row 1 (AARDE) cannot be traced: "
+          "unknown language tag 'DE'; network has ('NL', 'EN')")],
+    ids=["out_of_range", "row_error"])
+def test_trace_row_that_cannot_be_traced_writes_nothing(tmp_path, capsys, row, cause):
+    # the batch's other rows succeed; the command still writes no output
+    stimuli = tmp_path / "s.csv"
+    stimuli.write_text("stimulus,source_lang,target_lang,task\nAARDE,NL,EN,WT\nAARDE,NL,DE,WT\n")
+    out, trace = tmp_path / "o.csv", tmp_path / "t.csv"
+    code = main(["simulate", "--lexicon", HOMOGRAPHS, "--stimuli", str(stimuli),
+                 "--out", str(out), "--trace", str(trace), "--trace-row", row])
+    assert code == 1
+    assert capsys.readouterr().err == f"lexsim: error: {cause}\n"
+    assert list(tmp_path.iterdir()) == [stimuli]
+
+
 def test_outputs_carry_python_floats(stim_wt, tmp_path, capsys):
     # repr of a numpy float64 reads "np.float64(...)"; every written number
     # must come from a Python float

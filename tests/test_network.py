@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lexsim import (Lexicon, LexiconEntry, ParseOptions, Parameters, build_network,
-                    input_weight, levenshtein_similarity, parse_lexicon)
+from lexsim import (Lexicon, LexiconEntry, ParseOptions, Parameters, ValidationError,
+                    build_network, input_weight, levenshtein_similarity, parse_lexicon)
 from lexsim.network import INHIBITED_POOLS, Pool
 from lexsim.reference import scalar_input_weights
 
@@ -93,11 +93,22 @@ def test_build_single_entry_structure():
     assert len(net.pool_ids[Pool.PHONO]) == 2
     assert len(net.pool_ids[Pool.SEM]) == 1
     o_a = net.find(Pool.ORTHO, "AARDE", "NL")
+
+    def target_pools(network):
+        return sorted(network.nodes[c.to_id].pool.value for c in network.connections()
+                      if c.from_id == o_a.id)
+
     # its phonology and its concept; the language link has weight 0 by default
-    assert sorted(net.nodes[t].pool.value for t, _w in net.out[o_a.id]) == ["phono", "sem"]
-    with_lang = build_network(parse_lexicon(SINGLE), Parameters(OL_alpha=0.05))
-    assert sorted(with_lang.nodes[t].pool.value for t, _w in with_lang.out[o_a.id]) \
+    assert target_pools(net) == ["phono", "sem"]
+    assert target_pools(build_network(parse_lexicon(SINGLE), Parameters(OL_alpha=0.05))) \
         == ["lang", "phono", "sem"]
+
+
+def test_build_rejects_one_language_twice():
+    # the layout gives each language its own node and its own places
+    with pytest.raises(ValidationError, match="languages must differ"):
+        build_network(parse_lexicon(SINGLE, ParseOptions(language_a="NL", language_b="NL")),
+                      Parameters())
 
 
 def test_build_empty_lexicon():
@@ -220,20 +231,35 @@ def test_find_missing_and_ambiguous_readings(table1_network):
 
 def test_no_same_pool_connections(table1_network):
     net = table1_network
-    for src, targets in enumerate(net.out):
-        for dst, _w in targets:
-            assert net.nodes[src].pool is not net.nodes[dst].pool
+    for conn in net.connections():
+        assert net.nodes[conn.from_id].pool is not net.nodes[conn.to_id].pool
 
 
-def test_connection_index_unique_pairs(table1_network):
-    net = table1_network
-    seen = set()
-    for conn in table1_network.connections():
-        assert (conn.from_id, conn.to_id) not in seen
-        seen.add((conn.from_id, conn.to_id))
-        assert conn.weight != 0.0
-        assert (conn.to_id, conn.weight) in net.out[conn.from_id]
-    assert len(seen) == sum(len(targets) for targets in net.out)
+def layout_edges(net):
+    """Every nonzero (source, target, alpha) the fast engine's link tables
+    imply, sorted: each entry's offsets, and each language place's links."""
+    edges = [(e + place, e + place + offset, w)
+             for e in range(net.first_entry, len(net), 5)
+             for place, table in enumerate(net.entry_edges) for offset, w in table]
+    for place, l_id, w in net.to_language:
+        edges += [(m, l_id, w) for m in range(net.first_entry + place, len(net), 5)]
+    for l_id, place, w in net.from_language:
+        edges += [(l_id, m, w) for m in range(net.first_entry + place, len(net), 5)]
+    return sorted(edges)
+
+
+def test_connection_index_unique_pairs(table1):
+    # connections() is the reference engine's construction from node
+    # metadata; the fast engine's layout tables must imply the same edges
+    for change in ({}, {"SO_alpha": 0.0}, {"OL_alpha": 0.05, "LP_alpha": 0.02},
+                   {"LO_alpha": 0.02, "PL_alpha": 0.05, "OP_alpha": 0.0}):
+        net = build_network(table1, Parameters().updated(**change))
+        edges = [(c.from_id, c.to_id, c.weight) for c in net.connections()]
+        assert len({(src, dst) for src, dst, _w in edges}) == len(edges)
+        assert all(w != 0.0 for _src, _dst, w in edges)
+        assert edges == layout_edges(net), change
+    # ten entries of ten links each without O->P, and 20 L->O and 20 P->L links
+    assert len(edges) == 10 * 10 + 20 + 20
 
 
 def test_node_ids_deterministic(table1, params):
@@ -241,7 +267,9 @@ def test_node_ids_deterministic(table1, params):
     net2 = build_network(table1, params)
     assert [(n.id, n.pool, n.symbol, n.language, n.rest, n.concept) for n in net1.nodes] \
         == [(n.id, n.pool, n.symbol, n.language, n.rest, n.concept) for n in net2.nodes]
-    assert net1.out == net2.out
+    assert net1.connections() == net2.connections()
+    assert (net1.entry_edges, net1.to_language, net1.from_language) \
+        == (net2.entry_edges, net2.to_language, net2.from_language)
 
 
 def test_input_weights_exact_match(table1_network):

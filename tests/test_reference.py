@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from lexsim import (NullMonitor, ParseOptions, Parameters, ValidationError,
                     build_network, materialize_dense, parse_lexicon, run, step,
                     synthetic_lexicon, update_activation)
-from lexsim.network import Pool
+from lexsim.network import INHIBITED_POOLS, Pool, pool_gamma
 from lexsim.params import ALPHA_NAMES, THRESHOLD_NAMES
-from lexsim.reference import DenseEngine, scalar_input_weights
+from lexsim.reference import DenseEngine, excitatory_in, scalar_input_weights
 from lexsim.tasks import make_monitor
 
 
@@ -157,10 +157,42 @@ def test_engines_agree_with_language_links(homograph_lexicon):
                                   LP_alpha=0.02, MAX_REST=0.05, L_rest=0.05)
     network = build_network(homograph_lexicon, params)
     for l_id in network.pool_ids[Pool.LANG]:
-        assert len(network.out[l_id]) == 2 * len(homograph_lexicon)
+        assert sum(c.from_id == l_id for c in network.connections()) == 2 * len(homograph_lexicon)
     _assert_engines_agree(network, params,
                           [("ROOM", "WT", "NL", "EN"), ("AARDBEI", "WT", "NL", "EN"),
                            ("AARDE", "LD", "NL", None), ("AAP", "NAME", "NL", "NL")])
+
+
+@pytest.mark.parametrize("change", [
+    {}, {"SO_alpha": 0.0},
+    {"OL_alpha": 0.05, "PL_alpha": 0.05, "LO_alpha": 0.02, "LP_alpha": 0.02, "L_rest": 0.05}])
+def test_touched_updates_match_a_brute_force_count(homograph_lexicon, change):
+    # a node is touched when an active node's connection (the dense
+    # engine's exc_in) targets it, when it has a stimulus term, when its
+    # pool takes an inhibition step, or when it is away from rest
+    params = Parameters().updated(MAX_REST=0.05, **change)
+    network = build_network(homograph_lexicon, params)
+    exc_in = materialize_dense(network).exc_in
+    counts = []
+
+    def counting(state, net, p):
+        prev = state.activation.tolist()
+        stepped = {pool for pool, _name in INHIBITED_POOLS if pool_gamma(p, pool) != 0.0
+                   and any(prev[m] > 0.0 for m in net.pool_ids[pool])}
+        expected = sum(1 for n, node in enumerate(net.nodes)
+                       if any(prev[src] > 0.0 for src, _w in exc_in[n])
+                       or n in state.input_weights or node.pool in stepped
+                       or prev[n] != node.rest)
+        before = state.counters["touched_updates"]
+        step(state, net, p)
+        counts.append((state.counters["touched_updates"] - before, expected))
+
+    for stimulus, task, source, target in (("ROOM", "WT", "NL", "EN"), ("AARDE", "LD", "NL", None),
+                                           ("AAP", "NAME", "NL", "NL")):
+        run(network, stimulus, make_monitor(task, source, target, params), params, trace=None,
+            step_fn=counting)
+    assert all(got == expected for got, expected in counts), counts
+    assert len({expected for _got, expected in counts}) > 3
 
 
 @pytest.mark.parametrize("change", [
@@ -212,8 +244,8 @@ def test_engines_raise_alike_when_a_one_product_sum_overflows(table1):
     params = Parameters().updated(IO_multiplier=1.7e308, PO_alpha=1.7e308, SO_alpha=0.0)
     network = build_network(table1, params)
     ortho = network.find(Pool.ORTHO, "AARDE", "NL").id
-    assert [src for src, targets in enumerate(network.out)
-            for dst, _w in targets if dst == ortho] == [network.find(Pool.PHONO, "ard@", "NL").id]
+    assert [src for src, _w in excitatory_in(network)[ortho]] \
+        == [network.find(Pool.PHONO, "ard@", "NL").id]
     raised = []
     for step_fn in (step, DenseEngine(network).step):
         cycles = []
