@@ -107,10 +107,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def activation_at(self, cycle: int, node_id: int) -> float:
-        """Activation of a node after the given 1-based cycle."""
-        return self.frames[cycle - 1][node_id]
-
     def sampled_nodes(self) -> list[int]:
         """Nodes whose activation exceeded their resting level at any cycle."""
         frames = np.reshape(self.frames, (-1, len(self._network)))
@@ -161,7 +157,7 @@ class SimulationState:
         nodes = self.network.nodes
         ids = (self.activation > 0.0).nonzero()[0].tolist()
         return {pool: [n for n in ids if nodes[n].pool is pool]
-                for pool, _gamma_name in INHIBITED_POOLS}
+                for pool in INHIBITED_POOLS}
 
     def stimulus_input(self, i_rest: float) -> np.ndarray:
         """Net input of the stimulus term alone: iw * I_rest + 0.0 at every

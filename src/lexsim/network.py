@@ -1,8 +1,10 @@
 """Lexical network structure: node pools in a fixed entry layout that
 implies the excitatory links, and stimulus-dependent input weighting.
 
-The network is immutable once built. Anything that depends on the stimulus
-(input weights, activations) lives in the per-simulation state so that many
+``build_network`` computes every node and table first and makes the
+``Network`` with one constructor call; the record is frozen, and its
+arrays are read-only. Anything that depends on the stimulus (input
+weights, activations) lives in the per-simulation state so that many
 simulations can share one network concurrently.
 """
 
@@ -26,8 +28,8 @@ class Pool(enum.Enum):
     LANG = "lang"
 
 
-# pools that take a lateral-inhibition step, with their gamma parameter name
-INHIBITED_POOLS = ((Pool.ORTHO, "OO_gamma"), (Pool.PHONO, "PP_gamma"), (Pool.SEM, "SS_gamma"))
+# pools that take a lateral-inhibition step; pool_gamma gives each one's weight
+INHIBITED_POOLS = (Pool.ORTHO, Pool.PHONO, Pool.SEM)
 
 
 def pool_gamma(params, pool: "Pool") -> float:
@@ -48,7 +50,7 @@ def pool_gamma(params, pool: "Pool") -> float:
     return 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: int
     pool: Pool
@@ -65,45 +67,38 @@ class Connection:
     weight: float
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Network:
-    """Built lexical network; structurally immutable after construction."""
+    """Built lexical network, frozen: ``build_network`` makes it in one call.
 
-    def __init__(self, params: Parameters, language_a: str, language_b: str):
-        self.params = params
-        self.languages = (language_a, language_b)
-        self.nodes: list[Node] = []
-        self.pool_ids: dict[Pool, list[int]] = {pool: [] for pool in Pool}
-        # set once the build is complete: node k of entry e has id
-        # first_entry + 5*e + k, and the links with a nonzero alpha are
-        # (target id offset, alpha) per place k, (place, language node id,
-        # alpha) to a language node and (language node id, place, alpha) from one
-        self.first_entry = 0
-        self.entry_edges: tuple[tuple[tuple[int, float], ...], ...] = ()
-        self.to_language: tuple[tuple[int, int, float], ...] = ()
-        self.from_language: tuple[tuple[int, int, float], ...] = ()
-        # set once the build is complete: the members of each inhibited pool
-        # as basic slices of the node ids, and every node's rest level as a
-        # read-only array
-        self.pool_slices: dict[Pool, tuple[slice, ...]] = {}
-        self.rest = np.zeros(0)
-        # read-only orthographic spellings for input weighting: node ids,
-        # symbol lengths, and code points with one row per letter position
-        # (column k is the k-th ortho node, padded with 0 past its length)
-        self.ortho_ids = np.zeros(0, dtype=np.int64)
-        self.ortho_lengths = np.zeros(0, dtype=np.intp)
-        self.ortho_codes = np.zeros((0, 0), dtype=np.uint32)
+    ``nodes`` are the input node, the two language nodes in ``languages``
+    order, then five nodes per entry in the layout [O_a, P_a, O_b, P_b, S]:
+    node k of entry e has id first_entry + 5*e + k. The excitatory links
+    with a nonzero alpha are implied by that layout: ``entry_edges[k]``
+    holds the (target id offset, alpha) pairs from place k to the rest of
+    its entry, ``to_language`` the (place, language node id, alpha) links
+    to a language node and ``from_language`` the (language node id, place,
+    alpha) links from one. ``pool_slices`` gives the members of each
+    inhibited pool as stride-5 basic slices of the node ids, and ``rest``
+    every node's rest level. For input weighting: the orthographic node
+    ids, their symbol lengths, and their code points with one row per
+    letter position (column k is the k-th ortho node, padded with 0 past
+    its length). Every array is read-only.
+    """
 
-    # -- construction -----------------------------------------------------
-
-    def _add_node(self, pool: Pool, symbol: str, language: str | None,
-                  rest: float, concept: int | None = None) -> int:
-        node = Node(id=len(self.nodes), pool=pool, symbol=symbol,
-                    language=language, rest=rest, concept=concept)
-        self.nodes.append(node)
-        self.pool_ids[pool].append(node.id)
-        return node.id
-
-    # -- queries ----------------------------------------------------------
+    params: Parameters
+    languages: tuple[str, str]
+    nodes: list[Node]
+    pool_ids: dict[Pool, list[int]]
+    first_entry: int
+    entry_edges: tuple[tuple[tuple[int, float], ...], ...]
+    to_language: tuple[tuple[int, int, float], ...]
+    from_language: tuple[tuple[int, int, float], ...]
+    pool_slices: dict[Pool, tuple[slice, ...]]
+    rest: np.ndarray
+    ortho_ids: np.ndarray
+    ortho_lengths: np.ndarray
+    ortho_codes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -169,63 +164,64 @@ class Network:
 
 
 def build_network(lexicon: Lexicon, params: Parameters) -> Network:
-    """Build the node pools and the excitatory connection structure.
+    """Build the node pools and the excitatory connection structure, and
+    make the frozen ``Network`` from them in one call.
 
     Per entry: one semantic node shared by both languages' orthographic and
     phonological nodes, bidirectional O-P / O-S / P-S pairs, and the
     language-membership links (zero by default, and then not stored), all
     implied by the entry layout: no edge list, one table per place.
     Same-pool inhibitory connections are never materialised here; the cycle
-    engine applies them from the active set.
+    engine applies them from the active nodes.
     """
     params.validate()
-    if lexicon.language_a == lexicon.language_b:
-        raise ValidationError(f"the two languages must differ, both are {lexicon.language_a!r}")
-    net = Network(params, lexicon.language_a, lexicon.language_b)
-    max_opb = params.MAX_OPB if params.MAX_OPB is not None else lexicon.max_opb
-
-    net._add_node(Pool.INPUT, "INPUT", None, rest=params.I_rest)
-    lang_ids = [net._add_node(Pool.LANG, language, language, rest=params.L_rest)
-                for language in net.languages]
-
-    net.first_entry = first_entry = len(net)
-    for concept, entry in enumerate(lexicon.entries):
-        readings = (
-            (entry.ortho_a, entry.phono_a, entry.freq_a, lexicon.language_a),
-            (entry.ortho_b, entry.phono_b, entry.freq_b, lexicon.language_b),
-        )
-        for ortho, phono, freq, language in readings:
-            rest = rest_activation(freq, max_opb, params)
-            net._add_node(Pool.ORTHO, ortho, language, rest, concept)
-            net._add_node(Pool.PHONO, phono, language, rest, concept)
-        net._add_node(Pool.SEM, entry.ortho_b, None, params.S_rest, concept)
+    language_a, language_b = languages = (lexicon.language_a, lexicon.language_b)
+    if language_a == language_b:
+        raise ValidationError(f"the two languages must differ, both are {language_a!r}")
     p = params
+    max_opb = p.MAX_OPB if p.MAX_OPB is not None else lexicon.max_opb
+    nodes = [Node(0, Pool.INPUT, "INPUT", None, p.I_rest),
+             Node(1, Pool.LANG, language_a, language_a, p.L_rest),
+             Node(2, Pool.LANG, language_b, language_b, p.L_rest)]
+    first_entry = len(nodes)
+    for concept, entry in enumerate(lexicon.entries):
+        n = first_entry + 5 * concept
+        rest_a = rest_activation(entry.freq_a, max_opb, p)
+        rest_b = rest_activation(entry.freq_b, max_opb, p)
+        nodes += (Node(n, Pool.ORTHO, entry.ortho_a, language_a, rest_a, concept),
+                  Node(n + 1, Pool.PHONO, entry.phono_a, language_a, rest_a, concept),
+                  Node(n + 2, Pool.ORTHO, entry.ortho_b, language_b, rest_b, concept),
+                  Node(n + 3, Pool.PHONO, entry.phono_b, language_b, rest_b, concept),
+                  Node(n + 4, Pool.SEM, entry.ortho_b, None, p.S_rest, concept))
+    pool_ids = {pool: [node.id for node in nodes if node.pool is pool] for pool in Pool}
     # from each place of [O_a, P_a, O_b, P_b, S] to the others of its entry
     within = (((1, p.OP_alpha), (4, p.OS_alpha)), ((-1, p.PO_alpha), (3, p.PS_alpha)),
               ((1, p.OP_alpha), (2, p.OS_alpha)), ((-1, p.PO_alpha), (1, p.PS_alpha)),
               ((-4, p.SO_alpha), (-3, p.SP_alpha), (-2, p.SO_alpha), (-1, p.SP_alpha)))
-    net.entry_edges = tuple(tuple(edge for edge in place if edge[1] != 0.0) for place in within)
-    # places 0 and 1 belong to language a, 2 and 3 to language b
-    net.to_language = tuple((place, lang_ids[place // 2], w) for place, w
-                            in enumerate((p.OL_alpha, p.PL_alpha) * 2) if w != 0.0)
-    net.from_language = tuple((lang_ids[place // 2], place, w) for place, w
-                              in enumerate((p.LO_alpha, p.LP_alpha) * 2) if w != 0.0)
-    # every entry adds its nodes as [O_a, P_a, O_b, P_b, S], so a pool's
-    # members are one stride-5 slice per place it takes in that layout
     layout = (Pool.ORTHO, Pool.PHONO, Pool.ORTHO, Pool.PHONO, Pool.SEM)
-    net.pool_slices = {pool: tuple(slice(first_entry + k, len(net), len(layout))
-                                   for k, member in enumerate(layout) if member is pool)
-                       for pool, _gamma_name in INHIBITED_POOLS}
-    net.rest = np.fromiter((node.rest for node in net.nodes), np.float64, len(net))
-    symbols = [net.nodes[o_id].symbol for o_id in net.pool_ids[Pool.ORTHO]]
+    symbols = [nodes[o_id].symbol for o_id in pool_ids[Pool.ORTHO]]
     lengths = list(map(len, symbols))
     width = max(lengths, default=0)
-    net.ortho_ids = np.array(net.pool_ids[Pool.ORTHO], dtype=np.int64)
-    net.ortho_lengths = np.array(lengths, dtype=np.intp)
     # a fixed-width numpy string holds one UCS-4 code point per letter,
     # zero-padded: one row per symbol, transposed to one row per position
     padded = np.array(symbols, dtype=f"<U{width}").view("<u4").reshape(len(symbols), width)
-    net.ortho_codes = padded.T.copy()
-    for array in (net.rest, net.ortho_ids, net.ortho_lengths, net.ortho_codes):
+    rest = np.fromiter((node.rest for node in nodes), np.float64, len(nodes))
+    ortho_ids = np.array(pool_ids[Pool.ORTHO], dtype=np.int64)
+    ortho_lengths = np.array(lengths, dtype=np.intp)
+    ortho_codes = padded.T.copy()
+    for array in (rest, ortho_ids, ortho_lengths, ortho_codes):
         array.flags.writeable = False
-    return net
+    return Network(
+        params=params, languages=languages, nodes=nodes, pool_ids=pool_ids,
+        first_entry=first_entry,
+        entry_edges=tuple(tuple(edge for edge in place if edge[1] != 0.0) for place in within),
+        # places 0 and 1 belong to language a (node 1), 2 and 3 to language b (node 2)
+        to_language=tuple((place, 1 + place // 2, w) for place, w
+                          in enumerate((p.OL_alpha, p.PL_alpha) * 2) if w != 0.0),
+        from_language=tuple((1 + place // 2, place, w) for place, w
+                            in enumerate((p.LO_alpha, p.LP_alpha) * 2) if w != 0.0),
+        # a pool's members are one stride-5 slice per place it takes in the layout
+        pool_slices={pool: tuple(slice(first_entry + k, len(nodes), len(layout))
+                                 for k, member in enumerate(layout) if member is pool)
+                     for pool in INHIBITED_POOLS},
+        rest=rest, ortho_ids=ortho_ids, ortho_lengths=ortho_lengths, ortho_codes=ortho_codes)

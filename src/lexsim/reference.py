@@ -72,26 +72,31 @@ def excitatory_in(network: Network) -> list[list[tuple[int, float]]]:
     from node metadata alone: an O or P node links with the other of its
     concept and language, its concept's S node and its language's node,
     both ways, with one alpha per (source, target) pool pair."""
-    p, O, P, S, L = network.params, Pool.ORTHO, Pool.PHONO, Pool.SEM, Pool.LANG
+    p = network.params
+    # keyed on each pool's value, a str: a Pool key would hash through the
+    # Python-level Enum.__hash__ once per candidate pair
+    O, P, S, L = (pool.value for pool in (Pool.ORTHO, Pool.PHONO, Pool.SEM, Pool.LANG))
     alpha = {(O, P): p.OP_alpha, (P, O): p.PO_alpha, (O, S): p.OS_alpha, (S, O): p.SO_alpha,
              (P, S): p.PS_alpha, (S, P): p.SP_alpha, (O, L): p.OL_alpha, (L, O): p.LO_alpha,
              (P, L): p.PL_alpha, (L, P): p.LP_alpha}
+    pool_of = [node.pool.value for node in network.nodes]
+    language_of = [node.language for node in network.nodes]
     concepts: dict[int, list] = {}
     for node in network.nodes:
         if node.concept is not None:
-            concepts.setdefault(node.concept, []).append(node)
+            concepts.setdefault(node.concept, []).append(node.id)
     # candidates: two nodes of one concept and language, or of one concept
     # with its S node; a language node and each node of its language
     pairs = [(u, v) for group in concepts.values() for u in group for v in group
-             if u.language == v.language or S in (u.pool, v.pool)]
-    pairs += [pair for lang in (network.nodes[i] for i in network.pool_ids[L])
-              for n in network.nodes if n.language == lang.language
+             if language_of[u] == language_of[v] or S in (pool_of[u], pool_of[v])]
+    pairs += [pair for lang in network.pool_ids[Pool.LANG]
+              for n, language in enumerate(language_of) if language == language_of[lang]
               for pair in ((lang, n), (n, lang))]
     exc_in: list = [[] for _ in network.nodes]
     for u, v in pairs:
-        w = alpha.get((u.pool, v.pool), 0.0)
+        w = alpha.get((pool_of[u], pool_of[v]), 0.0)
         if w != 0.0:
-            exc_in[v.id].append((u.id, w))
+            exc_in[v].append((u, w))
     return [sorted(sources) for sources in exc_in]
 
 
@@ -118,7 +123,7 @@ def materialize_dense(network: Network, max_entries: int | None = DENSE_ENTRY_GU
             f"(guard {max_entries}); raise max_entries explicitly for benchmark use")
     exc_in = excitatory_in(network)
     inhib_in: list = [None] * len(network)
-    for pool, _gamma in INHIBITED_POOLS:
+    for pool in INHIBITED_POOLS:
         ids = np.asarray(network.pool_ids[pool], dtype=np.int64)
         for i, node_id in enumerate(network.pool_ids[pool]):
             inhib_in[node_id] = np.concatenate([ids[:i], ids[i + 1:]])
@@ -131,7 +136,7 @@ def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters)
     prev = prev_np.tolist()
     active_mask = prev_np > 0.0
     nodes = network.nodes
-    gamma_of = {pool: pool_gamma(params, pool) for pool, _name in INHIBITED_POOLS}
+    gamma_of = {pool: pool_gamma(params, pool) for pool in INHIBITED_POOLS}
     i_rest = params.I_rest
     n_nodes = len(network)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -145,15 +146,27 @@ def test_pool_slices_of_empty_and_one_entry_lexicons(pairs):
 
 
 def _check_pool_slices(net):
-    """Each inhibited pool's basic slices enumerate its members, once each."""
+    """Each inhibited pool's basic slices enumerate its members, once each;
+    the members come from a scan of the nodes, as do ``pool_ids``."""
     ids = np.arange(len(net))
-    for pool, _gamma_name in INHIBITED_POOLS:
+    members = {pool: [n for n, node in enumerate(net.nodes) if node.pool is pool] for pool in Pool}
+    assert net.pool_ids == members
+    for pool in INHIBITED_POOLS:
         assert all(type(part) is slice for part in net.pool_slices[pool])
         covered = [n for part in net.pool_slices[pool] for n in ids[part].tolist()]
-        assert sorted(covered) == net.pool_ids[pool]
+        assert sorted(covered) == members[pool]
+
+
+def test_built_network_is_frozen(table1_network):
+    for name, value in (("rest", np.zeros(len(table1_network))), ("nodes", []), ("extra", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table1_network, name, value)
+    assert not hasattr(table1_network, "extra")
+    assert not hasattr(table1_network.nodes[0], "__dict__")
 
 
 def _check_arrays(net):
+    assert [node.id for node in net.nodes] == list(range(len(net)))
     assert net.rest.tolist() == [node.rest for node in net.nodes]
     _check_pool_slices(net)
     ortho = net.pool_ids[Pool.ORTHO]

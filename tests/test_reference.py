@@ -177,7 +177,7 @@ def test_touched_updates_match_a_brute_force_count(homograph_lexicon, change):
 
     def counting(state, net, p):
         prev = state.activation.tolist()
-        stepped = {pool for pool, _name in INHIBITED_POOLS if pool_gamma(p, pool) != 0.0
+        stepped = {pool for pool in INHIBITED_POOLS if pool_gamma(p, pool) != 0.0
                    and any(prev[m] > 0.0 for m in net.pool_ids[pool])}
         expected = sum(1 for n, node in enumerate(net.nodes)
                        if any(prev[src] > 0.0 for src, _w in exc_in[n])
