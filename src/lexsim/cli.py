@@ -127,6 +127,9 @@ def _add_stimuli(parser: argparse.ArgumentParser, task_defaults: bool,
 
 
 def _cmd_simulate(args) -> int:
+    for flag, count in (("--jobs", args.jobs), ("--trace-top-k", args.trace_top_k)):
+        if count < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {count}")
     params, lexicon, records = _load_inputs(args, args.task, args.target)
     if args.trace and not 0 <= args.trace_row < len(records):
         raise ConfigError(f"--trace-row {args.trace_row} outside the stimulus file")
@@ -247,12 +250,12 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_stimuli(p, task_defaults=True)
     p.add_argument("--engine", choices=["final", "dense"], default="final")
-    p.add_argument("--jobs", type=int, default=1, help="parallel trials (default 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel trials, >= 1 (default 1)")
     p.add_argument("--report", help="also write a condition report CSV to this path")
     p.add_argument("--trace", help="write an activation trace CSV for one row")
     p.add_argument("--trace-row", type=int, default=0, help="row index to trace (default 0)")
     p.add_argument("--trace-top-k", type=int, default=6,
-                   help="keep the k most active nodes in the trace (default 6)")
+                   help="keep the k >= 1 most active nodes in the trace (default 6)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="grid-search the inhibition parameters against RTs")

@@ -79,25 +79,19 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import ConfigError, InvariantError
 from .network import INHIBITED_POOLS, Network, Pool, pool_gamma
-from .params import Parameters
+from .params import TRIAL_NAMES, Parameters
 
 
 class Trace:
-    """Per-cycle activation samples.
+    """Per-cycle activation samples: the complete activation vector of each
+    cycle, as Python floats."""
 
-    mode "full" stores the complete activation vector per cycle as Python
-    floats, None records nothing (run never calls record then).
-    """
-
-    def __init__(self, network: Network, mode: str | None = "full"):
-        if mode not in ("full", None):
-            raise ValueError(f"unknown trace mode {mode!r}")
+    def __init__(self, network: Network):
         self._network = network
         self.frames: list[list[float]] = []
 
@@ -112,13 +106,13 @@ class Trace:
         frames = np.reshape(self.frames, (-1, len(self._network)))
         return np.flatnonzero((frames > self._network.rest).any(axis=0)).tolist()
 
-    def rows(self, node_ids: Iterable[int] | None = None, top_k: int | None = None):
+    def rows(self, top_k: int | None = None):
         """Expand to (cycle, node_id, pool, language, symbol, activation) rows.
 
         Row count is exactly cycles x sampled nodes. ``top_k`` keeps the k
         nodes with the highest peak activation.
         """
-        ids = list(node_ids) if node_ids is not None else self.sampled_nodes()
+        ids = self.sampled_nodes()
         if top_k is not None and len(ids) > top_k:
             peak = {n: max(frame[n] for frame in self.frames) for n in ids}
             ids = sorted(sorted(ids, key=lambda n: -peak[n])[:top_k])
@@ -133,11 +127,14 @@ class Trace:
 
 
 class SimulationState:
-    """Mutable per-trial state over one immutable network, starting at rest."""
+    """Mutable per-trial state over one immutable network, starting at rest.
+    ``trace`` "full" keeps a Trace of every cycle, None keeps none."""
 
     def __init__(self, network: Network, trace: str | None = "full"):
+        if trace not in ("full", None):
+            raise ValueError(f"unknown trace mode {trace!r}")
         self.network = network
-        self.trace = Trace(network, trace)
+        self.trace = Trace(network) if trace == "full" else None
         self.reset()
 
     def reset(self) -> None:
@@ -149,7 +146,8 @@ class SimulationState:
         self._touched_by: dict[tuple[Pool, ...], np.ndarray] = {}
         self.cycle = 0
         self.counters = {"active_node_updates": 0, "touched_updates": 0}
-        self.trace.frames.clear()
+        if self.trace is not None:
+            self.trace.frames.clear()
 
     @property
     def active_by_pool(self) -> dict[Pool, list[int]]:
@@ -186,16 +184,10 @@ class SimulationState:
         return mask
 
 
-def set_stimulus(state: SimulationState, network: Network, stimulus: str,
-                 input_weights: dict[int, float] | None = None) -> None:
-    """Reset the trial: rest activations, no frames, fresh weights.
-
-    ``input_weights`` are the stimulus's ``network.input_weights``, when the
-    caller already has them.
-    """
+def set_stimulus(state: SimulationState, network: Network, stimulus: str) -> None:
+    """Reset the trial: rest activations, no frames, fresh weights."""
     state.reset()
-    state.input_weights = (network.input_weights(stimulus) if input_weights is None
-                           else input_weights)
+    state.input_weights = network.input_weights(stimulus)
 
 
 def update_activation(a: float, net: float, rest: float, params: Parameters) -> float:
@@ -342,21 +334,37 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
         input_weights: dict[int, float] | None = None):
     """Simulate one trial: set the stimulus, cycle until the task monitor
     decides or the cycle limit is reached. Returns (trace, outcome); the
-    trace records each cycle after its step, unless ``trace`` is None.
+    trace records each cycle after its step, and is None when ``trace`` is.
+
+    After each step ``monitor.observe(state, network)`` returns the outcome
+    or None to go on; ``monitor.timeout(state, network)`` gives it once
+    max_cycles pass. run raises ConfigError before the first step if the
+    network lacks one of ``monitor.languages``, or if ``params`` differs from
+    ``network.params`` outside params.TRIAL_NAMES (the build fixed the rest).
 
     ``step_fn(state, network, params)`` advances one cycle; None means this
     module's ``step``, looked up at call time so a wrapper installed on
     ``dynamics.step`` sees every cycle. ``input_weights`` are the
     stimulus's ``network.input_weights``, when the caller already has them.
     """
+    for language in monitor.languages:
+        if language not in network.languages:
+            raise ConfigError(f"unknown language tag {language!r}; "
+                              f"network has {network.languages}")
     params = params or network.params
+    if params is not network.params:
+        for name, built in network.params.as_dict().items():
+            if name not in TRIAL_NAMES and getattr(params, name) != built:
+                raise ConfigError(f"{name} is fixed by the network ({built!r}); a trial "
+                                  f"cannot set it to {getattr(params, name)!r}")
     step_fn = step_fn or step
-    state = SimulationState(network, trace=trace)
-    set_stimulus(state, network, stimulus, input_weights)
+    state = SimulationState(network, trace=trace)  # at rest: set_stimulus would reset again
+    state.input_weights = (network.input_weights(stimulus) if input_weights is None
+                           else input_weights)
     outcome = None
     while state.cycle < params.max_cycles:
         step_fn(state, network, params)
-        if trace is not None:
+        if state.trace is not None:
             state.trace.record(state)
         outcome = monitor.observe(state, network)
         if outcome is not None:

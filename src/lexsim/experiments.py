@@ -14,7 +14,7 @@ from .dynamics import run as run_trial
 from .errors import ConfigError, ParseError
 from .fitting import pearson
 from .lexicon import Lexicon, LexiconEntry
-from .network import Network, Pool, build_network
+from .network import INHIBITED_POOLS, Network, build_network
 from .params import Parameters
 from .reference import DENSE_ENTRY_GUARD, DenseEngine
 from .tasks import NullMonitor, TaskOutcome, make_monitor
@@ -158,9 +158,6 @@ def outcome_rows(rows: Sequence[BatchRow]) -> list[list]:
 
 # -- active-node statistics ------------------------------------------------
 
-STAT_POOLS = (Pool.ORTHO, Pool.PHONO, Pool.SEM)
-
-
 @dataclass
 class GammaStats:
     gamma: float
@@ -199,7 +196,7 @@ def active_node_stats(lexicon: Lexicon | Network, stimuli: Sequence[str],
         if gamma > 0:
             raise ConfigError("inhibition sweep values must be <= 0")
         p = base.updated(OO_gamma=gamma, PP_gamma=gamma)
-        sums = [dict.fromkeys([pool.value for pool in STAT_POOLS], 0.0)
+        sums = [dict.fromkeys([pool.value for pool in INHIBITED_POOLS], 0.0)
                 for _ in range(p.max_cycles)]
         for stimulus in stimuli:
             run_trial(network, stimulus, _PoolSizes(sums), p, trace=None)

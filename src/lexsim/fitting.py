@@ -64,6 +64,8 @@ class SearchConfig:
             raise ConfigError("n_points must be >= 2")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be > 0")
+        if self.tie_gammas and self.fixed_pp_gamma != 0.0:
+            raise ConfigError("a fixed PP_gamma needs untied gammas (fit --untie-pp)")
 
 
 @dataclass

@@ -135,6 +135,9 @@ GAMMA_NAMES = ("OO_gamma", "PP_gamma", "SS_gamma")
 THRESHOLD_NAMES = ("criterion_value", "shortlist_input_threshold", "shortlist_output_threshold")
 # accepted so stock parameter files load, but no connection uses them
 UNREAD_GAMMA_NAMES = ("LL_gamma", "LO_gamma", "LP_gamma", "OL_gamma", "PL_gamma")
+# the fields a trial may change (dynamics.run); build_network fixes the rest
+TRIAL_NAMES = (GAMMA_NAMES + ("SS_multiplier", "DECAY_RATE") + THRESHOLD_NAMES
+               + ("timestep_multiplier", "timestep_adder", "max_cycles"))
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Parameters)}
 PARAMETER_NAMES = tuple(_FIELD_TYPES)

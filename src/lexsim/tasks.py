@@ -106,6 +106,7 @@ class NullMonitor:
     """Never decides; useful for plain trace runs and active-node statistics."""
 
     task = "NONE"
+    languages = ()
 
     def observe(self, state, network):
         return None
@@ -114,26 +115,7 @@ class NullMonitor:
         return _outcome(self.task, network.params, state, "none")
 
 
-class _Monitor:
-    """The monitor protocol: run calls ``observe(state, network)`` after each
-    cycle's step, which returns the trial's TaskOutcome or None to go on,
-    and ``timeout(state, network)`` for the outcome once max_cycles pass
-    with none. A task monitor's observe checks on its first cycle that the
-    network has each of ``self.languages``, then ``_observe`` decides."""
-
-    _checked = False
-
-    def observe(self, state, network) -> TaskOutcome | None:
-        if not self._checked:
-            for language in self.languages:
-                if language not in network.languages:
-                    raise ConfigError(f"unknown language tag {language!r}; "
-                                      f"network has {network.languages}")
-            self._checked = True
-        return self._observe(state, network)
-
-
-class _ThresholdMonitor(_Monitor):
+class _ThresholdMonitor:
     """Responds ``kinds[0]`` once a ``pool`` node of the target language
     reaches the criterion, naming it if that kind is "symbol"; times out
     with ``kinds[1]``."""
@@ -147,7 +129,7 @@ class _ThresholdMonitor(_Monitor):
         self.params = params
         self.languages = (target_language,)
 
-    def _observe(self, state, network) -> TaskOutcome | None:
+    def observe(self, state, network) -> TaskOutcome | None:
         winner = _winner(state, network, self.pool, self.target_language,
                          self.params.criterion_value)
         if winner is None:
@@ -168,7 +150,7 @@ class NamingMonitor(_ThresholdMonitor):
     task, pool, kinds = "NAME", Pool.PHONO, ("symbol", "none")
 
 
-class WordTranslationMonitor(_Monitor):
+class WordTranslationMonitor:
     task = "WT"
 
     def __init__(self, source_language: str, target_language: str, params: Parameters):
@@ -229,7 +211,7 @@ class WordTranslationMonitor(_Monitor):
                 reason, state.cycle))
         return None
 
-    def _observe(self, state, network) -> TaskOutcome | None:
+    def observe(self, state, network) -> TaskOutcome | None:
         if self.diagnostics.input_node is None:
             self._identify_input(state, network)
         return self._select_output(state, network)

@@ -167,6 +167,27 @@ def test_broken_invariant_exits_2(stim_wt, capsys, monkeypatch):
     assert "lexsim: invariant violated: cycle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-3"),
+                                         ("--trace-top-k", "0"), ("--trace-top-k", "-1")])
+def test_simulate_rejects_counts_below_one(stim_wt, tmp_path, capsys, flag, value):
+    out, trace = tmp_path / "o.csv", tmp_path / "t.csv"
+    code = main(["simulate", "--lexicon", HOMOGRAPHS, "--stimuli", stim_wt,
+                 "--out", str(out), "--trace", str(trace), flag, value])
+    assert code == 1
+    assert capsys.readouterr().err == f"lexsim: error: {flag} must be at least 1, got {value}\n"
+    assert not out.exists() and not trace.exists()
+
+
+def test_fit_rejects_pp_gamma_without_untie(stim_ld, tmp_path, capsys):
+    # a tied fit sets PP_gamma to each point, so a fixed PP_gamma would be ignored
+    log = tmp_path / "fit.csv"
+    code = main(["fit", "--lexicon", HOMOGRAPHS, "--stimuli", stim_ld, "--domain=-0.01:0",
+                 "--n", "5", "--pp-gamma", "-0.01", "--log", str(log)])
+    assert code == 1
+    assert "needs untied gammas" in capsys.readouterr().err
+    assert not log.exists()
+
+
 def test_fit_subcommand_summary(stim_ld, tmp_path, capsys):
     log = tmp_path / "fit.csv"
     code = main(["fit", "--lexicon", HOMOGRAPHS, "--stimuli", stim_ld,

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexsim import (DenseEngine, InvariantError, Lexicon, NullMonitor, Parameters,
-                    StimulusRecord, build_network, lexical_decision, parse_lexicon, run,
-                    run_batch, set_stimulus, step, update_activation)
-from lexsim.dynamics import SimulationState, _expansion
+from lexsim import (ConfigError, DenseEngine, InvariantError, Lexicon, Network, NullMonitor,
+                    Parameters, StimulusRecord, build_network, lexical_decision, parse_lexicon,
+                    run, run_batch, set_stimulus, step, update_activation, word_translation)
+from lexsim.dynamics import SimulationState, Trace, _expansion
 from lexsim.network import Pool
 from lexsim.tasks import LexicalDecisionMonitor
 
@@ -321,6 +321,50 @@ def test_run_without_decision_reaches_cycle_limit(table1_network, params):
     trace, outcome = run(table1_network, "AARDE", NullMonitor(), params)
     assert outcome.response_kind == "none"
     assert outcome.cycles == params.max_cycles
+
+
+def test_unknown_language_raises_before_the_first_step(table1_network, params, monkeypatch):
+    calls = []
+    monkeypatch.setattr(Network, "input_weights", lambda *args: calls.append("weights"))
+    with pytest.raises(ConfigError) as info:
+        run(table1_network, "AARDE", LexicalDecisionMonitor("DE", params), params,
+            step_fn=lambda *args: calls.append("step"))
+    assert str(info.value) == "unknown language tag 'DE'; network has ('NL', 'EN')"
+    assert calls == []
+
+
+def test_untraced_run_builds_no_trace(table1_network, params, monkeypatch):
+    def no_trace(*args):
+        raise AssertionError("an untraced run built a Trace")
+
+    monkeypatch.setattr(Trace, "__init__", no_trace)
+    trace, outcome = run(table1_network, "AARDE", NullMonitor(), params, trace=None)
+    assert trace is None and outcome.cycles == params.max_cycles
+
+
+def test_run_resets_the_state_once(table1_network, monkeypatch):
+    resets = []
+    reset = SimulationState.reset
+    monkeypatch.setattr(SimulationState, "reset", lambda state: resets.append(reset(state)))
+    assert lexical_decision(table1_network, "AARDE", "NL").response_kind == "yes"
+    assert len(resets) == 1
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"SP_alpha": 0.0, "PS_alpha": 0.0}, "PS_alpha"), ({"IO_multiplier": 0.05}, "IO_multiplier"),
+    ({"MAX_REST": -0.1}, "MAX_REST"), ({"MIN_ACT": -0.3}, "MIN_ACT")])
+def test_run_rejects_parameters_the_network_fixed(table1_network, change, field):
+    # the network's weights and rest levels come from its own parameters; a
+    # trial that changed them would run on the built ones
+    with pytest.raises(ConfigError, match=f"^{field} is fixed by the network"):
+        word_translation(table1_network, "AARDBEI", "NL", "EN", Parameters().updated(**change))
+
+
+def test_run_takes_trial_parameters_the_network_leaves_free(table1, table1_network):
+    gammas = Parameters().updated(OO_gamma=-0.01, PP_gamma=-0.01, max_cycles=60)
+    outcome = word_translation(table1_network, "AARDBEI", "NL", "EN", gammas)
+    assert outcome == word_translation(build_network(table1, gammas), "AARDBEI", "NL", "EN")
+    assert outcome != word_translation(table1_network, "AARDBEI", "NL", "EN")
 
 
 def test_run_lexical_decision_golden(table1_network, params):

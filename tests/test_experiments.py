@@ -76,7 +76,8 @@ def test_run_batch_records_unknown_naming_language(table1_network, params):
                               task="NAME"),
                StimulusRecord(stimulus="AARDE", source_lang="NL", task="NAME")]
     rows = run_batch(table1_network, records, params)
-    assert rows[0].outcome is None and "unknown language tag 'DE'" in rows[0].error
+    assert rows[0].outcome is None
+    assert rows[0].error == "unknown language tag 'DE'; network has ('NL', 'EN')"
     assert rows[1].outcome.response_kind == "symbol"
 
 

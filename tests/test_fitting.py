@@ -107,6 +107,8 @@ def test_grid_search_validates_config():
         grid_search(lambda x: x, SearchConfig(n_points=1))
     with pytest.raises(ConfigError):
         grid_search(lambda x: x, SearchConfig(epsilon=0.0))
+    with pytest.raises(ConfigError, match="untied"):
+        grid_search(lambda x: x, SearchConfig(fixed_pp_gamma=-0.01))
 
 
 # -- fit_inhibition ------------------------------------------------------------
