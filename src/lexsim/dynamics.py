@@ -110,8 +110,10 @@ class Trace:
         """Expand to (cycle, node_id, pool, language, symbol, activation) rows.
 
         Row count is exactly cycles x sampled nodes. ``top_k`` keeps the k
-        nodes with the highest peak activation.
+        nodes with the highest peak activation, for k >= 1.
         """
+        if top_k is not None and top_k < 1:
+            raise ValueError(f"top_k must be at least 1, got {top_k}")
         ids = self.sampled_nodes()
         if top_k is not None and len(ids) > top_k:
             peak = {n: max(frame[n] for frame in self.frames) for n in ids}
@@ -339,8 +341,8 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
     After each step ``monitor.observe(state, network)`` returns the outcome
     or None to go on; ``monitor.timeout(state, network)`` gives it once
     max_cycles pass. run raises ConfigError before the first step if the
-    network lacks one of ``monitor.languages``, or if ``params`` differs from
-    ``network.params`` outside params.TRIAL_NAMES (the build fixed the rest).
+    network lacks one of ``monitor.languages``, or if ``params`` sets a
+    field the network fixed (check_trial_params).
 
     ``step_fn(state, network, params)`` advances one cycle; None means this
     module's ``step``, looked up at call time so a wrapper installed on
@@ -351,12 +353,7 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
         if language not in network.languages:
             raise ConfigError(f"unknown language tag {language!r}; "
                               f"network has {network.languages}")
-    params = params or network.params
-    if params is not network.params:
-        for name, built in network.params.as_dict().items():
-            if name not in TRIAL_NAMES and getattr(params, name) != built:
-                raise ConfigError(f"{name} is fixed by the network ({built!r}); a trial "
-                                  f"cannot set it to {getattr(params, name)!r}")
+    params = check_trial_params(network, params)
     step_fn = step_fn or step
     state = SimulationState(network, trace=trace)  # at rest: set_stimulus would reset again
     state.input_weights = (network.input_weights(stimulus) if input_weights is None
@@ -373,6 +370,17 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
         outcome = monitor.timeout(state, network)
     check_invariants(state, params)
     return state.trace, outcome
+
+
+def check_trial_params(network: Network, params: Parameters | None) -> Parameters:
+    """``params`` (None: the network's); ConfigError if it differs outside TRIAL_NAMES."""
+    params = params or network.params
+    if params is not network.params:
+        for name, built in network.params.as_dict().items():
+            if name not in TRIAL_NAMES and getattr(params, name) != built:
+                raise ConfigError(f"{name} is fixed by the network ({built!r}); a trial "
+                                  f"cannot set it to {getattr(params, name)!r}")
+    return params
 
 
 def check_invariants(state: SimulationState, params: Parameters) -> None:

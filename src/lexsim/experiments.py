@@ -4,13 +4,14 @@ and the wall-clock benchmark harness."""
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
-from .dynamics import run as run_trial
+from .dynamics import check_trial_params, run as run_trial
 from .errors import ConfigError, ParseError
 from .fitting import pearson
 from .lexicon import Lexicon, LexiconEntry
@@ -92,18 +93,14 @@ class BatchRow:
     error: str | None = None
 
 
-def _engine_step(network: Network, engine: str, dense_max_entries: int | None = None):
-    """The ``step_fn`` that runs the named engine over ``network``.
-
-    "final" is the active-set engine (None: dynamics.run's own step),
-    "dense" the reference engine, guarded by ``dense_max_entries`` entries
-    (default DENSE_ENTRY_GUARD).
-    """
+def _engine_runner(network: Network, engine: str, dense_max_entries: int | None = None):
+    """``runner(stimulus, monitor, params, trace)`` over ``network``: dynamics.run for "final",
+    DenseEngine.run for "dense", guarded at ``dense_max_entries`` (None: DENSE_ENTRY_GUARD)."""
     if engine == "final":
-        return None
+        return functools.partial(run_trial, network)
     if engine == "dense":
         guard = DENSE_ENTRY_GUARD if dense_max_entries is None else dense_max_entries
-        return DenseEngine(network, guard).step
+        return DenseEngine(network, guard).run
     raise ConfigError(f"unknown engine {engine!r}; expected final or dense")
 
 
@@ -112,21 +109,21 @@ def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
               jobs: int = 1) -> list[BatchRow]:
     """One outcome per stimulus record, in input order.
 
-    Per-row task errors are recorded and the batch continues. Rows are
+    Per-row task errors are recorded and the batch continues; parameters
+    the network fixed raise ConfigError before the first row. Rows are
     independent trials over the shared network, so the result is the same
     for every ``jobs``. ``jobs > 1`` runs rows on a thread pool, which the
     GIL serialises: it takes about as long as ``jobs = 1``.
     """
     network = lexicon if isinstance(lexicon, Network) else build_network(lexicon, params or Parameters())
-    params = params or network.params
-    step_fn = _engine_step(network, engine)
+    params = check_trial_params(network, params)
+    runner = _engine_runner(network, engine)
 
     def one(record: StimulusRecord) -> BatchRow:
         try:
             monitor = make_monitor(record.task, record.source_lang,
                                    record.target_lang, params)
-            _trace, outcome = run_trial(network, record.stimulus, monitor, params,
-                                        trace=None, step_fn=step_fn)
+            _trace, outcome = runner(record.stimulus, monitor, params, trace=None)
             return BatchRow(record, outcome)
         except (ConfigError, ValueError) as exc:
             return BatchRow(record, None, error=str(exc))
@@ -347,7 +344,7 @@ def benchmark(lexicon: Lexicon, stimuli: Sequence[str], engine: str = "final",
     params = params or Parameters()
     t0 = time.perf_counter()
     network = build_network(lexicon, params)
-    step_fn = _engine_step(network, engine, dense_max_entries)
+    runner = _engine_runner(network, engine, dense_max_entries)
     build_seconds = time.perf_counter() - t0
 
     def run_once(batch: Sequence[str]) -> tuple[float, int, int]:
@@ -355,7 +352,7 @@ def benchmark(lexicon: Lexicon, stimuli: Sequence[str], engine: str = "final",
         t_start = time.perf_counter()
         for stimulus in batch:
             monitor = _WorkCounters()
-            run_trial(network, stimulus, monitor, params, trace=None, step_fn=step_fn)
+            runner(stimulus, monitor, params, trace=None)
             active += monitor.counters["active_node_updates"]
             touched += monitor.counters["touched_updates"]
         return time.perf_counter() - t_start, active, touched

@@ -89,7 +89,6 @@ class Network:
     params: Parameters
     languages: tuple[str, str]
     nodes: list[Node]
-    pool_ids: dict[Pool, list[int]]
     first_entry: int
     entry_edges: tuple[tuple[tuple[int, float], ...], ...]
     to_language: tuple[tuple[int, int, float], ...]
@@ -193,27 +192,26 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
                   Node(n + 2, Pool.ORTHO, entry.ortho_b, language_b, rest_b, concept),
                   Node(n + 3, Pool.PHONO, entry.phono_b, language_b, rest_b, concept),
                   Node(n + 4, Pool.SEM, entry.ortho_b, None, p.S_rest, concept))
-    pool_ids = {pool: [node.id for node in nodes if node.pool is pool] for pool in Pool}
     # from each place of [O_a, P_a, O_b, P_b, S] to the others of its entry
     within = (((1, p.OP_alpha), (4, p.OS_alpha)), ((-1, p.PO_alpha), (3, p.PS_alpha)),
               ((1, p.OP_alpha), (2, p.OS_alpha)), ((-1, p.PO_alpha), (1, p.PS_alpha)),
               ((-4, p.SO_alpha), (-3, p.SP_alpha), (-2, p.SO_alpha), (-1, p.SP_alpha)))
     layout = (Pool.ORTHO, Pool.PHONO, Pool.ORTHO, Pool.PHONO, Pool.SEM)
-    symbols = [nodes[o_id].symbol for o_id in pool_ids[Pool.ORTHO]]
+    ortho = [node for node in nodes if node.pool is Pool.ORTHO]
+    symbols = [node.symbol for node in ortho]
     lengths = list(map(len, symbols))
     width = max(lengths, default=0)
     # a fixed-width numpy string holds one UCS-4 code point per letter,
     # zero-padded: one row per symbol, transposed to one row per position
     padded = np.array(symbols, dtype=f"<U{width}").view("<u4").reshape(len(symbols), width)
     rest = np.fromiter((node.rest for node in nodes), np.float64, len(nodes))
-    ortho_ids = np.array(pool_ids[Pool.ORTHO], dtype=np.int64)
+    ortho_ids = np.array([node.id for node in ortho], dtype=np.int64)
     ortho_lengths = np.array(lengths, dtype=np.intp)
     ortho_codes = padded.T.copy()
     for array in (rest, ortho_ids, ortho_lengths, ortho_codes):
         array.flags.writeable = False
     return Network(
-        params=params, languages=languages, nodes=nodes, pool_ids=pool_ids,
-        first_entry=first_entry,
+        params=params, languages=languages, nodes=nodes, first_entry=first_entry,
         entry_edges=tuple(tuple(edge for edge in place if edge[1] != 0.0) for place in within),
         # places 0 and 1 belong to language a (node 1), 2 and 3 to language b (node 2)
         to_language=tuple((place, 1 + place // 2, w) for place, w

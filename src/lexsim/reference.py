@@ -59,12 +59,8 @@ def scalar_input_weights(network: Network, stimulus: str) -> dict[int, float]:
     if not stimulus:
         raise ValueError("stimulus must be non-empty")
     stimulus = stimulus.upper()
-    weights: dict[int, float] = {}
-    for o_id in network.pool_ids[Pool.ORTHO]:
-        w = input_weight(stimulus, network.nodes[o_id].symbol, network.params)
-        if w > 0.0:
-            weights[o_id] = w
-    return weights
+    return {node.id: w for node in network.nodes if node.pool is Pool.ORTHO
+            if (w := input_weight(stimulus, node.symbol, network.params)) > 0.0}
 
 
 def excitatory_in(network: Network) -> list[list[tuple[int, float]]]:
@@ -89,7 +85,7 @@ def excitatory_in(network: Network) -> list[list[tuple[int, float]]]:
     # with its S node; a language node and each node of its language
     pairs = [(u, v) for group in concepts.values() for u in group for v in group
              if language_of[u] == language_of[v] or S in (pool_of[u], pool_of[v])]
-    pairs += [pair for lang in network.pool_ids[Pool.LANG]
+    pairs += [pair for lang, pool in enumerate(pool_of) if pool == L
               for n, language in enumerate(language_of) if language == language_of[lang]
               for pair in ((lang, n), (n, lang))]
     exc_in: list = [[] for _ in network.nodes]
@@ -116,7 +112,7 @@ class DenseNetwork:
 
 
 def materialize_dense(network: Network, max_entries: int | None = DENSE_ENTRY_GUARD) -> DenseNetwork:
-    n_entries = len(network.pool_ids[Pool.SEM])
+    n_entries = sum(node.pool is Pool.SEM for node in network.nodes)  # one S node per entry
     if max_entries is not None and n_entries > max_entries:
         raise ValidationError(
             f"dense materialization refused for {n_entries} entries "
@@ -124,8 +120,8 @@ def materialize_dense(network: Network, max_entries: int | None = DENSE_ENTRY_GU
     exc_in = excitatory_in(network)
     inhib_in: list = [None] * len(network)
     for pool in INHIBITED_POOLS:
-        ids = np.asarray(network.pool_ids[pool], dtype=np.int64)
-        for i, node_id in enumerate(network.pool_ids[pool]):
+        ids = np.array([node.id for node in network.nodes if node.pool is pool], dtype=np.int64)
+        for i, node_id in enumerate(ids.tolist()):
             inhib_in[node_id] = np.concatenate([ids[:i], ids[i + 1:]])
     return DenseNetwork(base=network, exc_in=exc_in, inhib_in=inhib_in)
 
@@ -164,7 +160,7 @@ def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters)
 
 
 class DenseEngine:
-    """Reusable dense-engine wrapper over one materialised network."""
+    """The oracle over one network, built from its params and node metadata alone."""
 
     def __init__(self, network: Network, max_entries: int | None = DENSE_ENTRY_GUARD):
         self.dense = materialize_dense(network, max_entries)
@@ -175,6 +171,6 @@ class DenseEngine:
 
     def run(self, stimulus: str, monitor, params: Parameters | None = None,
             trace: str | None = "full"):
-        network = self.dense.base
-        return run(network, stimulus, monitor, params, trace, step_fn=self.step,
-                   input_weights=scalar_input_weights(network, stimulus))
+        """dynamics.run with dense steps and scalar input weights: the oracle end to end."""
+        return run(self.dense.base, stimulus, monitor, params, trace, step_fn=self.step,
+                   input_weights=scalar_input_weights(self.dense.base, stimulus))

@@ -13,6 +13,11 @@ SRC = str(Path(__file__).parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
+def members(network, pool):
+    """The ids of ``pool``'s nodes, in id order, from the node metadata."""
+    return [node.id for node in network.nodes if node.pool is pool]
+
+
 @pytest.fixture(scope="session")
 def table1():
     return load_lexicon(table1_path())

@@ -167,6 +167,18 @@ def test_broken_invariant_exits_2(stim_wt, capsys, monkeypatch):
     assert "lexsim: invariant violated: cycle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "dump-network"])
+def test_internal_error_exits_2(stim_wt, capsys, monkeypatch, command):
+    # an exception that is no input error is a fault of the program
+    def broken(lexicon, params):
+        raise KeyError("pool")
+
+    monkeypatch.setattr("lexsim.cli.build_network", broken)
+    stimuli = ["--stimuli", stim_wt] if command == "simulate" else []
+    assert main([command, "--lexicon", HOMOGRAPHS, *stimuli]) == 2
+    assert capsys.readouterr().err == "lexsim: internal error: KeyError: 'pool'\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-3"),
                                          ("--trace-top-k", "0"), ("--trace-top-k", "-1")])
 def test_simulate_rejects_counts_below_one(stim_wt, tmp_path, capsys, flag, value):

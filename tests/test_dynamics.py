@@ -12,6 +12,8 @@ from lexsim.dynamics import SimulationState, Trace, _expansion
 from lexsim.network import Pool
 from lexsim.tasks import LexicalDecisionMonitor
 
+from conftest import members
+
 SINGLE = "AARDE,100.07,ard@,100.07,EARTH,24.87,3T,24.87"
 
 
@@ -23,7 +25,7 @@ def _steps(net):
 
 
 def test_net_input_no_active_sources(table1_network, params):
-    sem = table1_network.pool_ids[Pool.SEM][0]
+    sem = members(table1_network, Pool.SEM)[0]
     for step_fn in _steps(table1_network):
         state = SimulationState(table1_network)
         step_fn(state, table1_network, params)
@@ -80,7 +82,7 @@ def _inhibition_step(gamma, activations):
     """
     params = Parameters().updated(OO_gamma=gamma)
     net = build_network(parse_lexicon(PAIR), params)
-    ortho = net.pool_ids[Pool.ORTHO]
+    ortho = members(net, Pool.ORTHO)
     results = []
     for step_fn in _steps(net):
         state = SimulationState(net)
@@ -385,6 +387,14 @@ def test_trace_top_k_limits_nodes(table1_network, params):
     trace, _ = run(table1_network, "AARDE", NullMonitor(), params)
     rows = trace.rows(top_k=6)
     assert len({r[1] for r in rows}) == 6
+
+
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_trace_rows_reject_top_k_below_one(table1_network, params, top_k):
+    trace, _ = run(table1_network, "AARDBEI", NullMonitor(), params)
+    with pytest.raises(ValueError) as info:
+        trace.rows(top_k=top_k)
+    assert str(info.value) == f"top_k must be at least 1, got {top_k}"
 
 
 def test_work_counter_accumulates(table1_network, params):

@@ -1,6 +1,6 @@
 import pytest
 
-from lexsim import (ConfigError, ParseError, Parameters, active_node_stats, benchmark,
+from lexsim import (ConfigError, Network, ParseError, Parameters, active_node_stats, benchmark,
                     build_network, condition_report, parse_stimuli, run_batch,
                     synthetic_lexicon)
 from lexsim.experiments import BatchRow, StimulusRecord, outcome_rows, report_rows, stats_rows
@@ -40,6 +40,17 @@ def test_parse_stimuli_rejects_unknown_column():
 def test_parse_stimuli_rejects_bad_rt():
     with pytest.raises(ParseError):
         parse_stimuli("stimulus,source_lang,rt_ms\nAARDE,NL,-3\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("stimulus,source_lang\n,NL\n", "empty stimulus (row 2)"),
+    ("stimulus,source_lang,rt_ms\nAARDE,NL,520\nAAP,NL,fast\n",
+     "row 3: non-numeric rt_ms 'fast'"),
+], ids=["empty_stimulus", "non_numeric_rt"])
+def test_parse_stimuli_names_the_bad_row(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_stimuli(text)
+    assert str(info.value) == message
 
 
 def test_run_batch_empty(table1, params):
@@ -93,6 +104,40 @@ def test_run_batch_jobs_deterministic(table1_network, table1, params):
 def test_run_batch_rejects_unknown_engine(table1, params):
     with pytest.raises(ConfigError):
         run_batch(table1, [], params, engine="warp")
+
+
+def test_run_batch_rejects_parameters_the_network_fixed_once(table1_network, monkeypatch):
+    # the batch fails as a whole, before any row builds a monitor
+    monkeypatch.setattr("lexsim.experiments.make_monitor", None)
+    records = [StimulusRecord("AARDBEI", "NL", "EN", "WT")] * 2
+    with pytest.raises(ConfigError) as info:
+        run_batch(table1_network, records, Parameters(IO_multiplier=0.05))
+    assert str(info.value) == ("IO_multiplier is fixed by the network (0.2); "
+                               "a trial cannot set it to 0.05")
+
+
+@pytest.mark.parametrize("lexicon_name", ["table1", "homograph_lexicon"])
+def test_dense_batch_runs_the_oracle_end_to_end(request, monkeypatch, params, lexicon_name):
+    # engine="dense" weights each stimulus with the oracle's scalar loop,
+    # never the fast engine's array weighting, and agrees with it row by row
+    lexicon = request.getfixturevalue(lexicon_name)
+    network = build_network(lexicon, params)
+    records = [record for e in lexicon.entries for record in (
+        StimulusRecord(e.ortho_a, "NL", "EN", "WT"), StimulusRecord(e.ortho_b, "EN", "NL", "WT"),
+        StimulusRecord(e.ortho_a, "NL", None, "LD"), StimulusRecord(e.ortho_b, "EN", None, "NAME"))]
+    weighted = []
+    array_weights = Network.input_weights
+
+    def counted(net, stimulus):
+        weighted.append(stimulus)
+        return array_weights(net, stimulus)
+
+    monkeypatch.setattr(Network, "input_weights", counted)
+    final = outcome_rows(run_batch(network, records, params))
+    assert len(weighted) == len(records)
+    weighted.clear()
+    assert outcome_rows(run_batch(network, records, params, engine="dense")) == final
+    assert weighted == []
 
 
 def test_outcome_rows_layout(table1_network, params):

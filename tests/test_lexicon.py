@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from lexsim import (ParseError, ParseOptions, Parameters, ValidationError,
+from lexsim import (LexiconEntry, ParseError, ParseOptions, Parameters, ValidationError,
                     opb, parse_lexicon, rest_activation, table1_path)
 
 AARDE_ROW = "AARDE,100.07,ard@,100.07,EARTH,24.87,3T,24.87"
@@ -164,3 +164,15 @@ def test_repo_fixture_matches_bundled_copy():
     from pathlib import Path
     repo_copy = Path(__file__).parent.parent / "fixtures" / "table1.csv"
     assert repo_copy.read_bytes() == Path(table1_path()).read_bytes()
+
+
+@pytest.mark.parametrize("freq_a, freq_b, message", [
+    (-1.0, 2.0, "freq_a=-1.0 must be finite and >= 0 (row 7)"),
+    (1.0, math.inf, "freq_b=inf must be finite and >= 0 (row 7)"),
+    (math.nan, 2.0, "freq_a=nan must be finite and >= 0 (row 7)"),
+])
+def test_entry_validate_rejects_bad_frequency(freq_a, freq_b, message):
+    entry = LexiconEntry("AARDE", freq_a, "ard@", "EARTH", freq_b, "3T")
+    with pytest.raises(ValidationError) as info:
+        entry.validate(row=7)
+    assert str(info.value) == message

@@ -10,6 +10,8 @@ from lexsim import (Lexicon, LexiconEntry, ParseOptions, Parameters, ValidationE
 from lexsim.network import INHIBITED_POOLS, Pool
 from lexsim.reference import scalar_input_weights
 
+from conftest import members
+
 
 def reference_edit_distance(a: str, b: str) -> int:
     """Independent recursive oracle: unit-cost insert/delete/substitute."""
@@ -81,18 +83,18 @@ SINGLE = "AARDE,100.07,ard@,100.07,EARTH,24.87,3T,24.87"
 
 def test_build_counts_table1(table1_network):
     net = table1_network
-    assert len(net.pool_ids[Pool.ORTHO]) == 20
-    assert len(net.pool_ids[Pool.PHONO]) == 20
-    assert len(net.pool_ids[Pool.SEM]) == 10
-    assert len(net.pool_ids[Pool.LANG]) == 2
-    assert len(net.pool_ids[Pool.INPUT]) == 1
+    assert len(members(net, Pool.ORTHO)) == 20
+    assert len(members(net, Pool.PHONO)) == 20
+    assert len(members(net, Pool.SEM)) == 10
+    assert len(members(net, Pool.LANG)) == 2
+    assert len(members(net, Pool.INPUT)) == 1
 
 
 def test_build_single_entry_structure():
     net = build_network(parse_lexicon(SINGLE), Parameters())
-    assert len(net.pool_ids[Pool.ORTHO]) == 2
-    assert len(net.pool_ids[Pool.PHONO]) == 2
-    assert len(net.pool_ids[Pool.SEM]) == 1
+    assert len(members(net, Pool.ORTHO)) == 2
+    assert len(members(net, Pool.PHONO)) == 2
+    assert len(members(net, Pool.SEM)) == 1
     o_a = net.find(Pool.ORTHO, "AARDE", "NL")
 
     def target_pools(network):
@@ -116,16 +118,16 @@ def test_build_empty_lexicon():
     from lexsim import Lexicon
     net = build_network(Lexicon(entries=[]), Parameters())
     assert len(net) == 3  # input node plus two language nodes
-    assert len(net.pool_ids[Pool.ORTHO]) == 0
+    assert len(members(net, Pool.ORTHO)) == 0
     assert net.input_weights("A") == {}
 
 
 def test_special_rest_levels(table1_network):
     net = table1_network
-    assert net.nodes[net.pool_ids[Pool.INPUT][0]].rest == 1.0
-    for s in net.pool_ids[Pool.SEM]:
+    assert net.nodes[members(net, Pool.INPUT)[0]].rest == 1.0
+    for s in members(net, Pool.SEM):
         assert net.nodes[s].rest == -0.2
-    for l in net.pool_ids[Pool.LANG]:
+    for l in members(net, Pool.LANG):
         assert net.nodes[l].rest == -0.2
 
 
@@ -146,15 +148,12 @@ def test_pool_slices_of_empty_and_one_entry_lexicons(pairs):
 
 
 def _check_pool_slices(net):
-    """Each inhibited pool's basic slices enumerate its members, once each;
-    the members come from a scan of the nodes, as do ``pool_ids``."""
+    """Each inhibited pool's basic slices enumerate its members, once each."""
     ids = np.arange(len(net))
-    members = {pool: [n for n, node in enumerate(net.nodes) if node.pool is pool] for pool in Pool}
-    assert net.pool_ids == members
     for pool in INHIBITED_POOLS:
         assert all(type(part) is slice for part in net.pool_slices[pool])
         covered = [n for part in net.pool_slices[pool] for n in ids[part].tolist()]
-        assert sorted(covered) == members[pool]
+        assert sorted(covered) == members(net, pool)
 
 
 def test_built_network_is_frozen(table1_network):
@@ -169,7 +168,7 @@ def _check_arrays(net):
     assert [node.id for node in net.nodes] == list(range(len(net)))
     assert net.rest.tolist() == [node.rest for node in net.nodes]
     _check_pool_slices(net)
-    ortho = net.pool_ids[Pool.ORTHO]
+    ortho = members(net, Pool.ORTHO)
     assert net.ortho_ids.tolist() == ortho
     assert net.ortho_lengths.tolist() == [len(net.nodes[o].symbol) for o in ortho]
     # one row per letter position, one column per node, zero past its length

@@ -167,3 +167,19 @@ def test_stock_constants_file_is_valid():
     p = load_parameters(text)
     assert p.MAX_OPB == 0.6402259325203161
     assert p == Parameters().updated(MAX_OPB=0.6402259325203161)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Parameters(MIN_REST=0.1).validate(),
+     "rest range must satisfy MIN_ACT <= MIN_REST <= MAX_REST <= MAX_ACT"),
+    (lambda: Parameters(S_rest=0.5).validate(), "S_rest=0.5 outside [MIN_ACT, MAX_REST]"),
+    (lambda: Parameters(L_rest=-0.3).validate(), "L_rest=-0.3 outside [MIN_ACT, MAX_REST]"),
+    (lambda: Parameters(MAX_OPB=0.0).validate(), "MAX_OPB must be positive when given"),
+    (lambda: parse_assignment("OO_gamma=abc"), "parameter OO_gamma: cannot parse value 'abc'"),
+    (lambda: parse_assignment("max_cycles = 4.5"),
+     "parameter max_cycles: cannot parse value '4.5'"),
+], ids=["rest_range_order", "S_rest", "L_rest", "MAX_OPB", "float_value", "int_value"])
+def test_rejects_unusable_values_with_their_message(make, message):
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert str(info.value) == message

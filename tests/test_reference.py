@@ -1,16 +1,19 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexsim import (NullMonitor, ParseOptions, Parameters, ValidationError,
+from lexsim import (Network, NullMonitor, ParseOptions, Parameters, ValidationError,
                     build_network, materialize_dense, parse_lexicon, run, step,
                     synthetic_lexicon, update_activation)
 from lexsim.network import INHIBITED_POOLS, Pool, pool_gamma
 from lexsim.params import ALPHA_NAMES, THRESHOLD_NAMES
 from lexsim.reference import DenseEngine, excitatory_in, scalar_input_weights
 from lexsim.tasks import make_monitor
+
+from conftest import members
 
 
 def test_dense_materialization_counts(table1_network):
@@ -20,14 +23,22 @@ def test_dense_materialization_counts(table1_network):
         srcs = dense.inhib_in[node_id]
         return 0 if srcs is None else srcs.size
 
-    for o in table1_network.pool_ids[Pool.ORTHO]:
+    for o in members(table1_network, Pool.ORTHO):
         assert inhibitory_count(o) == 19  # every other orthographic node
-    for p in table1_network.pool_ids[Pool.PHONO]:
+    for p in members(table1_network, Pool.PHONO):
         assert inhibitory_count(p) == 19
-    for s in table1_network.pool_ids[Pool.SEM]:
+    for s in members(table1_network, Pool.SEM):
         assert inhibitory_count(s) == 9
-    for other in table1_network.pool_ids[Pool.LANG] + table1_network.pool_ids[Pool.INPUT]:
+    for other in members(table1_network, Pool.LANG) + members(table1_network, Pool.INPUT):
         assert inhibitory_count(other) == 0
+
+
+@pytest.mark.parametrize("weights", [scalar_input_weights, Network.input_weights],
+                         ids=["scalar", "array"])
+def test_weightings_reject_an_empty_stimulus(table1_network, weights):
+    with pytest.raises(ValueError) as info:
+        weights(table1_network, "")
+    assert str(info.value) == "stimulus must be non-empty"
 
 
 def test_size_guard_refuses_large_lexicons():
@@ -69,6 +80,34 @@ def test_dense_trace_bit_identical(homograph_network, gamma):
 def test_zero_gamma_matches_inhibition_free_run(table1_network):
     p_zero = Parameters().updated(OO_gamma=0.0, PP_gamma=0.0)
     _assert_engines_agree(table1_network, p_zero, [("AAP", "NAME", "NL", "NL")])
+
+
+@pytest.mark.parametrize("change", [{}, {"OL_alpha": 0.05, "PL_alpha": 0.05, "LO_alpha": 0.02,
+                                        "LP_alpha": 0.02, "MAX_REST": 0.05, "L_rest": 0.05}])
+def test_oracle_reads_only_params_and_node_metadata(homograph_lexicon, change):
+    # without the fast engine's layout tables and orthographic arrays the
+    # oracle builds the same links, pools, weights and frames
+    params = Parameters().updated(OO_gamma=-0.05, PP_gamma=-0.05, **change)
+    intact = build_network(homograph_lexicon, params)
+    bare = dataclasses.replace(intact, first_entry=None, entry_edges=None, to_language=None,
+                               from_language=None, pool_slices=None, ortho_ids=None,
+                               ortho_lengths=None, ortho_codes=None)
+    with pytest.raises(AttributeError):
+        bare.input_weights("ROOM")
+
+    def inhibitors(dense):
+        return [None if ids is None else ids.tolist() for ids in dense.inhib_in]
+
+    assert excitatory_in(bare) == excitatory_in(intact)
+    bare_dense, intact_dense = materialize_dense(bare), materialize_dense(intact)
+    assert bare_dense.exc_in == intact_dense.exc_in
+    assert inhibitors(bare_dense) == inhibitors(intact_dense)
+    for stimulus, task, source, target in (("ROOM", "WT", "NL", "EN"), ("AARDE", "LD", "NL", None),
+                                           ("AAP", "NAME", "NL", "NL")):
+        assert scalar_input_weights(bare, stimulus) == scalar_input_weights(intact, stimulus)
+        frames = [DenseEngine(net).run(stimulus, make_monitor(task, source, target, params),
+                                       params)[0].frames for net in (bare, intact)]
+        assert _bits(frames[0]) == _bits(frames[1])
 
 
 # -- equivalence beyond the fixtures ------------------------------------------
@@ -156,7 +195,7 @@ def test_engines_agree_with_language_links(homograph_lexicon):
     params = Parameters().updated(OL_alpha=0.05, PL_alpha=0.05, LO_alpha=0.02,
                                   LP_alpha=0.02, MAX_REST=0.05, L_rest=0.05)
     network = build_network(homograph_lexicon, params)
-    for l_id in network.pool_ids[Pool.LANG]:
+    for l_id in members(network, Pool.LANG):
         assert sum(c.from_id == l_id for c in network.connections()) == 2 * len(homograph_lexicon)
     _assert_engines_agree(network, params,
                           [("ROOM", "WT", "NL", "EN"), ("AARDBEI", "WT", "NL", "EN"),
@@ -178,7 +217,7 @@ def test_touched_updates_match_a_brute_force_count(homograph_lexicon, change):
     def counting(state, net, p):
         prev = state.activation.tolist()
         stepped = {pool for pool in INHIBITED_POOLS if pool_gamma(p, pool) != 0.0
-                   and any(prev[m] > 0.0 for m in net.pool_ids[pool])}
+                   and any(prev[m] > 0.0 for m in members(net, pool))}
         expected = sum(1 for n, node in enumerate(net.nodes)
                        if any(prev[src] > 0.0 for src, _w in exc_in[n])
                        or n in state.input_weights or node.pool in stepped

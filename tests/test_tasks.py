@@ -6,6 +6,8 @@ from lexsim import tasks
 from lexsim.network import Pool
 from lexsim.tasks import (NullMonitor, Shortlist, WordTranslationMonitor, make_monitor)
 
+from conftest import members
+
 
 # -- lexical decision ---------------------------------------------------------
 
@@ -78,6 +80,19 @@ def test_naming_homograph_selects_wrong_reading(homograph_network):
 def test_translation_requires_distinct_languages(params):
     with pytest.raises(ConfigError):
         WordTranslationMonitor("NL", "NL", params)
+
+
+@pytest.mark.parametrize("task, source, target, message", [
+    ("LD", None, "EN", "LD requires a source language"),
+    ("LD", "", None, "LD requires a source language"),
+    ("NAME", None, None, "NAME requires a language"),
+    ("NAME", "", "", "NAME requires a language"),
+    ("WT", "NL", None, "WT requires source and target languages"),
+])
+def test_make_monitor_requires_its_languages(params, task, source, target, message):
+    with pytest.raises(ConfigError) as info:
+        make_monitor(task, source, target, params)
+    assert str(info.value) == message
 
 
 def test_translation_homograph_correct_with_rejections(homograph_network):
@@ -156,7 +171,7 @@ def test_candidates_match_a_scan_of_the_pool(homograph_network, monkeypatch, thr
     def checked(state, network, pool, limit):
         got = candidates(state, network, pool, limit)
         act = state.activation
-        assert got == [n for n in network.pool_ids[pool] if act[n] >= limit]
+        assert got == [n for n in members(network, pool) if act[n] >= limit]
         calls.append((pool, limit, len(got)))
         return got
 
