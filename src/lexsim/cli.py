@@ -17,14 +17,15 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .dynamics import run as run_trial
 from .errors import ConfigError, InvariantError
-from .experiments import (TASKS, active_node_stats, benchmark, condition_report,
-                          outcome_rows, parse_stimuli, report_rows, run_batch, stats_rows)
+from .experiments import (TASKS, _engine_runner, active_node_stats, benchmark,
+                          condition_report, outcome_rows, parse_stimuli, report_rows,
+                          run_batch, stats_rows)
 from .fitting import SearchConfig, fit_inhibition
 from .lexicon import ParseOptions, load_lexicon
 from .network import build_network
 from .params import Parameters, load_parameters, parse_assignment
+from .reference import DENSE_ENTRY_GUARD
 from .tasks import make_monitor
 
 
@@ -149,7 +150,8 @@ def _cmd_simulate(args) -> int:
     if args.trace:
         record = records[args.trace_row]
         monitor = make_monitor(record.task, record.source_lang, record.target_lang, params)
-        trace, _outcome = run_trial(network, record.stimulus, monitor, params, trace="full")
+        runner = _engine_runner(network, args.engine)
+        trace, _outcome = runner(record.stimulus, monitor, params, trace="full")
         trace_rows = [["cycle", "node_id", "pool", "language", "symbol", "activation"]]
         for cycle, node_id, pool, language, symbol, act in trace.rows(top_k=args.trace_top_k):
             trace_rows.append([cycle, node_id, pool, language, symbol, repr(act)])
@@ -283,8 +285,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_stimuli(p, task_defaults=False)
     p.add_argument("--engine", choices=["final", "dense"], default="final")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--dense-max-entries", type=int, default=None,
-                   help="override the dense engine's entry guard")
+    p.add_argument("--dense-max-entries", type=int, default=DENSE_ENTRY_GUARD,
+                   help=f"the dense engine's entry guard (default {DENSE_ENTRY_GUARD})")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("dump-network", help="dump nodes and connections for debugging")

@@ -10,18 +10,21 @@ math.fsum returns it whatever their order. The dense engine gathers each
 node's products into one fsum per sum. This engine computes the same
 values over numpy arrays:
 
-- Excitation: every node starts from its stimulus-only net input, x + 0.0
+- Excitation: every node starts from its stimulus-only net input s, x + 0.0
   for a stimulus term x = iw*I_rest and 0.0 elsewhere, computed once per
   trial (for finite x, fsum((x,)) equals x + 0.0, and both map -0.0 to
-  +0.0). A target of one active source adds its product p = w*a to that
-  in one vector add. fsum of one or two finite terms with a finite sum is
-  one IEEE add: both return the sum rounded to nearest-even, and a zero
-  sum is +0.0 in both, because p is never -0.0 (w > 0, a > 0). If any such
-  sum is not finite, fsum sums every target again, so a finite sum that
-  overflows raises OverflowError as it does in the dense engine. A target
-  of two or more active sources gets fsum over its products and x. The
-  links follow the entry layout (Network.entry_edges, to_language and
-  from_language); the dense engine builds its own from node metadata.
+  +0.0). A target of one active source adds its product p = w*a to s in one
+  vector add. fsum of one or two finite terms with a finite sum is one IEEE
+  add: both return the sum rounded to nearest-even, and a zero sum is +0.0
+  in both, because p is never -0.0 (w > 0, a > 0). fsum decides each such
+  sum that is not finite, so a finite sum that overflows raises
+  OverflowError as it does in the dense engine. A target of two or more
+  active sources gets fsum over its products and s, s left out where it is
+  zero: s differs from x only where x is a zero or absent, and a zero term
+  changes neither the exact sum nor, next to a product that is not -0.0,
+  the sign of a zero sum. The links follow the entry layout
+  (Network.entry_edges, to_language and from_language); the dense engine
+  builds its own from node metadata.
 - Inhibition: the excitation loop buckets the active entry nodes by place,
   and a pool's active members are the buckets of its places, not in id
   order. That is safe: every sum over them is an fsum, whose value does
@@ -47,23 +50,27 @@ values over numpy arrays:
   ufuncs in update_activation's operation order. Each rounds exactly as
   the Python float operation does (numpy does not fuse multiply-add). The
   branch on net > 0.0 is prev - MIN_ACT, overwritten by MAX_ACT - prev
-  where net > 0.0 (a where= mask: few nodes take that branch), and the
-  clamps are np.minimum then np.maximum. min/max pick what the comparisons
-  of update_activation pick, NaN activations included (a tie is between
-  equal doubles, as no value is -0.0), except at a NaN bound, where the
-  comparison never fires and min/max would return NaN;
-  Parameters.validate rejects non-finite MIN_ACT and MAX_ACT.
-  Most nodes are quiet: their net input is 0.0, their stimulus term, or
-  one add of the shared inhibition to either, and no Python code runs for
-  them one by one.
+  where net > 0.0, and the clamps are np.minimum then np.maximum, which
+  pick what the comparisons of update_activation pick, NaN activations
+  included (a tie is between equal doubles, as no value is -0.0), except
+  at a NaN bound, which Parameters.validate rejects. Most nodes are quiet:
+  their net input is 0.0, their stimulus term, or one add of the shared
+  inhibition to either, and no Python code runs for them one by one.
+
+Rows: step_rows steps several trials over one network as the rows of one
+flat array and gives each row the bits a one-row step gives it. Each
+elementwise ufunc sees a node with its own row's operands. The Python runs
+per row: a row's links stay in the row, so each (row, target) gets one add
+or one fsum, and each (row, pool) one expansion over the row's active
+members; a pool's shared sum goes only to the rows in which it stepped.
+fsum decides every non-finite sum: an overflow in any row still raises.
 
 Bit-identity includes the sign of zero, because no activation is ever
 -0.0. Parameters stores every float as value + 0.0, which maps -0.0 to
 +0.0 and leaves every other value unchanged, so no rest level and neither
-clamp bound (MIN_ACT, MAX_ACT = -0.0 clamp to +0.0) is -0.0. The update
-a + net*d - decay*(a - rest) then cannot yield -0.0 from an a that is not:
-in round-to-nearest x + y is -0.0 only if x and y both are, and x - y only
-if x is.
+clamp bound is -0.0. The update a + net*d - decay*(a - rest) then cannot
+yield -0.0 from an a that is not: in round-to-nearest x + y is -0.0 only
+if x and y both are, and x - y only if x is.
 
 Untouched nodes are fixed points. A node that is no target, has no
 stimulus term, is in no pool that steps and sits at its rest level r has
@@ -218,158 +225,199 @@ def _expansion(terms: list[float]) -> list[float]:
 
 
 def step(state: SimulationState, network: Network, params: Parameters) -> SimulationState:
-    """Advance one cycle: net inputs, lateral inhibition, activation update.
+    """Advance one cycle: step_rows on one row."""
+    step_rows([state], network, params)
+    return state
 
-    Every node is updated. A node is touched -- counted in touched_updates
-    -- when it is the target of an active node's connection, a
-    stimulus-weighted orthographic node, a member of a pool with an active
-    inhibition step, or away from its rest level. Every other node is a
-    fixed point of the update rule (module docstring).
-    """
-    prev = state.activation
+
+def step_rows(states: list[SimulationState], network: Network, params: Parameters) -> None:
+    """Advance each state one cycle as row b of one flat array (node n at
+    b*N + n); its activation becomes a 1-D view of its new row. A node is
+    touched -- counted in its row's touched_updates -- when it is an active
+    node's target, stimulus-weighted, a member of a pool that steps, or
+    away from its rest level (module docstring)."""
+    n = len(network)
+    prev = states[0].activation if len(states) == 1 else np.concatenate(
+        [state.activation for state in states])
     fsum = math.fsum
-    srcs = (prev > 0.0).nonzero()[0].tolist()
-    state.counters["active_node_updates"] += len(srcs)
-    acts = prev[srcs].tolist()
+    ids = (prev > 0.0).nonzero()[0]
+    srcs, acts = ids.tolist(), prev[ids].tolist()
     active_act = dict(zip(srcs, acts))
 
     # phase 1: excitation. Every node starts from its stimulus-only net
     # input. A target of one active source adds that product to it in one
     # vector add; a target of several takes fsum over its products and its
     # stimulus term. An entry node's targets sit at its place's offsets;
-    # the loop also buckets the active entry nodes by place.
-    net = state.stimulus_input(params.I_rest).copy()
+    # the loop also buckets each row's active entry nodes by place.
+    net = np.concatenate([state.stimulus_input(params.I_rest) for state in states])
     first: dict[int, float] = {}
     several: dict[int, list[float]] = {}
     start, entry_edges = network.first_entry, network.entry_edges
-    by_place: tuple[list[int], ...] = ([], [], [], [], [])
-    heads = bisect.bisect_left(srcs, start)  # the input and language nodes
-    for src, a in zip(srcs[heads:], acts[heads:]):
-        place = (src - start) % 5
-        by_place[place].append(src)
-        for offset, w in entry_edges[place]:
-            dst = src + offset
-            if dst in first:
-                several.setdefault(dst, [first[dst]]).append(w * a)
-            else:
-                first[dst] = w * a
-    if network.to_language or network.from_language:
-        # language links: a place's nodes and their language's node, both ways
-        extra = [(l_id, w * active_act[m])
-                 for place, l_id, w in network.to_language for m in by_place[place]]
-        extra += [(dst, w * active_act[l_id]) for l_id, place, w in network.from_language
-                  if l_id in active_act for dst in range(start + place, len(net), 5)]
-        for dst, p in extra:
-            if dst in first:
-                several.setdefault(dst, [first[dst]]).append(p)
-            else:
-                first[dst] = p
+    row_places, end = [], 0
+    for state, base in zip(states, range(0, len(prev), n)):
+        begin, end = end, bisect.bisect_left(srcs, base + n, end)
+        state.counters["active_node_updates"] += end - begin
+        by_place: tuple[list[int], ...] = ([], [], [], [], [])
+        row_places.append(by_place)
+        row_start = base + start  # a row's links stay in the row
+        heads = bisect.bisect_left(srcs, row_start, begin, end)  # input and language nodes
+        for src, a in zip(srcs[heads:end], acts[heads:end]):
+            place = (src - row_start) % 5
+            by_place[place].append(src)
+            for offset, w in entry_edges[place]:
+                dst = src + offset
+                if dst in first:
+                    several.setdefault(dst, [first[dst]]).append(w * a)
+                else:
+                    first[dst] = w * a
+        if network.to_language or network.from_language:
+            # language links: a place's nodes and their language's node, both ways
+            extra = [(base + l_id, w * active_act[m])
+                     for place, l_id, w in network.to_language for m in by_place[place]]
+            extra += [(dst, w * active_act[base + l_id])
+                      for l_id, place, w in network.from_language if base + l_id in active_act
+                      for dst in range(row_start + place, base + n, 5)]
+            for dst, p in extra:
+                if dst in first:
+                    several.setdefault(dst, [first[dst]]).append(p)
+                else:
+                    first[dst] = p
     targets = np.fromiter(first, np.intp, len(first))
     if first:
         sums = net[targets]
         sums += np.fromiter(first.values(), np.float64, len(first))
-        if np.isfinite(sums).all():
-            net[targets] = sums
-        else:
-            # some sum is not finite: fsum decides them all, and raises
-            # where a finite sum overflows
-            several = {dst: several.get(dst, [p]) for dst, p in first.items()}
-    if several:
-        weights, i_rest = state.input_weights, params.I_rest
-        sums = []
-        for dst, prods in several.items():
-            iw = weights.get(dst)
-            sums.append(fsum(prods if iw is None else prods + [iw * i_rest]))
-        net[list(several)] = sums
+        finite = np.isfinite(sums)
+        if not finite.all():
+            # fsum decides each sum that is not finite, and raises where a
+            # finite sum overflows
+            for dst in targets[~finite].tolist():
+                several.setdefault(dst, [first[dst]])
+        # a target of several sources: fsum over its products and its
+        # stimulus-only net input s, a term only where s is not zero
+        dsts = np.fromiter(several, np.intp, len(several))
+        fsums = [fsum(prods + [s] if s else prods)
+                 for prods, s in zip(several.values(), net[dsts].tolist())]
+        net[targets] = sums
+        net[dsts] = fsums
 
-    # phase 2: one inhibition step per pool with a nonzero gamma and an
-    # active member. Every member gets the sum over the active members,
-    # each active member the sum over the others, from one expansion.
-    stepped, shared, members, exclusion = [], [], [], []
+    # phase 2: one inhibition step per row and pool with a nonzero gamma
+    # and an active member in the row. Every member of the row's pool gets
+    # the sum over its active members, each active member the sum over the
+    # others, from one expansion; the other rows' members get nothing.
+    row_pools: list[list[Pool]] = [[] for _ in states]
+    shared, members, exclusion = [], [], []
     for pool, parts in network.pool_slices.items():
         gamma = pool_gamma(params, pool)
         if gamma == 0.0:
             continue
-        # a pool's slices start at first_entry + each place it takes
-        ids = [m for part in parts for m in by_place[part.start - start]]
-        if not ids:
-            continue
-        terms = [gamma * active_act[m] for m in ids]
-        expansion = _expansion(terms)
-        stepped.append(pool)
-        shared.append(fsum(expansion))
-        members += ids
-        exclusion += [fsum(expansion + [-t]) for t in terms]
+        rows, sums = [], []
+        for row, by_place in enumerate(row_places):
+            # a pool's slices start at first_entry + each place it takes
+            pool_ids = [m for part in parts for m in by_place[part.start - start]]
+            if not pool_ids:
+                continue
+            terms = [gamma * active_act[m] for m in pool_ids]
+            expansion = _expansion(terms)
+            row_pools[row].append(pool)
+            rows.append(row)
+            sums.append(fsum(expansion))
+            members += pool_ids
+            others = expansion + [0.0]  # fsum(expansion + [-t]) for each term t
+            for t in terms:
+                others[-1] = -t
+                exclusion.append(fsum(others))
+        if len(rows) == 1:  # its row's basic slices
+            shared.append((parts, rows[0], sums[0]))
+        elif rows:  # the rows' 2-D slices, basic if every row stepped
+            shared.append((parts, slice(None) if len(rows) == len(states) else rows,
+                           np.array(sums)[:, None]))
+    by_row = net.reshape(len(states), n)
     if members:
+        members = np.fromiter(members, np.intp, len(members))
         own = net[members]
-        for pool, inhibition in zip(stepped, shared):
-            for part in network.pool_slices[pool]:
-                in_part = net[part]
-                in_part += inhibition
+        for parts, rows, inhibition in shared:
+            for part in parts:
+                by_row[rows, part] += inhibition
         own += exclusion
         net[members] = own
 
     # phase 3: update_activation elementwise, in its operation order, over
     # every node; an untouched node maps to itself (module docstring)
     max_act, min_act = params.MAX_ACT, params.MIN_ACT
+    rest = network.rest if len(states) == 1 else np.tile(network.rest, len(states))
     new = prev - min_act
     np.subtract(max_act, prev, out=new, where=net > 0.0)
     new *= net
     new += prev
-    decay = np.subtract(prev, network.rest)
+    decay = np.subtract(prev, rest)
     decay *= params.DECAY_RATE
     new -= decay
     np.minimum(new, max_act, out=new)
     np.maximum(new, min_act, out=new)
-    touched = np.not_equal(prev, network.rest)
-    touched |= state.touched_by(tuple(stepped))
+    touched = np.not_equal(prev, rest)
     touched[targets] = True
-    state.counters["touched_updates"] += int(np.count_nonzero(touched))
+    for state, pools, base in zip(states, row_pools, range(0, len(new), n)):
+        touched_row = touched[base:base + n]
+        touched_row |= state.touched_by(tuple(pools))
+        state.counters["touched_updates"] += int(np.count_nonzero(touched_row))
+        state.activation = new[base:base + n]
+        state.cycle += 1
 
-    state.activation = new
-    state.cycle += 1
-    return state
+
+_CHUNK_ELEMENTS = 2**20  # run_rows: nodes in a chunk of rows
 
 
 def run(network: Network, stimulus: str, monitor, params: Parameters | None = None,
         trace: str | None = "full", step_fn=None,
         input_weights: dict[int, float] | None = None):
-    """Simulate one trial: set the stimulus, cycle until the task monitor
-    decides or the cycle limit is reached. Returns (trace, outcome); the
-    trace records each cycle after its step, and is None when ``trace`` is.
-
-    After each step ``monitor.observe(state, network)`` returns the outcome
-    or None to go on; ``monitor.timeout(state, network)`` gives it once
-    max_cycles pass. run raises ConfigError before the first step if the
-    network lacks one of ``monitor.languages``, or if ``params`` sets a
-    field the network fixed (check_trial_params).
-
-    ``step_fn(state, network, params)`` advances one cycle; None means this
-    module's ``step``, looked up at call time so a wrapper installed on
-    ``dynamics.step`` sees every cycle. ``input_weights`` are the
-    stimulus's ``network.input_weights``, when the caller already has them.
-    """
-    for language in monitor.languages:
-        if language not in network.languages:
-            raise ConfigError(f"unknown language tag {language!r}; "
-                              f"network has {network.languages}")
-    params = check_trial_params(network, params)
+    """Simulate one trial: run_rows on one row, advanced by ``step_fn(state, network,
+    params)`` (None: this module's ``step``, looked up at call time so a wrapper on
+    ``dynamics.step`` sees every cycle). Returns (trace, outcome)."""
     step_fn = step_fn or step
-    state = SimulationState(network, trace=trace)  # at rest: set_stimulus would reset again
-    state.input_weights = (network.input_weights(stimulus) if input_weights is None
-                           else input_weights)
-    outcome = None
-    while state.cycle < params.max_cycles:
-        step_fn(state, network, params)
-        if state.trace is not None:
-            state.trace.record(state)
-        outcome = monitor.observe(state, network)
-        if outcome is not None:
-            break
-    if outcome is None:
-        outcome = monitor.timeout(state, network)
-    check_invariants(state, params)
-    return state.trace, outcome
+    return run_rows(network, [(stimulus, monitor, input_weights)], params, trace,
+                    lambda states, network, params: step_fn(states[0], network, params))[0]
+
+
+def run_rows(network: Network, trials, params: Parameters | None = None,
+             trace: str | None = None, step_fn=None) -> list:
+    """Simulate independent trials, (stimulus, monitor, input weights or
+    None) triples, as rows that ``step_fn(states, network, params)`` (None:
+    step_rows) advances together, in chunks of at most _CHUNK_ELEMENTS
+    nodes and at least one row. Returns each trial's (trace, outcome), in
+    order; a trace records each cycle after its step, None when ``trace`` is.
+    After each step ``monitor.observe(state, network)`` gives a row's
+    outcome or None; ``monitor.timeout`` gives it once max_cycles pass. A
+    row with its outcome drops out, after check_invariants. ConfigError
+    comes before the first step for a monitor language the network lacks,
+    or a field of ``params`` the network fixed (check_trial_params)."""
+    for _stimulus, monitor, _weights in trials:
+        for language in monitor.languages:
+            if language not in network.languages:
+                raise ConfigError(f"unknown language tag {language!r}; "
+                                  f"network has {network.languages}")
+    params = check_trial_params(network, params)
+    step_fn = step_fn or step_rows
+    results: list = [None] * len(trials)
+    chunk = max(1, _CHUNK_ELEMENTS // len(network))
+    for first in range(0, len(trials), chunk):
+        live = []
+        for i, (stimulus, monitor, weights) in enumerate(trials[first:first + chunk], first):
+            state = SimulationState(network, trace=trace)  # at rest: no reset needed
+            state.input_weights = network.input_weights(stimulus) if weights is None else weights
+            live.append((i, state, monitor))
+        while live:
+            step_fn([state for _i, state, _monitor in live], network, params)
+            for i, state, monitor in live:
+                if state.trace is not None:
+                    state.trace.record(state)
+                outcome = monitor.observe(state, network)
+                if outcome is None and state.cycle >= params.max_cycles:
+                    outcome = monitor.timeout(state, network)
+                if outcome is not None:
+                    check_invariants(state, params)
+                    results[i] = (state.trace, outcome)
+            live = [row for row in live if results[row[0]] is None]
+    return results
 
 
 def check_trial_params(network: Network, params: Parameters | None) -> Parameters:

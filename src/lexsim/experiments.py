@@ -93,14 +93,14 @@ class BatchRow:
     error: str | None = None
 
 
-def _engine_runner(network: Network, engine: str, dense_max_entries: int | None = None):
+def _engine_runner(network: Network, engine: str,
+                   dense_max_entries: int | None = DENSE_ENTRY_GUARD):
     """``runner(stimulus, monitor, params, trace)`` over ``network``: dynamics.run for "final",
-    DenseEngine.run for "dense", guarded at ``dense_max_entries`` (None: DENSE_ENTRY_GUARD)."""
+    DenseEngine.run for "dense", guarded at ``dense_max_entries`` (None: no guard)."""
     if engine == "final":
         return functools.partial(run_trial, network)
     if engine == "dense":
-        guard = DENSE_ENTRY_GUARD if dense_max_entries is None else dense_max_entries
-        return DenseEngine(network, guard).run
+        return DenseEngine(network, dense_max_entries).run
     raise ConfigError(f"unknown engine {engine!r}; expected final or dense")
 
 
@@ -333,7 +333,7 @@ class _WorkCounters(NullMonitor):
 
 def benchmark(lexicon: Lexicon, stimuli: Sequence[str], engine: str = "final",
               params: Parameters | None = None, repeats: int = 3,
-              dense_max_entries: int | None = None) -> BenchmarkResult:
+              dense_max_entries: int | None = DENSE_ENTRY_GUARD) -> BenchmarkResult:
     """Wall-clock timings for a stimulus batch, model build reported apart.
 
     Each stimulus runs to max_cycles (no task early-stopping); the

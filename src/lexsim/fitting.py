@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .dynamics import run
+from .dynamics import run, run_rows  # noqa: F401 -- run: bench/layers.py wraps fitting.run
 from .errors import ConfigError
 from .lexicon import Lexicon
 from .network import build_network
@@ -145,12 +145,11 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
     def objective(gamma: float) -> float:
         pp = gamma if config.tie_gammas else config.fixed_pp_gamma
         trial_params = params.updated(OO_gamma=gamma, PP_gamma=pp)
+        trials = [(record.stimulus, make_monitor(record.task, record.source_lang,
+                                                 record.target_lang, trial_params),
+                   weights[record.stimulus]) for record in rated]
         cycles, rts = [], []
-        for record in rated:
-            monitor = make_monitor(record.task, record.source_lang,
-                                   record.target_lang, trial_params)
-            _trace, outcome = run(network, record.stimulus, monitor, trial_params,
-                                  trace=None, input_weights=weights[record.stimulus])
+        for record, (_trace, outcome) in zip(rated, run_rows(network, trials, trial_params)):
             if outcome.responded:
                 cycles.append(float(outcome.cycles))
                 rts.append(record.rt_ms)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lexsim import step, table1_path
+from lexsim import Network, step, table1_path
 from lexsim.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -282,6 +282,29 @@ def test_trace_export(stim_wt, tmp_path):
     assert lines[1] == "cycle,node_id,pool,language,symbol,activation"
     node_ids = {line.split(",")[1] for line in lines[2:]}
     assert len(node_ids) == 6
+
+
+def test_dense_trace_runs_the_oracle(tmp_path, monkeypatch):
+    # --engine dense traces its row through the oracle end to end, which
+    # weights with the scalar loop, and writes the final engine's trace rows
+    stimuli = tmp_path / "s.csv"
+    stimuli.write_text("stimulus,source_lang,target_lang,task\nAAP,NL,,LD\nAARDBEI,NL,EN,WT\n")
+    lexicon = str(Path(__file__).parent.parent / "fixtures" / "table1.csv")
+    traces = {engine: tmp_path / f"{engine}.csv" for engine in ("final", "dense")}
+    assert main(["simulate", "--lexicon", lexicon, "--stimuli", str(stimuli),
+                 "--out", str(tmp_path / "o.csv"), "--trace", str(traces["final"]),
+                 "--trace-row", "1"]) == 0
+
+    def weighting_forbidden(*args):
+        raise AssertionError("the dense engine called Network.input_weights")
+
+    monkeypatch.setattr(Network, "input_weights", weighting_forbidden)
+    assert main(["simulate", "--lexicon", lexicon, "--stimuli", str(stimuli), "--engine", "dense",
+                 "--out", str(tmp_path / "d.csv"), "--trace", str(traces["dense"]),
+                 "--trace-row", "1"]) == 0
+    # the first line is the manifest hash, which names the engine
+    final, dense = (traces[engine].read_bytes().split(b"\n", 1) for engine in traces)
+    assert dense[1] == final[1] and final[1].count(b"\n") > 100
 
 
 @pytest.mark.parametrize("row, cause", [

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from lexsim import (ConfigError, DenseEngine, InvariantError, Lexicon, Network, NullMonitor,
                     Parameters, StimulusRecord, build_network, lexical_decision, parse_lexicon,
                     run, run_batch, set_stimulus, step, update_activation, word_translation)
-from lexsim.dynamics import SimulationState, Trace, _expansion
-from lexsim.network import Pool
-from lexsim.tasks import LexicalDecisionMonitor
+from lexsim import dynamics
+from lexsim.dynamics import SimulationState, Trace, _expansion, run_rows, step_rows
+from lexsim.network import Pool, pool_gamma
+from lexsim.tasks import LexicalDecisionMonitor, make_monitor
 
-from conftest import members
+from conftest import members, random_case
 
 SINGLE = "AARDE,100.07,ard@,100.07,EARTH,24.87,3T,24.87"
 
@@ -452,3 +453,117 @@ def test_invariant_error_is_not_a_batch_row_error(table1_network, params, monkey
     monkeypatch.setattr("lexsim.dynamics.step", corrupting_step(CORRUPTIONS["nan"][0]))
     with pytest.raises(InvariantError):
         run_batch(table1_network, [StimulusRecord("AARDE", "NL", task="LD")], params)
+
+
+# -- trials stepped together as rows -----------------------------------------
+
+class _Observed:
+    """A task monitor that keeps the state it last observed."""
+
+    def __init__(self, monitor):
+        self.monitor = monitor
+        self.languages = monitor.languages
+
+    def observe(self, state, network):
+        self.state = state
+        return self.monitor.observe(state, network)
+
+    def timeout(self, state, network):
+        return self.monitor.timeout(state, network)
+
+
+def _frame_bits(frames):
+    return [[a.hex() for a in frame] for frame in frames]
+
+
+def _assert_rows_match_runs(network, params, trials, monkeypatch, rows_per_chunk=3):
+    """Stepped together as rows, in chunks of ``rows_per_chunk``, ``trials``
+    ((stimulus, task, source, target)) give what one run each gives: every
+    cycle's activations bit for bit, the outcome with its rejections, and
+    both work counters. Returns what the batch covered."""
+    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", rows_per_chunk * len(network))
+    covered = {"chunks": 0, "partial_pool_step": False}
+
+    def recording_step(states, net, p):
+        # a chunk starts with every row at cycle 0
+        covered["chunks"] += all(state.cycle == 0 for state in states)
+        for pool in (pool for pool in Pool if pool_gamma(p, pool) != 0.0):
+            steps = [bool(state.active_by_pool[pool]) for state in states]
+            covered["partial_pool_step"] |= any(steps) and not all(steps)
+        step_rows(states, net, p)
+
+    monitors = [_Observed(make_monitor(task, source, target, params))
+                for _stimulus, task, source, target in trials]
+    rows = [(trial[0], monitor, None) for trial, monitor in zip(trials, monitors)]
+    batch = run_rows(network, rows, params, trace="full", step_fn=recording_step)
+    for trial, monitor, (trace, outcome) in zip(trials, monitors, batch):
+        alone = _Observed(make_monitor(*trial[1:], params))
+        alone_trace, alone_outcome = run(network, trial[0], alone, params, trace="full")
+        assert _frame_bits(trace.frames) == _frame_bits(alone_trace.frames), trial
+        assert outcome == alone_outcome, trial
+        assert monitor.state.counters == alone.state.counters, trial
+    covered["cycles"] = {outcome.cycles for _trace, outcome in batch}
+    covered["timeouts"] = sum(outcome.cycles == params.max_cycles and not outcome.responded
+                              for _trace, outcome in batch)
+    covered["rejections"] = sum(outcome.n_rejected for _trace, outcome in batch)
+    return covered
+
+
+ROW_NETWORKS = {
+    "defaults": {},
+    "language links": {"OL_alpha": 0.05, "PL_alpha": 0.05, "LO_alpha": 0.02, "LP_alpha": 0.02,
+                       "MAX_REST": 0.05, "L_rest": 0.05},
+}
+ROW_TRIAL_PARAMETERS = {
+    "defaults": {},
+    "gamma 0": {"OO_gamma": 0.0, "PP_gamma": 0.0},
+    "gamma -1, no decay": {"OO_gamma": -1.0, "PP_gamma": -1.0, "DECAY_RATE": 0.0},
+    "semantic inhibition": {"SS_multiplier": 1.0},
+}
+ROW_SETTINGS = ([("defaults", trial) for trial in ROW_TRIAL_PARAMETERS]
+                + [("language links", "defaults")])
+
+
+@pytest.mark.parametrize("fixture", ["table1", "homograph_lexicon"])
+@pytest.mark.parametrize("built, trial", ROW_SETTINGS, ids=[f"{b}/{t}" for b, t in ROW_SETTINGS])
+def test_rows_match_one_run_per_trial(request, monkeypatch, fixture, built, trial):
+    lexicon = request.getfixturevalue(fixture)
+    network = build_network(lexicon, Parameters().updated(**ROW_NETWORKS[built]))
+    params = network.params.updated(**ROW_TRIAL_PARAMETERS[trial])
+    entries = lexicon.entries
+    trials = [(entries[0].ortho_a, "WT", "NL", "EN"), (entries[1].ortho_b, "WT", "EN", "NL"),
+              (entries[2].ortho_a, "LD", "NL", None), (entries[3].ortho_b, "NAME", "EN", "EN"),
+              ("XQXQXQ", "LD", "NL", None), (entries[-1].ortho_a, "NAME", "NL", "NL"),
+              (entries[-2].ortho_a, "WT", "NL", "EN")]
+    covered = _assert_rows_match_runs(network, params, trials, monkeypatch)
+    assert covered["chunks"] == 3
+    assert len(covered["cycles"]) > 1  # rows finish at different cycles
+    assert covered["timeouts"] >= 1  # the nonword LD times out
+    assert covered["rejections"] >= 1
+
+
+def test_rows_cover_a_pool_step_in_some_rows_only(homograph_network, params, monkeypatch):
+    # the first cycles: a stimulus that weights many readings and one that
+    # weights few activate their pools at different cycles
+    trials = [("ROOM", "WT", "NL", "EN"), ("XQXQXQ", "LD", "NL", None),
+              ("AARDBEI", "WT", "NL", "EN")]
+    covered = _assert_rows_match_runs(homograph_network, params.updated(OO_gamma=-0.01),
+                                      trials, monkeypatch)
+    assert covered["partial_pool_step"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_rows_match_one_run_per_trial_on_searched_lexicons(rng):
+    lexicon, params, trials = random_case(rng)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_rows_match_runs(build_network(lexicon, params), params, trials * 2, monkeypatch)
+
+
+def test_rows_chunk_bound_keeps_one_row_when_a_row_exceeds_it(homograph_network, params,
+                                                              monkeypatch):
+    covered = _assert_rows_match_runs(homograph_network, params,
+                                      [("ROOM", "WT", "NL", "EN"), ("AARDE", "LD", "NL", None)],
+                                      monkeypatch, rows_per_chunk=0)
+    assert covered["chunks"] == 2
+

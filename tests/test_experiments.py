@@ -1,9 +1,11 @@
 import pytest
 
-from lexsim import (ConfigError, Network, ParseError, Parameters, active_node_stats, benchmark,
-                    build_network, condition_report, parse_stimuli, run_batch,
-                    synthetic_lexicon)
-from lexsim.experiments import BatchRow, StimulusRecord, outcome_rows, report_rows, stats_rows
+from lexsim import (ConfigError, DenseEngine, Network, ParseError, Parameters, ValidationError,
+                    active_node_stats, benchmark, build_network, condition_report,
+                    parse_stimuli, run_batch, synthetic_lexicon)
+from lexsim.experiments import (BatchRow, StimulusRecord, _engine_runner, outcome_rows,
+                                report_rows, stats_rows)
+from lexsim.reference import DENSE_ENTRY_GUARD
 from lexsim.tasks import TaskOutcome
 
 STIM_CSV = """stimulus,source_lang,target_lang,task,condition,rt_ms
@@ -303,6 +305,21 @@ def test_benchmark_work_counter_less_with_inhibition(table1):
     noisy = benchmark(table1, ["AARDE", "AAP"], params=Parameters().updated(
         OO_gamma=0.0, PP_gamma=0.0), repeats=1)
     assert quiet.work_active_updates < noisy.work_active_updates
+
+
+def test_dense_guard_none_means_no_guard():
+    # the entry guard defaults to DENSE_ENTRY_GUARD wherever the dense engine
+    # is built, and None lifts it everywhere
+    lexicon = synthetic_lexicon(DENSE_ENTRY_GUARD + 1)
+    network = build_network(lexicon, Parameters())
+    for build in (lambda **guard: _engine_runner(network, "dense", **guard),
+                  lambda **guard: benchmark(lexicon, [], engine="dense", repeats=1, **guard),
+                  lambda **guard: DenseEngine(network, **guard)):
+        with pytest.raises(ValidationError, match="refused"):
+            build()
+    assert _engine_runner(network, "dense", None) is not None
+    assert benchmark(lexicon, [], engine="dense", repeats=1, dense_max_entries=None).n_stimuli == 0
+    assert DenseEngine(network, None) is not None
 
 
 def test_benchmark_rejects_bad_repeats(table1, params):
