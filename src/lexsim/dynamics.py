@@ -13,31 +13,37 @@ values over numpy arrays:
 - Excitation: every node starts from its stimulus-only net input s, x + 0.0
   for a stimulus term x = iw*I_rest and 0.0 elsewhere, computed once per
   trial (for finite x, fsum((x,)) equals x + 0.0, and both map -0.0 to
-  +0.0). A target of one active source adds its product p = w*a to s in one
-  vector add. fsum of one or two finite terms with a finite sum is one IEEE
+  +0.0). The active entry nodes' products p = w*a are gathered from the
+  entry layout (Network.entry_edges as one table indexed by place, plus
+  to_language and from_language), and one stable sort groups them by
+  target. A lone product takes one add, s + p; two products where s is
+  zero take one add, p1 + p2, formed as (s + p1) + p2, where s + p1 is p1
+  exactly. fsum of one or two finite terms with a finite sum is one IEEE
   add: both return the sum rounded to nearest-even, and a zero sum is +0.0
-  in both, because p is never -0.0 (w > 0, a > 0). fsum decides each such
-  sum that is not finite, so a finite sum that overflows raises
-  OverflowError as it does in the dense engine. A target of two or more
-  active sources gets fsum over its products and s, s left out where it is
-  zero: s differs from x only where x is a zero or absent, and a zero term
-  changes neither the exact sum nor, next to a product that is not -0.0,
-  the sign of a zero sum. The links follow the entry layout
-  (Network.entry_edges, to_language and from_language); the dense engine
-  builds its own from node metadata.
-- Inhibition: the excitation loop buckets the active entry nodes by place,
-  and a pool's active members are the buckets of its places, not in id
-  order. That is safe: every sum over them is an fsum, whose value does
-  not depend on the order of its terms, and each member keeps its own
-  term. The members of a pool that are not active all get the same
-  fsum over the active members' terms gamma*a, added through the pool's
-  basic slices (Network.pool_slices). build_network lays out every entry
-  as [O_a, P_a, O_b, P_b, S], so a pool is one stride-5 slice per place
-  it takes there, and the slices cover each member exactly once. An
-  active member gets fsum(expansion + [-gamma*a_m]) on its excitatory net,
-  read before the shared adds. The expansion is built by repeated fsum:
-  r_0 = fsum(terms), then r_k = fsum(terms + [-r_0, ..., -r_{k-1}]) until
-  r_k == 0.0. Each r_k is the correctly rounded residual, and every
+  in both, because p is never -0.0 (w > 0, a > 0). Every other target --
+  two products and a stimulus term, or three or more products -- gets
+  fsum over its products and s, s left out where it is zero: s differs
+  from x only where x is a zero or absent, and a zero term changes neither
+  the exact sum nor, next to a product that is not -0.0, the sign of a
+  zero sum. fsum decides every sum that is not finite, so a finite sum
+  that overflows raises OverflowError as it does in the dense engine (the
+  array adds run with numpy's overflow warnings off for that reason). The
+  dense engine builds its links on its own, from node metadata.
+- Inhibition: one stable sort groups the active members' terms gamma*a
+  by pool. Every sum over them is correctly rounded, so their order does
+  not matter. The members of a pool that are not active all get the
+  pool's shared sum fsum(terms); an active member gets the sum over the
+  other members' terms on its excitatory net, read before the shared
+  add. A pool with one active member has shared sum t and exclusion +0.0
+  (fsum([t]) and fsum([t, -t])); one with two has shared sum t1 + t2, one
+  IEEE add as above, and each member's exclusion is the other term, a
+  one-term sum. A term that underflows is -0.0 where fsum would give
+  +0.0; the sign does not matter, as the sum is added to a net input that
+  is not -0.0. Three or more members, or a shared sum that is not finite,
+  take the expansion: r_0 = fsum(terms), then
+  r_k = fsum(terms + [-r_0, ..., -r_{k-1}]) until r_k == 0.0; the shared
+  sum is fsum(expansion) and an exclusion fsum(expansion + [-t]). Each
+  r_k is the correctly rounded residual, and every
   residual is an exact multiple of 2**-1074 (the terms and the r_k all
   are), so r_k == 0.0 only when the residual is exactly 0: the expansion
   then sums exactly to the terms, and fsum(expansion + [-t]) is the
@@ -45,7 +51,13 @@ values over numpy arrays:
   engine computes. It stops: each residual is at most half an ulp of the
   r_k before it, so |r_{k+1}| <= 2**-53 * |r_k| and |r_k| < 2**(1024 -
   53*k). r_40 would lie under 2**-1096, below the smallest subnormal, so
-  the expansion has at most 40 entries.
+  the expansion has at most 40 entries. build_network lays out every
+  entry as [O_a, P_a, O_b, P_b, S], so a node's pool is the pool of its
+  place, and each node is in exactly one pool (the input and language
+  nodes in none). The shared sums therefore form one table, +0.0 where a
+  pool did not step, and each entry node gets its pool's entry in one
+  add: no net input is -0.0 (s is not, products are not, and neither are
+  their sums), so adding +0.0 leaves it as it is.
 - The add and the update rule run over every node as elementwise float64
   ufuncs in update_activation's operation order. Each rounds exactly as
   the Python float operation does (numpy does not fuse multiply-add). The
@@ -58,12 +70,16 @@ values over numpy arrays:
   inhibition to either, and no Python code runs for them one by one.
 
 Rows: step_rows steps several trials over one network as the rows of one
-flat array and gives each row the bits a one-row step gives it. Each
-elementwise ufunc sees a node with its own row's operands. The Python runs
-per row: a row's links stay in the row, so each (row, target) gets one add
-or one fsum, and each (row, pool) one expansion over the row's active
-members; a pool's shared sum goes only to the rows in which it stepped.
-fsum decides every non-finite sum: an overflow in any row still raises.
+flat array (node n of row b at b*N + n) and gives each row the bits a
+one-row step gives it. Each elementwise ufunc sees a node with its own
+row's operands. A row's links stay in the row, so grouping products by
+target groups them by (row, target), and the inhibition groups by (row,
+pool); the shared-sum table has one row per row. Each row takes its
+inhibition weights from its own parameters (Rows.gammas, network.pool_gamma
+per row): a member's term is its row's gamma times its activation, and a
+pool whose weight is 0.0 in a row does not step there. Every other field
+is shared, so rows stepped together may differ only in ROW_NAMES. fsum
+decides every non-finite sum: an overflow in any row still raises.
 
 Bit-identity includes the sign of zero, because no activation is ever
 -0.0. Parameters stores every float as value + 0.0, which maps -0.0 to
@@ -79,19 +95,22 @@ keeps finite, so d = r - MIN_ACT is finite and >= +0.0, net*d = +0.0,
 r + 0.0 = r, decay*(r - r) = +0.0, r - 0.0 = r and the clamps keep r:
 the update maps the node to its own bits. The step computes such nodes
 all the same, as the dense engine does, so only the touched_updates
-counter depends on this; it counts the other nodes.
+counter depends on this; it counts the other nodes. Every member of a
+pool that steps is touched, so the counter compares activations with
+rest levels only at the places whose pool did not step in a row, and at
+the input and language nodes.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvariantError
 from .network import INHIBITED_POOLS, Network, Pool, pool_gamma
-from .params import TRIAL_NAMES, Parameters
+from .params import GAMMA_NAMES, TRIAL_NAMES, Parameters
 
 
 class Trace:
@@ -151,8 +170,7 @@ class SimulationState:
         network = self.network
         self.activation: np.ndarray = network.rest.copy()
         self.input_weights: dict[int, float] = {}
-        self._stimulus_input = None
-        self._touched_by: dict[tuple[Pool, ...], np.ndarray] = {}
+        self._inputs = None
         self.cycle = 0
         self.counters = {"active_node_updates": 0, "touched_updates": 0}
         if self.trace is not None:
@@ -166,31 +184,28 @@ class SimulationState:
         return {pool: [n for n in ids if nodes[n].pool is pool]
                 for pool in INHIBITED_POOLS}
 
-    def stimulus_input(self, i_rest: float) -> np.ndarray:
-        """Net input of the stimulus term alone: iw * I_rest + 0.0 at every
-        stimulus-weighted orthographic node, 0.0 elsewhere. Kept for the
-        trial; rebuilt only if I_rest changes."""
-        if self._stimulus_input is None or self._stimulus_input[0] != i_rest:
-            net = np.zeros(len(self.network))
-            ids = list(self.input_weights)
-            weights = np.fromiter(self.input_weights.values(), np.float64, len(ids))
-            net[ids] = weights * i_rest + 0.0
-            self._stimulus_input = (i_rest, net)
-        return self._stimulus_input[1]
+    def inputs(self, i_rest: float) -> tuple[np.ndarray, np.ndarray]:
+        """_stimulus of this state alone, kept for the trial; rebuilt only
+        if I_rest changes."""
+        if self._inputs is None or self._inputs[0] != i_rest:
+            self._inputs = (i_rest, *_stimulus([self], len(self.network), i_rest))
+        return self._inputs[1:]
 
-    def touched_by(self, pools: tuple[Pool, ...]) -> np.ndarray:
-        """Mask of the stimulus-weighted nodes and the members of ``pools``:
-        what a step in which those pools take an inhibition step touches
-        whatever the excitation. Kept for the trial, one per pool tuple."""
-        mask = self._touched_by.get(pools)
-        if mask is None:
-            mask = np.zeros(len(self.network), dtype=bool)
-            mask[list(self.input_weights)] = True
-            for pool in pools:
-                for part in self.network.pool_slices[pool]:
-                    mask[part] = True
-            self._touched_by[pools] = mask
-        return mask
+
+def _stimulus(states: list[SimulationState], n: int, i_rest: float):
+    """The states' rows of stimulus-only net input -- iw * I_rest + 0.0 at
+    every stimulus-weighted node, 0.0 elsewhere -- and of the mask of the
+    stimulus-weighted nodes."""
+    count = sum(len(state.input_weights) for state in states)
+    ids = np.fromiter((base + i for base, state in zip(range(0, len(states) * n, n), states)
+                       for i in state.input_weights), np.intp, count)
+    weights = np.fromiter((w for state in states for w in state.input_weights.values()),
+                          np.float64, count)
+    stimulus = np.zeros(len(states) * n)
+    stimulus[ids] = weights * i_rest + 0.0
+    weighted = np.zeros(len(states) * n, dtype=bool)
+    weighted[ids] = True
+    return stimulus, weighted
 
 
 def set_stimulus(state: SimulationState, network: Network, stimulus: str) -> None:
@@ -224,147 +239,240 @@ def _expansion(terms: list[float]) -> list[float]:
     return expansion
 
 
+# the trial parameters in which the rows of one step may differ: the
+# inhibition weights (network.pool_gamma)
+ROW_NAMES = GAMMA_NAMES + ("SS_multiplier",)
+# the column of Rows.gammas that weighs each place of [O_a, P_a, O_b, P_b, S]
+# (INHIBITED_POOLS: ortho, phono, sem), and column 3 for the nodes in no pool
+_PLACE_POOL = np.array([0, 1, 0, 1, 2, 3])
+
+
+class Rows:
+    """Trials stepped together by step_rows, as the rows of flat buffers:
+    row b (node n at b*N + n) belongs to ``states[b]``, whose activation is
+    a view of its row. ``params`` gives every field but the inhibition
+    weights; ``gammas[b, k]`` is row b's weight for INHIBITED_POOLS[k], and
+    column 3 is 0.0 for the nodes in no pool. The buffers of stimulus-only
+    net inputs and stimulus-weighted masks are built once; keep drops
+    rows."""
+
+    def __init__(self, network: Network, states: list[SimulationState],
+                 params: Sequence[Parameters]):
+        self.network, self.states, self.params = network, states, params[0]
+        i_rest = self.params.I_rest
+        if len(states) == 1:
+            state, = states
+            self.activation = state.activation
+            self.stimulus, self.weighted = state.inputs(i_rest)
+        else:
+            self.activation = np.concatenate([state.activation for state in states])
+            self.stimulus, self.weighted = _stimulus(states, len(network), i_rest)
+            self._share()
+        self.gammas = np.array([[pool_gamma(p, pool) for pool in INHIBITED_POOLS] + [0.0]
+                                for p in params])
+
+    def _share(self) -> None:
+        for state, row in zip(self.states, self.activation.reshape(len(self.states), -1)):
+            state.activation = row
+
+    def keep(self, rows: list[int]) -> None:
+        """Keep only ``rows``, in that order."""
+        shape = (len(self.states), -1)
+        self.states = [self.states[b] for b in rows]
+        self.activation = self.activation.reshape(shape)[rows].ravel()
+        self.stimulus = self.stimulus.reshape(shape)[rows].ravel()
+        self.weighted = self.weighted.reshape(shape)[rows].ravel()
+        self.gammas = self.gammas[rows]
+        self._share()
+
+
+def _groups(keys: np.ndarray):
+    """One stable sort of ``keys``: the order, and each run of equal keys'
+    key, first position, length, and whether it has exactly two."""
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    # where each run starts, then the end (with no keys, only the end)
+    bounds = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
+    bounds = bounds.nonzero()[0]
+    starts = bounds[:-1]
+    sizes = bounds[1:] - starts
+    return order, keys[starts], starts, sizes, sizes == 2
+
+
+def _excite(net: np.ndarray, dst: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """Add the products ``prod`` to their targets ``dst`` (any order) in
+    ``net``, which holds the stimulus-only net inputs s, and return the
+    targets: a lone product takes one add s + p, two products where s is
+    zero one add p1 + p2 (as (s + p1) + p2), and fsum takes every other
+    target and every sum that is not finite, s a term only where nonzero."""
+    order, targets, starts, sizes, pairs = _groups(dst)
+    prod = prod[order]
+    stim = net[targets]
+    sums = stim + prod[starts]
+    sums += prod[starts + pairs] * pairs  # the second product of a pair, else 0.0
+    slow = (sizes + (stim != 0.0) > 2)
+    slow |= ~np.isfinite(sums)
+    slow = slow.nonzero()[0]
+    if slow.size:
+        terms = prod.tolist()
+        sums[slow] = [math.fsum(terms[i:i + k] + [s] if s else terms[i:i + k]) for i, k, s
+                      in zip(starts[slow].tolist(), sizes[slow].tolist(), stim[slow].tolist())]
+    net[targets] = sums
+    return targets
+
+
+def _inhibit(keys: np.ndarray, terms: np.ndarray):
+    """Inhibition steps over the terms gamma*a of the active members,
+    grouped by ``keys`` (any order). Returns the order that groups them,
+    each group's key and shared sum, and each member's exclusion sum, in
+    that order. One member: the shared sum is t and the exclusion +0.0;
+    two: t1 + t2, and each member's exclusion is the other term; more, or
+    a sum that is not finite: fsum over the group's expansion."""
+    order, groups, starts, sizes, pairs = _groups(keys)
+    terms = terms[order]
+    one = starts[pairs]
+    two = one + 1
+    sums = terms[starts]
+    sums[pairs] += terms[two]
+    exclusion = np.zeros(len(terms))
+    exclusion[one] = terms[two]
+    exclusion[two] = terms[one]
+    slow = sizes > 2
+    slow |= ~np.isfinite(sums)
+    slow = slow.nonzero()[0]
+    if slow.size:
+        values = terms.tolist()
+        for g, i, k in zip(slow.tolist(), starts[slow].tolist(), sizes[slow].tolist()):
+            expansion = _expansion(values[i:i + k])
+            sums[g] = math.fsum(expansion)
+            others = expansion + [0.0]  # fsum(expansion + [-t]) for each term t
+            excluded = []
+            for t in values[i:i + k]:
+                others[-1] = -t
+                excluded.append(math.fsum(others))
+            exclusion[i:i + k] = excluded
+    return order, groups, sums, exclusion
+
+
+def _language_links(network: Network, row: np.ndarray, node: np.ndarray, place: np.ndarray,
+                    acts: np.ndarray, dst: np.ndarray, prod: np.ndarray):
+    """``dst`` and ``prod`` with the products along the language links."""
+    n, first = len(network), network.first_entry
+    base = row * n
+    dsts, prods = [dst], [prod]
+    for k, l_id, w in network.to_language:  # place k's nodes to their language node
+        at = place == k
+        dsts.append(base[at] + l_id)
+        prods.append(w * acts[at])
+    for l_id, k, w in network.from_language:  # a language node to place k's nodes
+        at = node == l_id
+        dsts.append((base[at][:, None] + np.arange(first + k, n, 5)).ravel())
+        prods.append(np.repeat(w * acts[at], (n - first) // 5))
+    return np.concatenate(dsts), np.concatenate(prods)
+
+
 def step(state: SimulationState, network: Network, params: Parameters) -> SimulationState:
     """Advance one cycle: step_rows on one row."""
-    step_rows([state], network, params)
+    step_rows(Rows(network, [state], [params]))
     return state
 
 
-def step_rows(states: list[SimulationState], network: Network, params: Parameters) -> None:
-    """Advance each state one cycle as row b of one flat array (node n at
-    b*N + n); its activation becomes a 1-D view of its new row. A node is
-    touched -- counted in its row's touched_updates -- when it is an active
-    node's target, stimulus-weighted, a member of a pool that steps, or
-    away from its rest level (module docstring)."""
-    n = len(network)
-    prev = states[0].activation if len(states) == 1 else np.concatenate(
-        [state.activation for state in states])
-    fsum = math.fsum
+def step_rows(rows: Rows) -> None:
+    """Advance each row one cycle. A node is touched -- counted in its
+    row's touched_updates -- when it is an active node's target,
+    stimulus-weighted, a member of a pool that steps, or away from its rest
+    level (module docstring)."""
+    network, params, states = rows.network, rows.params, rows.states
+    n, first, count = len(network), network.first_entry, len(states)
+    entries = (n - first) // 5
+    layout = network.entry_arrays
+    prev = rows.activation
     ids = (prev > 0.0).nonzero()[0]
-    srcs, acts = ids.tolist(), prev[ids].tolist()
-    active_act = dict(zip(srcs, acts))
-
-    # phase 1: excitation. Every node starts from its stimulus-only net
-    # input. A target of one active source adds that product to it in one
-    # vector add; a target of several takes fsum over its products and its
-    # stimulus term. An entry node's targets sit at its place's offsets;
-    # the loop also buckets each row's active entry nodes by place.
-    net = np.concatenate([state.stimulus_input(params.I_rest) for state in states])
-    first: dict[int, float] = {}
-    several: dict[int, list[float]] = {}
-    start, entry_edges = network.first_entry, network.entry_edges
-    row_places, end = [], 0
-    for state, base in zip(states, range(0, len(prev), n)):
-        begin, end = end, bisect.bisect_left(srcs, base + n, end)
-        state.counters["active_node_updates"] += end - begin
-        by_place: tuple[list[int], ...] = ([], [], [], [], [])
-        row_places.append(by_place)
-        row_start = base + start  # a row's links stay in the row
-        heads = bisect.bisect_left(srcs, row_start, begin, end)  # input and language nodes
-        for src, a in zip(srcs[heads:end], acts[heads:end]):
-            place = (src - row_start) % 5
-            by_place[place].append(src)
-            for offset, w in entry_edges[place]:
-                dst = src + offset
-                if dst in first:
-                    several.setdefault(dst, [first[dst]]).append(w * a)
-                else:
-                    first[dst] = w * a
+    acts = prev[ids]
+    row, node = np.divmod(ids, n)
+    place = layout.place[node]
+    with np.errstate(over="ignore", invalid="ignore"):  # fsum decides what is not finite
+        # phase 1: excitation. Each active entry node's products go to the
+        # targets at its place's offsets; every target starts from its
+        # stimulus-only net input
+        links = layout.links.take(place, axis=0)
+        dst = (ids[:, None] + layout.offsets.take(place, axis=0))[links]
+        prod = (layout.weights.take(place, axis=0) * acts[:, None])[links]
         if network.to_language or network.from_language:
-            # language links: a place's nodes and their language's node, both ways
-            extra = [(base + l_id, w * active_act[m])
-                     for place, l_id, w in network.to_language for m in by_place[place]]
-            extra += [(dst, w * active_act[base + l_id])
-                      for l_id, place, w in network.from_language if base + l_id in active_act
-                      for dst in range(row_start + place, base + n, 5)]
-            for dst, p in extra:
-                if dst in first:
-                    several.setdefault(dst, [first[dst]]).append(p)
-                else:
-                    first[dst] = p
-    targets = np.fromiter(first, np.intp, len(first))
-    if first:
-        sums = net[targets]
-        sums += np.fromiter(first.values(), np.float64, len(first))
-        finite = np.isfinite(sums)
-        if not finite.all():
-            # fsum decides each sum that is not finite, and raises where a
-            # finite sum overflows
-            for dst in targets[~finite].tolist():
-                several.setdefault(dst, [first[dst]])
-        # a target of several sources: fsum over its products and its
-        # stimulus-only net input s, a term only where s is not zero
-        dsts = np.fromiter(several, np.intp, len(several))
-        fsums = [fsum(prods + [s] if s else prods)
-                 for prods, s in zip(several.values(), net[dsts].tolist())]
-        net[targets] = sums
-        net[dsts] = fsums
+            dst, prod = _language_links(network, row, node, place, acts, dst, prod)
+        net = rows.stimulus.copy()
+        targets = _excite(net, dst, prod)
 
-    # phase 2: one inhibition step per row and pool with a nonzero gamma
-    # and an active member in the row. Every member of the row's pool gets
-    # the sum over its active members, each active member the sum over the
-    # others, from one expansion; the other rows' members get nothing.
-    row_pools: list[list[Pool]] = [[] for _ in states]
-    shared, members, exclusion = [], [], []
-    for pool, parts in network.pool_slices.items():
-        gamma = pool_gamma(params, pool)
-        if gamma == 0.0:
-            continue
-        rows, sums = [], []
-        for row, by_place in enumerate(row_places):
-            # a pool's slices start at first_entry + each place it takes
-            pool_ids = [m for part in parts for m in by_place[part.start - start]]
-            if not pool_ids:
-                continue
-            terms = [gamma * active_act[m] for m in pool_ids]
-            expansion = _expansion(terms)
-            row_pools[row].append(pool)
-            rows.append(row)
-            sums.append(fsum(expansion))
-            members += pool_ids
-            others = expansion + [0.0]  # fsum(expansion + [-t]) for each term t
-            for t in terms:
-                others[-1] = -t
-                exclusion.append(fsum(others))
-        if len(rows) == 1:  # its row's basic slices
-            shared.append((parts, rows[0], sums[0]))
-        elif rows:  # the rows' 2-D slices, basic if every row stepped
-            shared.append((parts, slice(None) if len(rows) == len(states) else rows,
-                           np.array(sums)[:, None]))
-    by_row = net.reshape(len(states), n)
-    if members:
-        members = np.fromiter(members, np.intp, len(members))
+        # phase 2: one inhibition step per row and pool with a nonzero gamma
+        # and an active member in the row. The pool's members in the row
+        # get the shared sum, its active members their exclusion sums
+        key = _PLACE_POOL[place]
+        key += 4 * row  # row and pool: a flat index of rows.gammas
+        gamma = rows.gammas.take(key)
+        inhibited = gamma.nonzero()[0]
+        order, groups, sums, exclusion = _inhibit(key[inhibited],
+                                                  gamma[inhibited] * acts[inhibited])
+    stepped = np.zeros((count, 4), dtype=bool)
+    if groups.size:
+        members = ids[inhibited[order]]
         own = net[members]
-        for parts, rows, inhibition in shared:
-            for part in parts:
-                by_row[rows, part] += inhibition
         own += exclusion
+        shared = np.zeros((count, 4))
+        shared.ravel()[groups] = sums
+        stepped.ravel()[groups] = True
+        by_place = net.reshape(count, n)[:, first:].reshape(count, entries, 5)
+        by_place += shared.take(_PLACE_POOL[:5], axis=1)[:, None, :]
         net[members] = own
 
     # phase 3: update_activation elementwise, in its operation order, over
     # every node; an untouched node maps to itself (module docstring)
     max_act, min_act = params.MAX_ACT, params.MIN_ACT
-    rest = network.rest if len(states) == 1 else np.tile(network.rest, len(states))
     new = prev - min_act
     np.subtract(max_act, prev, out=new, where=net > 0.0)
     new *= net
     new += prev
-    decay = np.subtract(prev, rest)
+    decay = net  # net is spent: prev - rest, row by row
+    np.subtract(prev.reshape(count, n), network.rest, out=decay.reshape(count, n))
     decay *= params.DECAY_RATE
     new -= decay
     np.minimum(new, max_act, out=new)
     np.maximum(new, min_act, out=new)
-    touched = np.not_equal(prev, rest)
-    touched[targets] = True
-    for state, pools, base in zip(states, row_pools, range(0, len(new), n)):
-        touched_row = touched[base:base + n]
-        touched_row |= state.touched_by(tuple(pools))
-        state.counters["touched_updates"] += int(np.count_nonzero(touched_row))
-        state.activation = new[base:base + n]
+
+    # touched: every member of a pool that stepped; elsewhere a node that is
+    # a target, stimulus-weighted or away from rest
+    marks = rows.weighted.copy()
+    marks[targets] = True
+    prev, marks = prev.reshape(count, n), marks.reshape(count, n)
+    stepped = stepped.take(_PLACE_POOL[:5], axis=1)
+    quiet_rows, quiet_places = (~stepped).nonzero()
+    flags = (prev[:, first:].reshape(count, entries, 5)[quiet_rows, :, quiet_places]
+             != layout.rest.take(quiet_places, axis=0))
+    flags |= marks[:, first:].reshape(count, entries, 5)[quiet_rows, :, quiet_places]
+    table = stepped * entries  # (row, place): every member where the pool stepped
+    table[quiet_rows, quiet_places] = np.add.reduce(flags, axis=1)
+    heads = prev[:, :first] != network.rest[:first]
+    heads |= marks[:, :first]
+    touched = np.add.reduce(table, axis=1) + np.add.reduce(heads, axis=1)
+    active = np.bincount(row, minlength=count)
+    for state, activation, a, t in zip(states, new.reshape(count, n), active.tolist(),
+                                       touched.tolist()):
+        counters = state.counters
+        counters["active_node_updates"] += a
+        counters["touched_updates"] += t
+        state.activation = activation
         state.cycle += 1
+    rows.activation = new
 
 
-_CHUNK_ELEMENTS = 2**20  # run_rows: nodes in a chunk of rows
+# run_rows: nodes in a chunk of rows. On a 2-vCPU Xeon virtual machine, 120
+# lexical decisions on a 1,000-pair lexicon (5,003 nodes) in one call took
+# 0.37-0.49 s in chunks of 2**16, 2**18 or 2**20 nodes (13, 52 or 209
+# rows), the three within noise of each other, and 0.59-0.75 s one row at
+# a time. The smallest bound keeps a step's full-width temporaries smallest
+# and still holds a 20-point grid iteration on the 73-node homograph
+# network (280 rows, 20,440 nodes) in one chunk.
+_CHUNK_ELEMENTS = 2**16
 
 
 def run(network: Network, stimulus: str, monitor, params: Parameters | None = None,
@@ -375,49 +483,81 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
     ``dynamics.step`` sees every cycle). Returns (trace, outcome)."""
     step_fn = step_fn or step
     return run_rows(network, [(stimulus, monitor, input_weights)], params, trace,
-                    lambda states, network, params: step_fn(states[0], network, params))[0]
+                    lambda rows: step_fn(rows.states[0], network, rows.params))[0]
 
 
-def run_rows(network: Network, trials, params: Parameters | None = None,
+def run_rows(network: Network, trials, params: Parameters | Sequence[Parameters] | None = None,
              trace: str | None = None, step_fn=None) -> list:
     """Simulate independent trials, (stimulus, monitor, input weights or
-    None) triples, as rows that ``step_fn(states, network, params)`` (None:
-    step_rows) advances together, in chunks of at most _CHUNK_ELEMENTS
-    nodes and at least one row. Returns each trial's (trace, outcome), in
-    order; a trace records each cycle after its step, None when ``trace`` is.
-    After each step ``monitor.observe(state, network)`` gives a row's
+    None) triples, as Rows that ``step_fn(rows)`` (None: step_rows)
+    advances together, in chunks of at most _CHUNK_ELEMENTS nodes and at
+    least one row. ``params`` is one Parameters for every row or one per
+    trial (None: the network's). Returns each trial's (trace, outcome), in
+    order; a trace records each cycle after its step, None when ``trace``
+    is. After each step ``monitor.observe(state, network)`` gives a row's
     outcome or None; ``monitor.timeout`` gives it once max_cycles pass. A
     row with its outcome drops out, after check_invariants. ConfigError
     comes before the first step for a monitor language the network lacks,
-    or a field of ``params`` the network fixed (check_trial_params)."""
+    a field of a row's parameters the network fixed (check_trial_params),
+    or rows that differ outside ROW_NAMES."""
     for _stimulus, monitor, _weights in trials:
         for language in monitor.languages:
             if language not in network.languages:
                 raise ConfigError(f"unknown language tag {language!r}; "
                                   f"network has {network.languages}")
-    params = check_trial_params(network, params)
+    row_params = _row_params(network, params, len(trials))
     step_fn = step_fn or step_rows
     results: list = [None] * len(trials)
     chunk = max(1, _CHUNK_ELEMENTS // len(network))
     for first in range(0, len(trials), chunk):
-        live = []
-        for i, (stimulus, monitor, weights) in enumerate(trials[first:first + chunk], first):
-            state = SimulationState(network, trace=trace)  # at rest: no reset needed
-            state.input_weights = network.input_weights(stimulus) if weights is None else weights
-            live.append((i, state, monitor))
+        live = list(range(first, min(first + chunk, len(trials))))
+        rows = Rows(network, [_start(network, trials[i], trace) for i in live],
+                    row_params[first:first + chunk])
         while live:
-            step_fn([state for _i, state, _monitor in live], network, params)
-            for i, state, monitor in live:
+            step_fn(rows)
+            kept = []
+            for b, (i, state) in enumerate(zip(live, rows.states)):
+                monitor = trials[i][1]
                 if state.trace is not None:
                     state.trace.record(state)
                 outcome = monitor.observe(state, network)
-                if outcome is None and state.cycle >= params.max_cycles:
+                if outcome is None and state.cycle >= rows.params.max_cycles:
                     outcome = monitor.timeout(state, network)
-                if outcome is not None:
-                    check_invariants(state, params)
+                if outcome is None:
+                    kept.append(b)
+                else:
+                    check_invariants(state, rows.params)
                     results[i] = (state.trace, outcome)
-            live = [row for row in live if results[row[0]] is None]
+            if len(kept) < len(live):
+                live = [live[b] for b in kept]
+                if kept:
+                    rows.keep(kept)
     return results
+
+
+def _start(network: Network, trial, trace: str | None) -> SimulationState:
+    """A trial's state at rest, with its input weights."""
+    state = SimulationState(network, trace=trace)  # at rest: no reset needed
+    stimulus, _monitor, weights = trial
+    state.input_weights = network.input_weights(stimulus) if weights is None else weights
+    return state
+
+
+def _row_params(network: Network, params, count: int) -> list[Parameters]:
+    """One checked Parameters per row: ``params`` for all, or one each."""
+    if params is None or isinstance(params, Parameters):
+        return [check_trial_params(network, params)] * count
+    params = list(params)
+    if len(params) != count:
+        raise ConfigError(f"{len(params)} parameter sets for {count} trials")
+    for p in {id(p): p for p in params}.values():
+        check_trial_params(network, p)
+        for name, shared in params[0].as_dict().items():
+            if name not in ROW_NAMES and getattr(p, name) != shared:
+                raise ConfigError(f"rows stepped together may differ only in "
+                                  f"{', '.join(ROW_NAMES)}; {name} is {shared!r} and "
+                                  f"{getattr(p, name)!r}")
+    return params
 
 
 def check_trial_params(network: Network, params: Parameters | None) -> Parameters:

@@ -90,6 +90,11 @@ class FitResult:
 
 def grid_search(objective: Callable[[float], float], config: SearchConfig) -> FitResult:
     """Iteratively-narrowing window search; returns the incumbent optimum."""
+    return _search(lambda points: [objective(p) for p in points], config)
+
+
+def _search(evaluate: Callable[[list[float]], list[float]], config: SearchConfig) -> FitResult:
+    """grid_search with each iteration's points scored together by ``evaluate``."""
     config.validate()
     lo, hi = config.lower, config.upper
     best_value: float | None = None
@@ -99,7 +104,7 @@ def grid_search(objective: Callable[[float], float], config: SearchConfig) -> Fi
         width = hi - lo
         step = width / config.n_points
         points = [lo + k * step for k in range(config.n_points)]
-        fitnesses = [objective(p) for p in points]
+        fitnesses = evaluate(points)
         logs.append(IterationLog(lo, hi, points, fitnesses))
 
         it_best = max(range(len(points)), key=lambda i: fitnesses[i])
@@ -142,14 +147,9 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
     # point -> (responded, trials, note); a point's trials are deterministic
     scored: dict[float, tuple[int, int, str]] = {}
 
-    def objective(gamma: float) -> float:
-        pp = gamma if config.tie_gammas else config.fixed_pp_gamma
-        trial_params = params.updated(OO_gamma=gamma, PP_gamma=pp)
-        trials = [(record.stimulus, make_monitor(record.task, record.source_lang,
-                                                 record.target_lang, trial_params),
-                   weights[record.stimulus]) for record in rated]
+    def fitness(gamma: float, outcomes) -> float:
         cycles, rts = [], []
-        for record, (_trace, outcome) in zip(rated, run_rows(network, trials, trial_params)):
+        for record, outcome in zip(rated, outcomes):
             if outcome.responded:
                 cycles.append(float(outcome.cycles))
                 rts.append(record.rt_ms)
@@ -164,7 +164,21 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
         scored[gamma] = (len(cycles), len(rated), note)
         return fitness
 
-    result = grid_search(objective, config)
+    def evaluate(points: list[float]) -> list[float]:
+        # every point's trials are rows of one run_rows call; they differ only in gamma
+        trials, row_params = [], []
+        for gamma in points:
+            pp = gamma if config.tie_gammas else config.fixed_pp_gamma
+            trial_params = params.updated(OO_gamma=gamma, PP_gamma=pp)
+            trials += [(record.stimulus, make_monitor(record.task, record.source_lang,
+                                                      record.target_lang, trial_params),
+                        weights[record.stimulus]) for record in rated]
+            row_params += [trial_params] * len(rated)
+        outcomes = [outcome for _trace, outcome in run_rows(network, trials, row_params)]
+        return [fitness(gamma, outcomes[k * len(rated):(k + 1) * len(rated)])
+                for k, gamma in enumerate(points)]
+
+    result = _search(evaluate, config)
     for it in result.iterations:
         counts = [scored[point] for point in it.points]
         it.n_responded = [responded for responded, _trials, _note in counts]

@@ -11,7 +11,9 @@ simulations can share one network concurrently.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +69,19 @@ class Connection:
     weight: float
 
 
+class EntryArrays(NamedTuple):
+    """The entry layout as arrays for the array step: each node's place in
+    [O_a, P_a, O_b, P_b, S] (5 for the input and language nodes); per place
+    (row 5 empty) the target offsets, alphas and link mask of entry_edges,
+    padded to the longest row; and the entries' rest levels, one row per
+    place."""
+    place: np.ndarray
+    offsets: np.ndarray
+    weights: np.ndarray
+    links: np.ndarray
+    rest: np.ndarray
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Network:
     """Built lexical network, frozen: ``build_network`` makes it in one call.
@@ -78,12 +93,12 @@ class Network:
     holds the (target id offset, alpha) pairs from place k to the rest of
     its entry, ``to_language`` the (place, language node id, alpha) links
     to a language node and ``from_language`` the (language node id, place,
-    alpha) links from one. ``pool_slices`` gives the members of each
-    inhibited pool as stride-5 basic slices of the node ids, and ``rest``
-    every node's rest level. For input weighting: the orthographic node
-    ids, their symbol lengths, and their code points with one row per
-    letter position (column k is the k-th ortho node, padded with 0 past
-    its length). Every array is read-only.
+    alpha) links from one; ``entry_arrays`` gives the layout and
+    entry_edges as arrays, and ``rest`` every node's rest level. For
+    input weighting: the orthographic node ids, their symbol lengths, and
+    their code points with one row per letter position (column k is the
+    k-th ortho node, padded with 0 past its length). Every array is
+    read-only.
     """
 
     params: Parameters
@@ -93,7 +108,6 @@ class Network:
     entry_edges: tuple[tuple[tuple[int, float], ...], ...]
     to_language: tuple[tuple[int, int, float], ...]
     from_language: tuple[tuple[int, int, float], ...]
-    pool_slices: dict[Pool, tuple[slice, ...]]
     rest: np.ndarray
     ortho_ids: np.ndarray
     ortho_lengths: np.ndarray
@@ -101,6 +115,25 @@ class Network:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    @functools.cached_property
+    def entry_arrays(self) -> EntryArrays:
+        """EntryArrays, built on first use."""
+        first = self.first_entry
+        place = np.full(len(self), 5)
+        place[first:] = np.arange(len(self) - first) % 5
+        edges = self.entry_edges + ((),)
+        width = max(map(len, edges))
+        offsets = np.zeros((6, width), dtype=np.intp)
+        weights = np.zeros((6, width))
+        links = np.zeros((6, width), dtype=bool)
+        for k, table in enumerate(edges):
+            for slot, (offset, w) in enumerate(table):
+                offsets[k, slot], weights[k, slot], links[k, slot] = offset, w, True
+        for array in (place, offsets, weights, links):
+            array.flags.writeable = False
+        rest = self.rest[first:].reshape(-1, 5).T
+        return EntryArrays(place, offsets, weights, links, rest)
 
     def find(self, pool: Pool, symbol: str, language: str | None = None) -> Node:
         matches = [n for n in self.nodes
@@ -196,7 +229,6 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
     within = (((1, p.OP_alpha), (4, p.OS_alpha)), ((-1, p.PO_alpha), (3, p.PS_alpha)),
               ((1, p.OP_alpha), (2, p.OS_alpha)), ((-1, p.PO_alpha), (1, p.PS_alpha)),
               ((-4, p.SO_alpha), (-3, p.SP_alpha), (-2, p.SO_alpha), (-1, p.SP_alpha)))
-    layout = (Pool.ORTHO, Pool.PHONO, Pool.ORTHO, Pool.PHONO, Pool.SEM)
     ortho = [node for node in nodes if node.pool is Pool.ORTHO]
     symbols = [node.symbol for node in ortho]
     lengths = list(map(len, symbols))
@@ -218,8 +250,4 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
                           in enumerate((p.OL_alpha, p.PL_alpha) * 2) if w != 0.0),
         from_language=tuple((1 + place // 2, place, w) for place, w
                             in enumerate((p.LO_alpha, p.LP_alpha) * 2) if w != 0.0),
-        # a pool's members are one stride-5 slice per place it takes in the layout
-        pool_slices={pool: tuple(slice(first_entry + k, len(nodes), len(layout))
-                                 for k, member in enumerate(layout) if member is pool)
-                     for pool in INHIBITED_POOLS},
         rest=rest, ortho_ids=ortho_ids, ortho_lengths=ortho_lengths, ortho_codes=ortho_codes)

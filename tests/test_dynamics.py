@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from lexsim import (ConfigError, DenseEngine, InvariantError, Lexicon, Network, 
                     Parameters, StimulusRecord, build_network, lexical_decision, parse_lexicon,
                     run, run_batch, set_stimulus, step, update_activation, word_translation)
 from lexsim import dynamics
-from lexsim.dynamics import SimulationState, Trace, _expansion, run_rows, step_rows
-from lexsim.network import Pool, pool_gamma
+from lexsim.dynamics import (Rows, SimulationState, Trace, _excite, _expansion, _inhibit, run_rows,
+                             step_rows)
+from lexsim.network import INHIBITED_POOLS, Pool
 from lexsim.tasks import LexicalDecisionMonitor, make_monitor
 
 from conftest import members, random_case
@@ -476,35 +478,46 @@ def _frame_bits(frames):
     return [[a.hex() for a in frame] for frame in frames]
 
 
-def _assert_rows_match_runs(network, params, trials, monkeypatch, rows_per_chunk=3):
+def _assert_rows_match_runs(network, params, trials, monkeypatch, rows_per_chunk=3,
+                            oracle=False):
     """Stepped together as rows, in chunks of ``rows_per_chunk``, ``trials``
     ((stimulus, task, source, target)) give what one run each gives: every
     cycle's activations bit for bit, the outcome with its rejections, and
-    both work counters. Returns what the batch covered."""
+    both work counters. ``params`` is one Parameters or one per trial; with
+    ``oracle`` each one-row run must also match the dense engine's frames.
+    Returns what the batch covered."""
     monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", rows_per_chunk * len(network))
-    covered = {"chunks": 0, "partial_pool_step": False}
+    row_params = params if isinstance(params, list) else [params] * len(trials)
+    covered = {"chunks": 0, "partial_pool_step": False, "gammas_in_a_step": 1}
 
-    def recording_step(states, net, p):
+    def recording_step(rows):
         # a chunk starts with every row at cycle 0
-        covered["chunks"] += all(state.cycle == 0 for state in states)
-        for pool in (pool for pool in Pool if pool_gamma(p, pool) != 0.0):
-            steps = [bool(state.active_by_pool[pool]) for state in states]
+        covered["chunks"] += all(state.cycle == 0 for state in rows.states)
+        covered["gammas_in_a_step"] = max(covered["gammas_in_a_step"],
+                                          len({tuple(g) for g in rows.gammas.tolist()}))
+        for k, pool in enumerate(INHIBITED_POOLS):
+            steps = [bool(state.active_by_pool[pool]) and gamma != 0.0
+                     for state, gamma in zip(rows.states, rows.gammas[:, k])]
             covered["partial_pool_step"] |= any(steps) and not all(steps)
-        step_rows(states, net, p)
+        step_rows(rows)
 
-    monitors = [_Observed(make_monitor(task, source, target, params))
-                for _stimulus, task, source, target in trials]
+    monitors = [_Observed(make_monitor(task, source, target, p))
+                for (_stimulus, task, source, target), p in zip(trials, row_params)]
     rows = [(trial[0], monitor, None) for trial, monitor in zip(trials, monitors)]
     batch = run_rows(network, rows, params, trace="full", step_fn=recording_step)
-    for trial, monitor, (trace, outcome) in zip(trials, monitors, batch):
-        alone = _Observed(make_monitor(*trial[1:], params))
-        alone_trace, alone_outcome = run(network, trial[0], alone, params, trace="full")
+    dense = DenseEngine(network) if oracle else None
+    for trial, p, monitor, (trace, outcome) in zip(trials, row_params, monitors, batch):
+        alone = _Observed(make_monitor(*trial[1:], p))
+        alone_trace, alone_outcome = run(network, trial[0], alone, p, trace="full")
         assert _frame_bits(trace.frames) == _frame_bits(alone_trace.frames), trial
         assert outcome == alone_outcome, trial
         assert monitor.state.counters == alone.state.counters, trial
+        if oracle:
+            dense_trace, _outcome = dense.run(trial[0], make_monitor(*trial[1:], p), p)
+            assert _frame_bits(trace.frames) == _frame_bits(dense_trace.frames), trial
     covered["cycles"] = {outcome.cycles for _trace, outcome in batch}
-    covered["timeouts"] = sum(outcome.cycles == params.max_cycles and not outcome.responded
-                              for _trace, outcome in batch)
+    covered["timeouts"] = sum(outcome.cycles == p.max_cycles and not outcome.responded
+                              for p, (_trace, outcome) in zip(row_params, batch))
     covered["rejections"] = sum(outcome.n_rejected for _trace, outcome in batch)
     return covered
 
@@ -567,3 +580,135 @@ def test_rows_chunk_bound_keeps_one_row_when_a_row_exceeds_it(homograph_network,
                                       monkeypatch, rows_per_chunk=0)
     assert covered["chunks"] == 2
 
+
+
+def test_rows_with_different_gammas_match_one_run_each(homograph_lexicon, monkeypatch):
+    # one chunk of rows at several inhibition weights, semantic included;
+    # each one-row run is checked against the dense engine too
+    network = build_network(homograph_lexicon, Parameters())
+    settings = [Parameters().updated(**change) for change in (
+        {}, {"OO_gamma": 0.0, "PP_gamma": -0.3}, {"OO_gamma": -0.5, "PP_gamma": 0.0},
+        {"SS_multiplier": 1.0, "SS_gamma": -0.2}, {"OO_gamma": -0.01, "PP_gamma": -0.01})]
+    stimuli = [("ROOM", "WT", "NL", "EN"), ("AARDBEI", "WT", "NL", "EN"),
+               ("AARDE", "LD", "NL", None)]
+    trials = [trial for _p in settings for trial in stimuli]
+    params = [p for p in settings for _trial in stimuli]
+    covered = _assert_rows_match_runs(network, params, trials, monkeypatch,
+                                      rows_per_chunk=len(trials), oracle=True)
+    assert covered["chunks"] == 1
+    assert covered["gammas_in_a_step"] == len(settings)
+    assert covered["partial_pool_step"]
+    assert len(covered["cycles"]) > 1
+
+
+def test_rows_may_differ_only_in_inhibition_weights(table1_network, params):
+    trials = [("AARDE", NullMonitor(), None)] * 2
+    for change in ({"DECAY_RATE": 0.1}, {"max_cycles": 3}, {"criterion_value": 0.5}):
+        with pytest.raises(ConfigError, match="may differ only in OO_gamma"):
+            run_rows(table1_network, trials, [params, params.updated(**change)])
+    with pytest.raises(ConfigError, match="IO_multiplier is fixed by the network"):
+        run_rows(table1_network, trials, [params, params.updated(IO_multiplier=0.1)])
+    with pytest.raises(ConfigError, match="1 parameter sets for 2 trials"):
+        run_rows(table1_network, trials, [params])
+
+
+def test_one_step_with_one_and_two_member_pool_steps_in_different_rows(homograph_network):
+    # row 0: one active orthographic node and two phonological ones; row 1
+    # the other way round, at other gammas; every other node at rest. Each
+    # row must give the dense engine's bits and a one-row step's counters
+    ortho, phono = members(homograph_network, Pool.ORTHO), members(homograph_network, Pool.PHONO)
+    setups = [(Parameters().updated(OO_gamma=-0.1, PP_gamma=-0.2),
+               {ortho[3]: 0.5, phono[0]: 0.3, phono[7]: 0.6}),
+              (Parameters().updated(OO_gamma=-0.3, PP_gamma=-0.05),
+               {ortho[1]: 0.4, ortho[8]: 0.9, phono[5]: 0.7})]
+
+    def at(active):
+        state = SimulationState(homograph_network)
+        state.activation[list(active)] = list(active.values())
+        return state
+
+    rows = Rows(homograph_network, [at(active) for _p, active in setups],
+                [p for p, _active in setups])
+    assert [{pool: len(ids) for pool, ids in state.active_by_pool.items() if ids}
+            for state in rows.states] == [{Pool.ORTHO: 1, Pool.PHONO: 2},
+                                          {Pool.ORTHO: 2, Pool.PHONO: 1}]
+    step_rows(rows)
+    dense = DenseEngine(homograph_network)
+    for state, (p, active) in zip(rows.states, setups):
+        alone, oracle = at(active), at(active)
+        step(alone, homograph_network, p)
+        dense.step(oracle, homograph_network, p)
+        assert _bits_of(state.activation) == _bits_of(alone.activation) \
+            == _bits_of(oracle.activation)
+        assert state.counters == alone.counters
+
+
+def _bits_of(activation):
+    return [a.hex() for a in activation.tolist()]
+
+
+# -- the array phases against fsum --------------------------------------------
+
+# a product w*a is never -0.0 (w > 0, a > 0); a stimulus-only net input is
+# x + 0.0 or 0.0, never -0.0
+PRODUCTS = st.one_of(st.sampled_from((0.0, 5e-324, 1.0, 2.0 ** -53, 1e300)),
+                     st.floats(min_value=0.0, max_value=1e300))
+STIMULI = st.one_of(st.just(0.0), st.floats(min_value=-1e300, max_value=1e300).map(
+    lambda x: x + 0.0))
+GROUPS = st.lists(st.tuples(STIMULI, st.lists(PRODUCTS, min_size=1, max_size=5)),
+                  min_size=1, max_size=12)
+
+
+def _scatter(groups, rng):
+    """The net array and the (target, product) pairs, shuffled, of ``groups``."""
+    net = np.array([s for s, _prods in groups] + [0.25])  # the last node gets nothing
+    pairs = [(t, p) for t, (_s, prods) in enumerate(groups) for p in prods]
+    rng.shuffle(pairs)
+    return net, np.array([t for t, _p in pairs], dtype=np.intp), np.array([p for _t, p in pairs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(GROUPS, st.randoms(use_true_random=False))
+def test_gather_sums_are_the_fsum_of_each_target(groups, rng):
+    net, dst, prod = _scatter(groups, rng)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in step_rows
+        targets = _excite(net, dst, prod)
+    assert targets.tolist() == list(range(len(groups)))
+    expected = [math.fsum(prods + [s] if s else prods) for s, prods in groups]
+    assert _bits_of(net) == [x.hex() for x in expected] + [(0.25).hex()]
+
+
+@pytest.mark.parametrize("stimulus, products", [
+    (1.7e308, [1.7e308]), (0.0, [1.7e308, 1.7e308]), (1e308, [1e308, 1e308]),
+    (0.0, [1e308, 1e308, 1e308]), (-1e308, [1.7e308, 1.7e308, 1e308])])
+def test_gather_raises_where_a_finite_sum_overflows(stimulus, products):
+    net, dst, prod = _scatter([(0.0, [1.0, 2.0]), (stimulus, products)], random.Random(0))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(OverflowError, match="intermediate overflow"):
+        _excite(net, dst, prod)
+
+
+# an inhibition term gamma*a is <= 0 (gamma <= 0, a > 0), -0.0 if it underflows
+TERMS_OF_A_POOL = st.lists(st.one_of(st.sampled_from((-0.0, -5e-324, -1.0, -2.0 ** -53, -1e300)),
+                                     st.floats(min_value=-1e300, max_value=0.0)),
+                           min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TERMS_OF_A_POOL, min_size=1, max_size=8), st.randoms(use_true_random=False))
+def test_pool_steps_give_the_fsum_of_the_members(pools, rng):
+    # the sign of a zero sum does not count: it is added to a net input that
+    # is never -0.0, which it leaves as it is
+    members = [(key, t) for key, terms in enumerate(pools) for t in terms]
+    rng.shuffle(members)
+    keys = np.array([key for key, _t in members], dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in step_rows
+        order, groups, sums, exclusion = _inhibit(keys, np.array([t for _key, t in members]))
+    assert groups.tolist() == list(range(len(pools)))
+    assert [(x + 0.0).hex() for x in sums.tolist()] \
+        == [(math.fsum(terms) + 0.0).hex() for terms in pools]
+    for i, excluded in zip(order.tolist(), exclusion.tolist()):
+        key, t = members[i]
+        others = list(pools[key])
+        others.remove(t)
+        assert (excluded + 0.0).hex() == (math.fsum(others) + 0.0).hex()

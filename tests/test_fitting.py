@@ -3,9 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from lexsim import ConfigError, SearchConfig, fit_inhibition, grid_search, pearson
+from lexsim import (ConfigError, SearchConfig, build_network, fit_inhibition, grid_search,
+                    pearson, run)
 from lexsim.experiments import StimulusRecord, run_batch
-from lexsim.fitting import WORST_FITNESS
+from lexsim.fitting import WORST_FITNESS, _search
+from lexsim.tasks import make_monitor
 
 # frozen from numpy.corrcoef on the same inputs
 PEARSON_GOLDEN = 0.9908470001860921
@@ -198,3 +200,53 @@ def test_fit_logs_counts_and_why_a_point_scores_worst(table1, params):
     assert unknown.notes == ["fewer_than_two_responses"] * 3
     fitted = only_iteration(("AARDE", 500.0), ("AARDBEI", 560.0), ("AAP", 530.0))
     assert fitted.notes == [""] * 3 and WORST_FITNESS not in fitted.fitnesses
+
+
+def _windows(result):
+    return [(it.window_lo, it.window_hi, it.points, it.fitnesses) for it in result.iterations]
+
+
+def test_search_loop_over_point_lists_is_grid_search():
+    config = SearchConfig(lower=-1.0, upper=0.0, n_points=7, epsilon=1e-9)
+    batches = []
+
+    def evaluate(points):
+        batches.append(list(points))
+        return [math.sin(3.0 * x) - x * x for x in points]
+
+    wide = _search(evaluate, config)
+    scalar = grid_search(lambda x: math.sin(3.0 * x) - x * x, config)
+    assert _windows(wide) == _windows(scalar) and len(scalar.iterations) > 2
+    assert (wide.best_value, wide.best_fitness) == (scalar.best_value, scalar.best_fitness)
+    assert batches == [it.points for it in scalar.iterations]
+
+
+@pytest.mark.parametrize("tie", [True, False])
+def test_wide_fit_is_grid_search_over_one_run_per_trial(homograph_lexicon, params, tie):
+    # fit_inhibition steps each iteration's points as rows of one call; the
+    # scalar objective runs every trial alone: same windows, points, fitnesses
+    rows = run_batch(homograph_lexicon, _records(homograph_lexicon, task="WT", target="EN"),
+                     params.updated(OO_gamma=-0.001, PP_gamma=-0.001))
+    records = _records(homograph_lexicon, task="WT", target="EN",
+                       rts=[25.0 * row.outcome.cycles + 500.0 for row in rows])
+    config = SearchConfig(lower=-0.05, upper=0.0, n_points=6, epsilon=1e-6, tie_gammas=tie,
+                          fixed_pp_gamma=0.0 if tie else -0.002, max_iterations=4)
+    network = build_network(homograph_lexicon, params)
+
+    def objective(gamma):
+        p = params.updated(OO_gamma=gamma, PP_gamma=gamma if tie else -0.002)
+        cycles, rts = [], []
+        for record in records:
+            _trace, outcome = run(network, record.stimulus, make_monitor(
+                record.task, record.source_lang, record.target_lang, p), p, trace=None)
+            if outcome.responded:
+                cycles.append(float(outcome.cycles))
+                rts.append(record.rt_ms)
+        return pearson(cycles, rts) if len(cycles) > 1 and len(set(cycles)) > 1 \
+            else WORST_FITNESS
+
+    wide = fit_inhibition(homograph_lexicon, records, config, params)
+    scalar = grid_search(objective, config)
+    assert _windows(wide) == _windows(scalar)
+    assert (wide.best_value, wide.best_fitness) == (scalar.best_value, scalar.best_fitness)
+    assert len({f for it in wide.iterations for f in it.fitnesses}) > 3

@@ -143,17 +143,17 @@ def test_arrays_match_lists_and_are_read_only(table1_network):
 
 
 @pytest.mark.parametrize("pairs", [[], [("AARDE", "EARTH")]])
-def test_pool_slices_of_empty_and_one_entry_lexicons(pairs):
-    _check_pool_slices(build_network(_lexicon(pairs), Parameters()))
+def test_entry_layout_of_empty_and_one_entry_lexicons(pairs):
+    _check_entry_layout(build_network(_lexicon(pairs), Parameters()))
 
 
-def _check_pool_slices(net):
-    """Each inhibited pool's basic slices enumerate its members, once each."""
-    ids = np.arange(len(net))
+def _check_entry_layout(net):
+    """Node k of entry e is node first_entry + 5*e + k, in the pool of place
+    k of [O_a, P_a, O_b, P_b, S]; the step reads pools from places."""
+    places = (Pool.ORTHO, Pool.PHONO, Pool.ORTHO, Pool.PHONO, Pool.SEM)
     for pool in INHIBITED_POOLS:
-        assert all(type(part) is slice for part in net.pool_slices[pool])
-        covered = [n for part in net.pool_slices[pool] for n in ids[part].tolist()]
-        assert sorted(covered) == members(net, pool)
+        assert members(net, pool) == [n for n in range(net.first_entry, len(net))
+                                      if places[(n - net.first_entry) % 5] is pool]
 
 
 def test_built_network_is_frozen(table1_network):
@@ -167,7 +167,7 @@ def test_built_network_is_frozen(table1_network):
 def _check_arrays(net):
     assert [node.id for node in net.nodes] == list(range(len(net)))
     assert net.rest.tolist() == [node.rest for node in net.nodes]
-    _check_pool_slices(net)
+    _check_entry_layout(net)
     ortho = members(net, Pool.ORTHO)
     assert net.ortho_ids.tolist() == ortho
     assert net.ortho_lengths.tolist() == [len(net.nodes[o].symbol) for o in ortho]
