@@ -171,6 +171,7 @@ class SimulationState:
         self.activation: np.ndarray = network.rest.copy()
         self.input_weights: dict[int, float] = {}
         self._inputs = None
+        self.scan: tuple[Scan, int] | None = None  # (Scan, row) while run_rows observes rows
         self.cycle = 0
         self.counters = {"active_node_updates": 0, "touched_updates": 0}
         if self.trace is not None:
@@ -179,10 +180,9 @@ class SimulationState:
     @property
     def active_by_pool(self) -> dict[Pool, list[int]]:
         """The active nodes (activation > 0) of each inhibited pool, in id order."""
-        nodes = self.network.nodes
-        ids = (self.activation > 0.0).nonzero()[0].tolist()
-        return {pool: [n for n in ids if nodes[n].pool is pool]
-                for pool in INHIBITED_POOLS}
+        active = self.activation > 0.0
+        return {pool: (active & members).nonzero()[0].tolist()
+                for pool, members in self.network.members.items()}
 
     def inputs(self, i_rest: float) -> tuple[np.ndarray, np.ndarray]:
         """_stimulus of this state alone, kept for the trial; rebuilt only
@@ -284,6 +284,25 @@ class Rows:
         self.weighted = self.weighted.reshape(shape)[rows].ravel()
         self.gammas = self.gammas[rows]
         self._share()
+
+
+class Scan(dict):
+    """After a step of several rows, ``scan[pool, threshold]`` is (ids, bounds):
+    row b's members of the pool at or above the threshold, in id order, are
+    ids[bounds[b]:bounds[b + 1]], scanned on first request over the flat buffer."""
+
+    def __init__(self, rows: Rows):
+        self.activation = rows.activation.reshape(len(rows.states), -1)
+        self.members = rows.network.members
+
+    def __missing__(self, key: tuple[Pool, float]) -> tuple[list[int], list[int]]:
+        pool, threshold = key
+        hits = self.activation >= threshold
+        hits &= self.members[pool]
+        n = hits.shape[1]
+        ids = np.flatnonzero(hits)
+        bounds = ids.searchsorted(np.arange(0, hits.size + 1, n)).tolist()
+        return self.setdefault(key, ((ids % n).tolist(), bounds))
 
 
 def _groups(keys: np.ndarray):
@@ -496,10 +515,11 @@ def run_rows(network: Network, trials, params: Parameters | Sequence[Parameters]
     order; a trace records each cycle after its step, None when ``trace``
     is. After each step ``monitor.observe(state, network)`` gives a row's
     outcome or None; ``monitor.timeout`` gives it once max_cycles pass. A
-    row with its outcome drops out, after check_invariants. ConfigError
-    comes before the first step for a monitor language the network lacks,
-    a field of a row's parameters the network fixed (check_trial_params),
-    or rows that differ outside ROW_NAMES."""
+    row with its outcome drops out, after check_invariants. Several rows'
+    monitors read a Scan of rows.activation, where step_fn must leave the
+    stepped rows. ConfigError comes before the first step for a monitor
+    language the network lacks, a field of a row's parameters the network
+    fixed (check_trial_params), or rows that differ outside ROW_NAMES."""
     for _stimulus, monitor, _weights in trials:
         for language in monitor.languages:
             if language not in network.languages:
@@ -515,17 +535,21 @@ def run_rows(network: Network, trials, params: Parameters | Sequence[Parameters]
                     row_params[first:first + chunk])
         while live:
             step_fn(rows)
+            scan = Scan(rows) if len(live) > 1 else None
+            last = rows.states[0].cycle >= rows.params.max_cycles  # rows step together
             kept = []
             for b, (i, state) in enumerate(zip(live, rows.states)):
                 monitor = trials[i][1]
                 if state.trace is not None:
                     state.trace.record(state)
+                state.scan = None if scan is None else (scan, b)
                 outcome = monitor.observe(state, network)
-                if outcome is None and state.cycle >= rows.params.max_cycles:
+                if outcome is None and last:
                     outcome = monitor.timeout(state, network)
                 if outcome is None:
                     kept.append(b)
                 else:
+                    state.scan = None
                     check_invariants(state, rows.params)
                     results[i] = (state.trace, outcome)
             if len(kept) < len(live):

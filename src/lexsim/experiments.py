@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
-from .dynamics import check_trial_params, run as run_trial
+from .dynamics import check_trial_params, run as run_trial, run_rows
 from .errors import ConfigError, ParseError
 from .fitting import pearson
 from .lexicon import Lexicon, LexiconEntry
@@ -184,27 +184,24 @@ def active_node_stats(lexicon: Lexicon | Network, stimuli: Sequence[str],
     """Mean active-set sizes by pool for each inhibition setting.
 
     Runs every stimulus to max_cycles without early stopping, with OO and PP
-    gamma tied to the swept value.
+    gamma tied to the swept value: every (gamma, stimulus) trial is a row of
+    one run_rows call.
     """
     network = lexicon if isinstance(lexicon, Network) else build_network(lexicon, params or Parameters())
     base = params or network.params
-    results = []
-    for gamma in gammas:
-        if gamma > 0:
-            raise ConfigError("inhibition sweep values must be <= 0")
-        p = base.updated(OO_gamma=gamma, PP_gamma=gamma)
-        sums = [dict.fromkeys([pool.value for pool in INHIBITED_POOLS], 0.0)
-                for _ in range(p.max_cycles)]
-        for stimulus in stimuli:
-            run_trial(network, stimulus, _PoolSizes(sums), p, trace=None)
-        n = max(1, len(stimuli))
-        per_cycle = []
-        for cycle_sums in sums:
-            means = {name: total / n for name, total in cycle_sums.items()}
-            means["overall"] = math.fsum(means.values())
-            per_cycle.append(means)
-        results.append(GammaStats(gamma=gamma, per_cycle=per_cycle))
-    return results
+    if any(gamma > 0 for gamma in gammas):
+        raise ConfigError("inhibition sweep values must be <= 0")
+    settings = [base.updated(OO_gamma=gamma, PP_gamma=gamma) for gamma in gammas]
+    names = [pool.value for pool in INHIBITED_POOLS]
+    sums = [[dict.fromkeys(names, 0.0) for _ in range(p.max_cycles)] for p in settings]
+    run_rows(network, [(stimulus, _PoolSizes(s), None) for s in sums for stimulus in stimuli],
+             [p for p in settings for _stimulus in stimuli])
+    n = max(1, len(stimuli))
+    for means in (cycle_sums for gamma_sums in sums for cycle_sums in gamma_sums):
+        for name in names:
+            means[name] /= n
+        means["overall"] = math.fsum(means.values())
+    return [GammaStats(gamma=gamma, per_cycle=per_cycle) for gamma, per_cycle in zip(gammas, sums)]
 
 
 def stats_rows(stats: Sequence[GammaStats]) -> list[list]:

@@ -135,6 +135,15 @@ class Network:
         rest = self.rest[first:].reshape(-1, 5).T
         return EntryArrays(place, offsets, weights, links, rest)
 
+    @functools.cached_property
+    def members(self) -> dict[Pool, np.ndarray]:
+        """Each inhibited pool's read-only member mask, from node metadata alone."""
+        members = {pool: np.fromiter((node.pool is pool for node in self.nodes), bool, len(self))
+                   for pool in INHIBITED_POOLS}
+        for mask in members.values():
+            mask.flags.writeable = False
+        return members
+
     def find(self, pool: Pool, symbol: str, language: str | None = None) -> Node:
         matches = [n for n in self.nodes
                    if n.pool is pool and n.symbol == symbol and n.language == language]

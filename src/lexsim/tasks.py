@@ -7,6 +7,9 @@ language; phonological candidates crossing the output threshold wait in a
 shortlist and, upon reaching the criterion, are accepted only when both
 their language matches the target and their concept matches the input
 node's. Rejection is permanent for the trial.
+
+Candidates: a row of a run_rows step of several rows takes its part of one
+Scan per (pool, threshold) over all the rows; any other state scans its own.
 """
 
 from __future__ import annotations
@@ -85,10 +88,14 @@ def _outcome(task: str, params: Parameters, state: SimulationState, kind: str,
 
 def _candidates(state: SimulationState, network: Network, pool: Pool,
                 threshold: float) -> list[int]:
-    """Pool members at or above ``threshold``, in id order."""
-    nodes = network.nodes
-    return [n for n in (state.activation >= threshold).nonzero()[0].tolist()
-            if nodes[n].pool is pool]
+    """Pool members at or above ``threshold``, in id order (module docstring)."""
+    if state.scan is not None:
+        scan, row = state.scan
+        ids, bounds = scan[pool, threshold]
+        return ids[bounds[row]:bounds[row + 1]]
+    hits = state.activation >= threshold
+    hits &= network.members[pool]
+    return hits.nonzero()[0].tolist()
 
 
 def _winner(state: SimulationState, network: Network, pool: Pool,
@@ -167,9 +174,11 @@ class WordTranslationMonitor:
     # -- stage 1: fix the input reading ------------------------------------
 
     def _identify_input(self, state, network) -> None:
+        candidates = _candidates(state, network, Pool.ORTHO, self.params.shortlist_input_threshold)
+        if not candidates:
+            return  # the shortlist is empty between cycles until the input is fixed
         act = state.activation.item
-        for o_id in _candidates(state, network, Pool.ORTHO,
-                                self.params.shortlist_input_threshold):
+        for o_id in candidates:
             self.input_list.admit(o_id)
         # scan the live list, most activated first, until the source language appears
         for o_id in sorted(self.input_list.admitted, key=lambda n: (-act(n), n)):
@@ -186,12 +195,12 @@ class WordTranslationMonitor:
     # -- stage 2: accept an output candidate -------------------------------
 
     def _select_output(self, state, network) -> TaskOutcome | None:
-        act = state.activation.item
         for p_id in _candidates(state, network, Pool.PHONO,
                                 self.params.shortlist_output_threshold):
             self.output_list.admit(p_id)
-        if self.diagnostics.input_node is None:
-            return None  # semantic check impossible until the input is fixed
+        if self.diagnostics.input_node is None or not self.output_list.admitted:
+            return None  # the semantic check needs the input fixed and a candidate
+        act = state.activation.item
         input_concept = network.nodes[self.diagnostics.input_node].concept
         ready = [n for n in self.output_list.admitted
                  if act(n) >= self.params.criterion_value]

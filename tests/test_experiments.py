@@ -1,10 +1,12 @@
+import math
+
 import pytest
 
 from lexsim import (ConfigError, DenseEngine, Network, ParseError, Parameters, ValidationError,
                     active_node_stats, benchmark, build_network, condition_report,
-                    parse_stimuli, run_batch, synthetic_lexicon)
-from lexsim.experiments import (BatchRow, StimulusRecord, _engine_runner, outcome_rows,
-                                report_rows, stats_rows)
+                    parse_stimuli, run, run_batch, synthetic_lexicon)
+from lexsim.experiments import (BatchRow, StimulusRecord, _PoolSizes, _engine_runner,
+                                outcome_rows, report_rows, stats_rows)
 from lexsim.reference import DENSE_ENTRY_GUARD
 from lexsim.tasks import TaskOutcome
 
@@ -213,6 +215,28 @@ def test_stats_runs_full_cycle_count(table1, params):
 def test_stats_rejects_positive_gamma(table1, params):
     with pytest.raises(ConfigError):
         active_node_stats(table1, ["AARDE"], [0.1], params)
+
+
+@pytest.mark.parametrize("fixture", ["table1", "homograph_lexicon"])
+def test_stats_as_rows_match_one_run_per_trial(request, fixture, params):
+    # every (gamma, stimulus) trial is a row of one run_rows call; the means
+    # must be those of one run per trial, summed by the same monitor
+    lexicon = request.getfixturevalue(fixture)
+    network = build_network(lexicon, params)
+    stimuli = [entry.ortho_a for entry in lexicon.entries[:5]] + [
+        lexicon.entries[-1].ortho_b, "XQZQX", lexicon.entries[0].ortho_a]
+    gammas = [0.0, -0.001, -0.05, -1.0]
+    stats = active_node_stats(network, stimuli, gammas, params)
+    assert [gs.gamma for gs in stats] == gammas
+    for gamma, gs in zip(gammas, stats):
+        p = params.updated(OO_gamma=gamma, PP_gamma=gamma)
+        sums = [dict.fromkeys(("ortho", "phono", "sem"), 0.0) for _ in range(p.max_cycles)]
+        for stimulus in stimuli:
+            run(network, stimulus, _PoolSizes(sums), p, trace=None)
+        for means, cycle_sums in zip(gs.per_cycle, sums, strict=True):
+            expected = {name: total / len(stimuli) for name, total in cycle_sums.items()}
+            expected["overall"] = math.fsum(expected.values())
+            assert means == expected
 
 
 def test_stats_rows_layout(table1, params):

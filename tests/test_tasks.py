@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
-from lexsim import (ConfigError, Parameters, lexical_decision, naming, run,
+from lexsim import (ConfigError, DenseEngine, Parameters, lexical_decision, naming, run,
                     word_translation)
+from lexsim.dynamics import run_rows
 from lexsim import tasks
 from lexsim.network import Pool
 from lexsim.tasks import (NullMonitor, Shortlist, WordTranslationMonitor, make_monitor)
@@ -161,31 +164,111 @@ def test_translation_accepts_only_matching_concept_and_language(homograph_networ
 
 # -- candidates ------------------------------------------------------------------
 
-@pytest.mark.parametrize("threshold", [-0.1, 0.0, 0.72])
-def test_candidates_match_a_scan_of_the_pool(homograph_network, monkeypatch, threshold):
-    # every candidate list the monitors take along full LD, NAME and WT runs
-    # is the pool's members at or above the threshold, in id order
+def _check_candidates(monkeypatch):
+    """Patch tasks._candidates so that every list a monitor takes, and the
+    lists at two more thresholds on the same state -- the pool's highest
+    activation in the row, which one member equals, and the double above
+    MAX_ACT -- equal a scan of the state's own pool: its members at or
+    above the threshold, in id order. Returns one (pool, threshold, count,
+    rows in the step's scan or None, row) per monitor call."""
     candidates = tasks._candidates
+
+    def scanned(state, network, pool, limit):
+        return [n for n in members(network, pool) if state.activation[n] >= limit]
+
     calls = []
 
     def checked(state, network, pool, limit):
         got = candidates(state, network, pool, limit)
-        act = state.activation
-        assert got == [n for n in members(network, pool) if act[n] >= limit]
-        calls.append((pool, limit, len(got)))
+        assert got == scanned(state, network, pool, limit)
+        top = state.activation[members(network, pool)].max()
+        assert candidates(state, network, pool, top) == scanned(state, network, pool, top) != []
+        above = math.nextafter(network.params.MAX_ACT, math.inf)
+        assert candidates(state, network, pool, above) == []
+        scan, row = state.scan or (None, 0)
+        calls.append((pool, limit, len(got), None if scan is None else len(scan.activation), row))
         return got
 
     monkeypatch.setattr(tasks, "_candidates", checked)
+    return calls
+
+
+TASKS = (("LD", "NL", None), ("NAME", "EN", "EN"), ("WT", "NL", "EN"))
+
+
+@pytest.mark.parametrize("threshold", [-0.1, 0.0, 0.72])
+def test_candidates_match_a_scan_of_the_pool(homograph_network, monkeypatch, threshold):
+    # every candidate list the monitors take along full LD, NAME and WT runs
+    # is the pool's members at or above the threshold, in id order
+    calls = _check_candidates(monkeypatch)
     p = Parameters().updated(criterion_value=threshold, shortlist_input_threshold=threshold,
                              shortlist_output_threshold=threshold)
     for stimulus in ("ROOM", "AARDE", "TUNNEL", "XQZQX"):
-        for task, source, target in (("LD", "NL", None), ("NAME", "EN", "EN"),
-                                     ("WT", "NL", "EN")):
+        for task, source, target in TASKS:
             run(homograph_network, stimulus, make_monitor(task, source, target, p), p,
                 trace=None)
-    assert {(pool, limit) for pool, limit, _n in calls} \
+    assert {(pool, limit) for pool, limit, *_rest in calls} \
         == {(Pool.ORTHO, threshold), (Pool.PHONO, threshold)}
-    assert any(n for _pool, _limit, n in calls)
+    assert any(n for _pool, _limit, n, *_rest in calls)
+    assert {rows for *_head, rows, _row in calls} == {None}  # one row reads its own state
+
+
+def test_candidates_of_many_rows_match_a_scan_of_each_rows_pool(homograph_network,
+                                                                 monkeypatch):
+    # rows at different gammas that finish at different cycles, so Rows.keep
+    # compresses the buffer mid-chunk: each row's lists come from its own
+    # stepped activations, never a stale buffer or a neighbouring row
+    calls = _check_candidates(monkeypatch)
+    settings = [Parameters().updated(OO_gamma=g, PP_gamma=g) for g in (0.0, -0.01, -0.3, -1.0)]
+    stimuli = ("ROOM", "AARDBEI", "KAMER", "AAP", "XQZQX")
+    trials, row_params = [], []
+    for p in settings:
+        for stimulus in stimuli:
+            for task, source, target in TASKS:
+                trials.append((stimulus, make_monitor(task, source, target, p), None))
+                row_params.append(p)
+    outcomes = [outcome for _trace, outcome in run_rows(homograph_network, trials, row_params)]
+    sizes = {rows for *_head, rows, _row in calls}
+    assert len(trials) in sizes and len(sizes - {len(trials), None}) > 1
+    assert max(row for *_head, row in calls) == len(trials) - 1
+    assert len({outcome.cycles for outcome in outcomes}) > 1
+    assert any(n for _pool, _limit, n, *_rest in calls)
+
+
+def test_candidates_under_the_dense_engine_match_a_scan_of_the_pool(homograph_network,
+                                                                    monkeypatch, params):
+    # the dense step replaces state.activation: the lists come from the new one
+    calls = _check_candidates(monkeypatch)
+    dense = DenseEngine(homograph_network)
+    for stimulus in ("ROOM", "AARDE"):
+        for task, source, target in TASKS:
+            dense.run(stimulus, make_monitor(task, source, target, params), params, trace=None)
+    assert {rows for *_head, rows, _row in calls} == {None}
+    assert any(n for _pool, _limit, n, *_rest in calls)
+
+
+def test_input_shortlist_is_empty_until_the_input_is_fixed(homograph_lexicon,
+                                                           homograph_network, params):
+    # _identify_input skips a cycle without candidates: that is safe only if
+    # each of its scans fixes the input or rejects every node it admitted
+    open_after_rejections = []
+
+    class Checked(WordTranslationMonitor):
+        def observe(self, state, network):
+            outcome = super().observe(state, network)
+            if self.diagnostics.input_node is None:
+                assert self.input_list.admitted == set()
+                open_after_rejections.append(bool(self.diagnostics.input_rejections))
+            return outcome
+
+    trials = [("ROOM", "NL", "EN"), ("ROOM", "EN", "NL")]
+    trials += [(entry.ortho_b, "NL", "EN") for entry in homograph_lexicon.entries]
+    for p in (params, params.updated(shortlist_input_threshold=0.1)):
+        for stimulus, source, target in trials:
+            run(homograph_network, stimulus, Checked(source, target, p), p, trace=None)
+        run_rows(homograph_network, [(stimulus, Checked(source, target, p), None)
+                                     for stimulus, source, target in trials], p)
+    assert any(open_after_rejections)
 
 
 # -- shortlist mechanics ---------------------------------------------------------
