@@ -287,22 +287,35 @@ class Rows:
 
 
 class Scan(dict):
-    """After a step of several rows, ``scan[pool, threshold]`` is (ids, bounds):
-    row b's members of the pool at or above the threshold, in id order, are
-    ids[bounds[b]:bounds[b + 1]], scanned on first request over the flat buffer."""
+    """After a step of several rows, ``scan[pool, threshold]`` is (ids, bounds,
+    found): row b's members of the pool at or above the threshold, in id
+    order, are ids[bounds[b]:bounds[b + 1]], and found[b] is whether it has
+    any; scanned on first request over the flat buffer."""
 
     def __init__(self, rows: Rows):
         self.activation = rows.activation.reshape(len(rows.states), -1)
         self.members = rows.network.members
 
-    def __missing__(self, key: tuple[Pool, float]) -> tuple[list[int], list[int]]:
+    def __missing__(self, key: tuple[Pool, float]) -> tuple[list[int], list[int], np.ndarray]:
         pool, threshold = key
         hits = self.activation >= threshold
         hits &= self.members[pool]
         n = hits.shape[1]
         ids = np.flatnonzero(hits)
-        bounds = ids.searchsorted(np.arange(0, hits.size + 1, n)).tolist()
-        return self.setdefault(key, ((ids % n).tolist(), bounds))
+        bounds = ids.searchsorted(np.arange(0, hits.size + 1, n))
+        return self.setdefault(key, ((ids % n).tolist(), bounds.tolist(),
+                                     bounds[1:] > bounds[:-1]))
+
+
+def _woken(scan: Scan, watches: dict, codes: np.ndarray) -> np.ndarray:
+    """Each row's flag: its watch (``watches`` maps each to a code) is None or found a candidate."""
+    woken = np.zeros(len(codes), dtype=bool)
+    for watch, code in watches.items():
+        rows = codes == code
+        if watch is not None and rows.any():
+            rows &= np.logical_or.reduce([scan[key][2] for key in watch])
+        woken |= rows
+    return woken
 
 
 def _groups(keys: np.ndarray):
@@ -517,7 +530,8 @@ def run_rows(network: Network, trials, params: Parameters | Sequence[Parameters]
     outcome or None; ``monitor.timeout`` gives it once max_cycles pass. A
     row with its outcome drops out, after check_invariants. Several rows'
     monitors read a Scan of rows.activation, where step_fn must leave the
-    stepped rows. ConfigError comes before the first step for a monitor
+    stepped rows, and only _woken rows are observed (a monitor's ``watch``,
+    lexsim.tasks). ConfigError comes before the first step for a monitor
     language the network lacks, a field of a row's parameters the network
     fixed (check_trial_params), or rows that differ outside ROW_NAMES."""
     for _stimulus, monitor, _weights in trials:
@@ -533,27 +547,36 @@ def run_rows(network: Network, trials, params: Parameters | Sequence[Parameters]
         live = list(range(first, min(first + chunk, len(trials))))
         rows = Rows(network, [_start(network, trials[i], trace) for i in live],
                     row_params[first:first + chunk])
+        watches: dict = {}  # each distinct watch in the chunk: its code
+        codes = np.array([watches.setdefault(getattr(trials[i][1], "watch", None), len(watches))
+                          for i in live])
         while live:
             step_fn(rows)
-            scan = Scan(rows) if len(live) > 1 else None
-            last = rows.states[0].cycle >= rows.params.max_cycles  # rows step together
-            kept = []
-            for b, (i, state) in enumerate(zip(live, rows.states)):
-                monitor = trials[i][1]
-                if state.trace is not None:
+            if trace is not None:
+                for state in rows.states:
                     state.trace.record(state)
+            scan = Scan(rows) if len(live) > 1 else None
+            woken = None if scan is None else _woken(scan, watches, codes)
+            last = rows.states[0].cycle >= rows.params.max_cycles  # rows step together
+            done = set()
+            for b in range(len(live)) if last or scan is None else woken.nonzero()[0].tolist():
+                i, state = live[b], rows.states[b]
+                monitor = trials[i][1]
                 state.scan = None if scan is None else (scan, b)
-                outcome = monitor.observe(state, network)
+                outcome = monitor.observe(state, network) if scan is None or woken[b] else None
                 if outcome is None and last:
                     outcome = monitor.timeout(state, network)
-                if outcome is None:
-                    kept.append(b)
-                else:
-                    state.scan = None
+                state.scan = None
+                if outcome is not None:
                     check_invariants(state, rows.params)
                     results[i] = (state.trace, outcome)
-            if len(kept) < len(live):
+                    done.add(b)
+                elif scan is not None:  # observe may have changed the watch
+                    codes[b] = watches.setdefault(getattr(monitor, "watch", None), len(watches))
+            if done:
+                kept = [b for b in range(len(live)) if b not in done]
                 live = [live[b] for b in kept]
+                codes = codes[kept]
                 if kept:
                     rows.keep(kept)
     return results

@@ -144,10 +144,11 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
     weights = {stimulus: network.input_weights(stimulus)
                for stimulus in dict.fromkeys(r.stimulus for r in rated)}
 
-    # point -> (responded, trials, note); a point's trials are deterministic
-    scored: dict[float, tuple[int, int, str]] = {}
+    # point -> (fitness, responded, trials, note). A point's trials are
+    # deterministic, so each distinct point is simulated once per call
+    scored: dict[float, tuple[float, int, int, str]] = {}
 
-    def fitness(gamma: float, outcomes) -> float:
+    def score(gamma: float, outcomes) -> None:
         cycles, rts = [], []
         for record, outcome in zip(rated, outcomes):
             if outcome.responded:
@@ -161,13 +162,13 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
                 fitness = pearson(cycles, rts)
             except ValueError:
                 note = "constant_cycles" if len(set(cycles)) == 1 else "constant_rts"
-        scored[gamma] = (len(cycles), len(rated), note)
-        return fitness
+        scored[gamma] = (fitness, len(cycles), len(rated), note)
 
     def evaluate(points: list[float]) -> list[float]:
-        # every point's trials are rows of one run_rows call; they differ only in gamma
+        # every new point's trials are rows of one run_rows call; they differ only in gamma
+        new = [gamma for gamma in dict.fromkeys(points) if gamma not in scored]
         trials, row_params = [], []
-        for gamma in points:
+        for gamma in new:
             pp = gamma if config.tie_gammas else config.fixed_pp_gamma
             trial_params = params.updated(OO_gamma=gamma, PP_gamma=pp)
             trials += [(record.stimulus, make_monitor(record.task, record.source_lang,
@@ -175,13 +176,12 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
                         weights[record.stimulus]) for record in rated]
             row_params += [trial_params] * len(rated)
         outcomes = [outcome for _trace, outcome in run_rows(network, trials, row_params)]
-        return [fitness(gamma, outcomes[k * len(rated):(k + 1) * len(rated)])
-                for k, gamma in enumerate(points)]
+        for k, gamma in enumerate(new):
+            score(gamma, outcomes[k * len(rated):(k + 1) * len(rated)])
+        return [scored[gamma][0] for gamma in points]
 
     result = _search(evaluate, config)
     for it in result.iterations:
-        counts = [scored[point] for point in it.points]
-        it.n_responded = [responded for responded, _trials, _note in counts]
-        it.n_trials = [trials for _responded, trials, _note in counts]
-        it.notes = [note for _responded, _trials, note in counts]
+        _fitnesses, it.n_responded, it.n_trials, it.notes = map(
+            list, zip(*(scored[point] for point in it.points)))
     return result

@@ -29,6 +29,10 @@ class Pool(enum.Enum):
     SEM = "sem"
     LANG = "lang"
 
+    # in C (Enum.__hash__ is Python) for the (pool, threshold) keys of
+    # dynamics.Scan; no output iterates a set of pools
+    __hash__ = object.__hash__
+
 
 # pools that take a lateral-inhibition step; pool_gamma gives each one's weight
 INHIBITED_POOLS = (Pool.ORTHO, Pool.PHONO, Pool.SEM)

@@ -69,13 +69,11 @@ def excitatory_in(network: Network) -> list[list[tuple[int, float]]]:
     concept and language, its concept's S node and its language's node,
     both ways, with one alpha per (source, target) pool pair."""
     p = network.params
-    # keyed on each pool's value, a str: a Pool key would hash through the
-    # Python-level Enum.__hash__ once per candidate pair
-    O, P, S, L = (pool.value for pool in (Pool.ORTHO, Pool.PHONO, Pool.SEM, Pool.LANG))
+    O, P, S, L = Pool.ORTHO, Pool.PHONO, Pool.SEM, Pool.LANG
     alpha = {(O, P): p.OP_alpha, (P, O): p.PO_alpha, (O, S): p.OS_alpha, (S, O): p.SO_alpha,
              (P, S): p.PS_alpha, (S, P): p.SP_alpha, (O, L): p.OL_alpha, (L, O): p.LO_alpha,
              (P, L): p.PL_alpha, (L, P): p.LP_alpha}
-    pool_of = [node.pool.value for node in network.nodes]
+    pool_of = [node.pool for node in network.nodes]
     language_of = [node.language for node in network.nodes]
     concepts: dict[int, list] = {}
     for node in network.nodes:

@@ -10,6 +10,15 @@ node's. Rejection is permanent for the trial.
 
 Candidates: a row of a run_rows step of several rows takes its part of one
 Scan per (pool, threshold) over all the rows; any other state scans its own.
+
+Watch: after a step of several rows, run_rows observes only the rows where
+a (pool, threshold) of the monitor's ``watch`` has candidates (None or no
+attribute: every row), so observe must return None and change nothing
+without them. LD and NAME watch (pool, criterion): no candidate, no winner.
+WT watches (ORTHO, input threshold) until the input is fixed, as the input
+stage is a no-op without candidates, and (PHONO, output threshold): without
+those it admits nothing, and no admitted node is ready, since the criterion
+is at least the output threshold (else watch is None).
 """
 
 from __future__ import annotations
@@ -30,9 +39,8 @@ class Shortlist:
         self.admitted: set[int] = set()
         self.rejected: set[int] = set()
 
-    def admit(self, node_id: int) -> None:
-        if node_id not in self.rejected:
-            self.admitted.add(node_id)
+    def admit(self, *node_ids: int) -> None:
+        self.admitted |= set(node_ids) - self.rejected
 
     def reject(self, node_id: int) -> None:
         self.admitted.discard(node_id)
@@ -91,7 +99,7 @@ def _candidates(state: SimulationState, network: Network, pool: Pool,
     """Pool members at or above ``threshold``, in id order (module docstring)."""
     if state.scan is not None:
         scan, row = state.scan
-        ids, bounds = scan[pool, threshold]
+        ids, bounds, _found = scan[pool, threshold]
         return ids[bounds[row]:bounds[row + 1]]
     hits = state.activation >= threshold
     hits &= network.members[pool]
@@ -110,7 +118,8 @@ def _winner(state: SimulationState, network: Network, pool: Pool,
 
 
 class NullMonitor:
-    """Never decides; useful for plain trace runs and active-node statistics."""
+    """Never decides; useful for plain trace runs and active-node statistics.
+    No watch: observed every cycle. A subclass overriding observe must reset watch."""
 
     task = "NONE"
     languages = ()
@@ -135,6 +144,7 @@ class _ThresholdMonitor:
         self.target_language = target_language
         self.params = params
         self.languages = (target_language,)
+        self.watch = ((self.pool, params.criterion_value),)
 
     def observe(self, state, network) -> TaskOutcome | None:
         winner = _winner(state, network, self.pool, self.target_language,
@@ -170,6 +180,10 @@ class WordTranslationMonitor:
         self.input_list = Shortlist()
         self.output_list = Shortlist()
         self.diagnostics = Diagnostics()
+        # (module docstring); the ortho pair goes once the input is fixed
+        self.watch = None if params.criterion_value < params.shortlist_output_threshold else (
+            (Pool.ORTHO, params.shortlist_input_threshold),
+            (Pool.PHONO, params.shortlist_output_threshold))
 
     # -- stage 1: fix the input reading ------------------------------------
 
@@ -178,14 +192,15 @@ class WordTranslationMonitor:
         if not candidates:
             return  # the shortlist is empty between cycles until the input is fixed
         act = state.activation.item
-        for o_id in candidates:
-            self.input_list.admit(o_id)
+        self.input_list.admit(*candidates)
         # scan the live list, most activated first, until the source language appears
         for o_id in sorted(self.input_list.admitted, key=lambda n: (-act(n), n)):
             node = network.nodes[o_id]
             if node.language == self.source_language:
                 self.diagnostics.input_node = node.id
                 self.diagnostics.input_symbol = node.symbol
+                if self.watch is not None:
+                    self.watch = self.watch[1:]
                 return
             self.input_list.reject(o_id)
             self.diagnostics.input_rejections.append(Rejection(
@@ -195,9 +210,8 @@ class WordTranslationMonitor:
     # -- stage 2: accept an output candidate -------------------------------
 
     def _select_output(self, state, network) -> TaskOutcome | None:
-        for p_id in _candidates(state, network, Pool.PHONO,
-                                self.params.shortlist_output_threshold):
-            self.output_list.admit(p_id)
+        self.output_list.admit(*_candidates(state, network, Pool.PHONO,
+                                            self.params.shortlist_output_threshold))
         if self.diagnostics.input_node is None or not self.output_list.admitted:
             return None  # the semantic check needs the input fixed and a candidate
         act = state.activation.item

@@ -13,7 +13,7 @@ from lexsim import dynamics
 from lexsim.dynamics import (Rows, SimulationState, Trace, _excite, _expansion, _inhibit, run_rows,
                              step_rows)
 from lexsim.network import INHIBITED_POOLS, Pool
-from lexsim.tasks import LexicalDecisionMonitor, make_monitor
+from lexsim.tasks import LexicalDecisionMonitor, WordTranslationMonitor, make_monitor
 
 from conftest import members, random_case
 
@@ -460,14 +460,17 @@ def test_invariant_error_is_not_a_batch_row_error(table1_network, params, monkey
 # -- trials stepped together as rows -----------------------------------------
 
 class _Observed:
-    """A task monitor that keeps the state it last observed."""
+    """A task monitor that keeps the state it last observed and the cycles it
+    observed; it has no watch."""
 
     def __init__(self, monitor):
         self.monitor = monitor
         self.languages = monitor.languages
+        self.cycles = []
 
     def observe(self, state, network):
         self.state = state
+        self.cycles.append(state.cycle)
         return self.monitor.observe(state, network)
 
     def timeout(self, state, network):
@@ -599,6 +602,66 @@ def test_rows_with_different_gammas_match_one_run_each(homograph_lexicon, monkey
     assert covered["gammas_in_a_step"] == len(settings)
     assert covered["partial_pool_step"]
     assert len(covered["cycles"]) > 1
+
+
+class _Cycles(NullMonitor):
+    """Never decides; keeps the cycles it observed, like the stats monitor."""
+
+    def __init__(self):
+        self.cycles = []
+
+    def observe(self, state, network):
+        self.cycles.append(state.cycle)
+
+
+class _Woken(WordTranslationMonitor):
+    """A WT monitor, watch kept, that counts the cycles it observed."""
+
+    cycles = 0
+
+    def observe(self, state, network):
+        self.cycles += 1
+        return super().observe(state, network)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [4, 64])
+@pytest.mark.parametrize("fixture", ["table1", "homograph_lexicon"])
+def test_rows_observe_only_woken_monitors_and_match_one_run_each(request, monkeypatch,
+                                                                 fixture, rows_per_chunk):
+    # watched monitors (WT, LD, NAME) skip the rows without candidates;
+    # NullMonitor, a subclass of it and a wrapper without watch see every cycle.
+    # Chunks of 4 end with one row, which is observed every cycle
+    lexicon = request.getfixturevalue(fixture)
+    network = build_network(lexicon, Parameters())
+    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", rows_per_chunk * len(network))
+    params = Parameters().updated(OO_gamma=-0.01, PP_gamma=-0.01)
+    entries = lexicon.entries
+    specs = [(e.ortho_a, "WT", "NL", "EN") for e in entries[:4]]
+    specs += [(entries[1].ortho_b, "WT", "EN", "NL"), (entries[0].ortho_a, "LD", "NL", None),
+              ("XQZQX", "WT", "NL", "EN"), (entries[2].ortho_b, "NAME", "EN", "EN"),
+              ("XQZQX", "LD", "NL", None), (entries[3].ortho_a, "WT", "NL", "EN")]
+
+    def monitors():
+        made = [_Woken(source, target, params) if task == "WT"
+                else make_monitor(task, source, target, params)
+                for _stimulus, task, source, target in specs]
+        return made + [NullMonitor(), _Cycles(), _Observed(make_monitor("WT", "NL", "EN", params))]
+
+    stimuli = [spec[0] for spec in specs] + [entries[0].ortho_a] * 3
+    batch = monitors()
+    got = [outcome for _trace, outcome in
+           run_rows(network, [(s, m, None) for s, m in zip(stimuli, batch)], params)]
+    alone = monitors()
+    for stimulus, monitor, outcome in zip(stimuli, alone, got):
+        assert run(network, stimulus, monitor, params, trace=None)[1] == outcome, stimulus
+    assert len({outcome.cycles for outcome in got}) > 1
+    assert not hasattr(batch[-3], "watch") and not hasattr(batch[-1], "watch")
+    for monitor, outcome in zip(batch[-2:], got[-2:]):
+        assert monitor.cycles == list(range(1, outcome.cycles + 1))
+    woken = [(monitor.cycles, one.cycles) for monitor, one in zip(batch, alone)
+             if isinstance(monitor, _Woken)]
+    assert all(rows <= cycles for rows, cycles in woken)
+    assert sum(rows for rows, _cycles in woken) < sum(cycles for _rows, cycles in woken)
 
 
 def test_rows_may_differ_only_in_inhibition_weights(table1_network, params):

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import math
 
 import pytest
@@ -5,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from lexsim import (ConfigError, SearchConfig, build_network, fit_inhibition, grid_search,
                     pearson, run)
+from lexsim import fitting
+from lexsim.dynamics import run_rows
 from lexsim.experiments import StimulusRecord, run_batch
 from lexsim.fitting import WORST_FITNESS, _search
 from lexsim.tasks import make_monitor
@@ -250,3 +254,54 @@ def test_wide_fit_is_grid_search_over_one_run_per_trial(homograph_lexicon, param
     assert _windows(wide) == _windows(scalar)
     assert (wide.best_value, wide.best_fitness) == (scalar.best_value, scalar.best_fitness)
     assert len({f for it in wide.iterations for f in it.fitnesses}) > 3
+
+
+def _criterion_7(lexicon, params):
+    """The criterion-7 fit's records and configuration: RTs are 25 ms per
+    cycle of a run at gamma -0.001, plus 500 ms."""
+    rows = run_batch(lexicon, _records(lexicon, task="WT", target="EN"),
+                     params.updated(OO_gamma=-0.001, PP_gamma=-0.001))
+    records = _records(lexicon, task="WT", target="EN",
+                       rts=[25.0 * row.outcome.cycles + 500.0 for row in rows])
+    return records, SearchConfig(lower=-1.0, upper=0.0, n_points=20, epsilon=1e-6)
+
+
+def _log_fields(it):
+    return ([x.hex() for x in (it.window_lo, it.window_hi, *it.points, *it.fitnesses)],
+            it.n_responded, it.n_trials, it.notes)
+
+
+def test_fit_that_scores_a_point_once_equals_one_that_resimulates_it(homograph_lexicon,
+                                                                     params):
+    # the reference runs each iteration's window again as a one-iteration
+    # fit of its own, so every point of it is simulated afresh
+    records, config = _criterion_7(homograph_lexicon, params)
+    result = fit_inhibition(homograph_lexicon, records, config, params)
+    points = [p for it in result.iterations for p in it.points]
+    assert len(set(points)) < len(points)  # the search repeats points
+    reference = [fit_inhibition(homograph_lexicon, records, dataclasses.replace(
+        config, lower=it.window_lo, upper=it.window_hi, max_iterations=1), params).iterations[0]
+        for it in result.iterations]
+    assert [_log_fields(it) for it in result.iterations] == [_log_fields(it) for it in reference]
+    # the incumbent: the first point of the highest fitness, in search order
+    best = max(((p, f) for it in reference for p, f in zip(it.points, it.fitnesses)),
+               key=lambda point: point[1])
+    assert (result.best_value.hex(), result.best_fitness.hex()) == tuple(x.hex() for x in best)
+
+
+def test_fit_simulates_each_distinct_point_once_per_call(homograph_lexicon, params,
+                                                         monkeypatch):
+    records, config = _criterion_7(homograph_lexicon, params)
+    rows_of = []
+
+    def counting(network, trials, row_params, *args, **kwargs):
+        rows_of[-1].update(p.OO_gamma for p in row_params)
+        return run_rows(network, trials, row_params, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "run_rows", counting)
+    for _call in range(2):
+        rows_of.append(collections.Counter())
+        result = fit_inhibition(homograph_lexicon, records, config, params)
+        points = {p for it in result.iterations for p in it.points}
+        assert rows_of[-1] == {p: len(records) for p in points}
+    assert sum(len(it.points) for it in result.iterations) > len(points)

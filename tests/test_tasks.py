@@ -1,9 +1,11 @@
+import collections
+import copy
 import math
 
 import pytest
 
-from lexsim import (ConfigError, DenseEngine, Parameters, lexical_decision, naming, run,
-                    word_translation)
+from lexsim import (ConfigError, DenseEngine, Parameters, build_network, lexical_decision,
+                    naming, run, word_translation)
 from lexsim.dynamics import run_rows
 from lexsim import tasks
 from lexsim.network import Pool
@@ -217,10 +219,12 @@ def test_candidates_of_many_rows_match_a_scan_of_each_rows_pool(homograph_networ
                                                                  monkeypatch):
     # rows at different gammas that finish at different cycles, so Rows.keep
     # compresses the buffer mid-chunk: each row's lists come from its own
-    # stepped activations, never a stale buffer or a neighbouring row
+    # stepped activations, never a stale buffer or a neighbouring row. The
+    # nonword comes first: its rows find no candidates, so run_rows does not
+    # observe them, and the last row must be observed
     calls = _check_candidates(monkeypatch)
     settings = [Parameters().updated(OO_gamma=g, PP_gamma=g) for g in (0.0, -0.01, -0.3, -1.0)]
-    stimuli = ("ROOM", "AARDBEI", "KAMER", "AAP", "XQZQX")
+    stimuli = ("XQZQX", "ROOM", "AARDBEI", "KAMER", "AAP")
     trials, row_params = [], []
     for p in settings:
         for stimulus in stimuli:
@@ -269,6 +273,77 @@ def test_input_shortlist_is_empty_until_the_input_is_fixed(homograph_lexicon,
         run_rows(homograph_network, [(stimulus, Checked(source, target, p), None)
                                      for stimulus, source, target in trials], p)
     assert any(open_after_rejections)
+
+
+# -- watch -----------------------------------------------------------------------
+
+def _snapshot(monitor):
+    """What observe may change: the watch, the shortlists and the diagnostics."""
+    lists = [getattr(monitor, name) for name in ("input_list", "output_list")
+             if hasattr(monitor, name)]
+    return (monitor.watch, [(set(s.admitted), set(s.rejected)) for s in lists],
+            copy.deepcopy(getattr(monitor, "diagnostics", None)))
+
+
+class _Guarded:
+    """Observes through ``monitor``, checking its watch on every cycle: where
+    no member of a watched pool is at or above its threshold (a scan of the
+    state's own pool), observe returns None and changes nothing. Counts the
+    quiet cycles by (task, watch size), and the cycles where a watched pool
+    has a member exactly at its threshold."""
+
+    def __init__(self, monitor, counts):
+        self.monitor, self.counts = monitor, counts
+        self.languages = monitor.languages
+
+    def observe(self, state, network):
+        watch = self.monitor.watch
+        scans = [state.activation[members(network, pool)] for pool, _limit in watch or ()]
+        self.counts["at threshold"] += any((acts == limit).any()
+                                           for acts, (_pool, limit) in zip(scans, watch or ()))
+        quiet = watch is not None and not any((acts >= limit).any()
+                                              for acts, (_pool, limit) in zip(scans, watch))
+        before = _snapshot(self.monitor)
+        outcome = self.monitor.observe(state, network)
+        if quiet:
+            assert outcome is None and _snapshot(self.monitor) == before, (state.cycle, watch)
+            self.counts[self.monitor.task, len(watch)] += 1
+        return outcome
+
+    def timeout(self, state, network):
+        return self.monitor.timeout(state, network)
+
+
+def _at_cycle(network, stimulus, pool, cycle):
+    """The pool's highest activation at ``cycle`` of an undecided trial."""
+    trace, _outcome = run(network, stimulus, NullMonitor(), Parameters(), trace="full")
+    return max(trace.frames[cycle - 1][n] for n in members(network, pool))
+
+
+@pytest.mark.parametrize("fixture", ["table1", "homograph_lexicon"])
+def test_observe_changes_nothing_while_the_watched_scans_are_empty(request, fixture):
+    # WT before (two watched pools) and after (one) its input is fixed, LD
+    # and NAME; the default thresholds, thresholds that activations reach
+    # exactly, and a criterion under the output threshold (WT: no watch)
+    network = build_network(request.getfixturevalue(fixture), Parameters())
+    entries = request.getfixturevalue(fixture).entries
+    stimuli = [entries[0].ortho_a, entries[1].ortho_b, entries[-1].ortho_a, "XQZQX"]
+    exact = Parameters().updated(
+        shortlist_input_threshold=_at_cycle(network, stimuli[0], Pool.ORTHO, 4),
+        shortlist_output_threshold=_at_cycle(network, stimuli[0], Pool.PHONO, 9),
+        criterion_value=_at_cycle(network, stimuli[0], Pool.PHONO, 14))
+    assert exact.shortlist_output_threshold <= exact.criterion_value
+    low = Parameters().updated(criterion_value=0.2, shortlist_output_threshold=0.3)
+    counts = collections.Counter()
+    for p in (Parameters(), exact, low):
+        for stimulus in stimuli:
+            for task, source, target in TASKS + (("WT", "EN", "NL"),):
+                monitor = make_monitor(task, source, target, p)
+                if p is low and task == "WT":
+                    assert monitor.watch is None
+                run(network, stimulus, _Guarded(monitor, counts), p, trace=None)
+    assert counts["at threshold"] > 0
+    assert all(counts[key] > 0 for key in (("LD", 1), ("NAME", 1), ("WT", 2), ("WT", 1)))
 
 
 # -- shortlist mechanics ---------------------------------------------------------
