@@ -51,13 +51,12 @@ values over numpy arrays:
   engine computes. It stops: each residual is at most half an ulp of the
   r_k before it, so |r_{k+1}| <= 2**-53 * |r_k| and |r_k| < 2**(1024 -
   53*k). r_40 would lie under 2**-1096, below the smallest subnormal, so
-  the expansion has at most 40 entries. build_network lays out every
-  entry as [O_a, P_a, O_b, P_b, S], so a node's pool is the pool of its
-  place, and each node is in exactly one pool (the input and language
-  nodes in none). The shared sums therefore form one table, +0.0 where a
-  pool did not step, and each entry node gets its pool's entry in one
-  add: no net input is -0.0 (s is not, products are not, and neither are
-  their sums), so adding +0.0 leaves it as it is.
+  the expansion has at most 40 entries. Each node is in at most one pool
+  (Network.pools; the input and language nodes in none), so the shared
+  sums form one table, +0.0 where a pool did not step, and every node
+  gets its row's entry for its pool, +0.0 for no pool, in one add: no net
+  input is -0.0 (s is not, products are not, and neither are their sums),
+  so adding +0.0 leaves it as it is.
 - The add and the update rule run over every node as elementwise float64
   ufuncs in update_activation's operation order. Each rounds exactly as
   the Python float operation does (numpy does not fuse multiply-add). The
@@ -95,10 +94,7 @@ keeps finite, so d = r - MIN_ACT is finite and >= +0.0, net*d = +0.0,
 r + 0.0 = r, decay*(r - r) = +0.0, r - 0.0 = r and the clamps keep r:
 the update maps the node to its own bits. The step computes such nodes
 all the same, as the dense engine does, so only the touched_updates
-counter depends on this; it counts the other nodes. Every member of a
-pool that steps is touched, so the counter compares activations with
-rest levels only at the places whose pool did not step in a row, and at
-the input and language nodes.
+counter depends on this; it counts the other nodes.
 """
 
 from __future__ import annotations
@@ -185,27 +181,19 @@ class SimulationState:
                 for pool, members in self.network.members.items()}
 
     def inputs(self, i_rest: float) -> tuple[np.ndarray, np.ndarray]:
-        """_stimulus of this state alone, kept for the trial; rebuilt only
-        if I_rest changes."""
+        """This trial's row of stimulus-only net input -- iw * I_rest + 0.0
+        at every stimulus-weighted node, 0.0 elsewhere -- and of the mask of
+        the stimulus-weighted nodes, kept for the trial; rebuilt only if
+        I_rest changes."""
         if self._inputs is None or self._inputs[0] != i_rest:
-            self._inputs = (i_rest, *_stimulus([self], len(self.network), i_rest))
+            weights, n = self.input_weights, len(self.network)
+            ids = np.fromiter(weights, np.intp, len(weights))
+            stimulus = np.zeros(n)
+            stimulus[ids] = np.fromiter(weights.values(), np.float64, len(weights)) * i_rest + 0.0
+            weighted = np.zeros(n, dtype=bool)
+            weighted[ids] = True
+            self._inputs = (i_rest, stimulus, weighted)
         return self._inputs[1:]
-
-
-def _stimulus(states: list[SimulationState], n: int, i_rest: float):
-    """The states' rows of stimulus-only net input -- iw * I_rest + 0.0 at
-    every stimulus-weighted node, 0.0 elsewhere -- and of the mask of the
-    stimulus-weighted nodes."""
-    count = sum(len(state.input_weights) for state in states)
-    ids = np.fromiter((base + i for base, state in zip(range(0, len(states) * n, n), states)
-                       for i in state.input_weights), np.intp, count)
-    weights = np.fromiter((w for state in states for w in state.input_weights.values()),
-                          np.float64, count)
-    stimulus = np.zeros(len(states) * n)
-    stimulus[ids] = weights * i_rest + 0.0
-    weighted = np.zeros(len(states) * n, dtype=bool)
-    weighted[ids] = True
-    return stimulus, weighted
 
 
 def set_stimulus(state: SimulationState, network: Network, stimulus: str) -> None:
@@ -242,9 +230,6 @@ def _expansion(terms: list[float]) -> list[float]:
 # the trial parameters in which the rows of one step may differ: the
 # inhibition weights (network.pool_gamma)
 ROW_NAMES = GAMMA_NAMES + ("SS_multiplier",)
-# the column of Rows.gammas that weighs each place of [O_a, P_a, O_b, P_b, S]
-# (INHIBITED_POOLS: ortho, phono, sem), and column 3 for the nodes in no pool
-_PLACE_POOL = np.array([0, 1, 0, 1, 2, 3])
 
 
 class Rows:
@@ -266,7 +251,8 @@ class Rows:
             self.stimulus, self.weighted = state.inputs(i_rest)
         else:
             self.activation = np.concatenate([state.activation for state in states])
-            self.stimulus, self.weighted = _stimulus(states, len(network), i_rest)
+            stimulus, weighted = zip(*(state.inputs(i_rest) for state in states))
+            self.stimulus, self.weighted = np.concatenate(stimulus), np.concatenate(weighted)
             self._share()
         self.gammas = np.array([[pool_gamma(p, pool) for pool in INHIBITED_POOLS] + [0.0]
                                 for p in params])
@@ -416,9 +402,8 @@ def step_rows(rows: Rows) -> None:
     stimulus-weighted, a member of a pool that steps, or away from its rest
     level (module docstring)."""
     network, params, states = rows.network, rows.params, rows.states
-    n, first, count = len(network), network.first_entry, len(states)
-    entries = (n - first) // 5
-    layout = network.entry_arrays
+    n, count = len(network), len(states)
+    layout, pools = network.entry_arrays, network.pools
     prev = rows.activation
     ids = (prev > 0.0).nonzero()[0]
     acts = prev[ids]
@@ -437,9 +422,9 @@ def step_rows(rows: Rows) -> None:
         targets = _excite(net, dst, prod)
 
         # phase 2: one inhibition step per row and pool with a nonzero gamma
-        # and an active member in the row. The pool's members in the row
-        # get the shared sum, its active members their exclusion sums
-        key = _PLACE_POOL[place]
+        # and an active member in the row. Every node gets its row's shared
+        # sum for its pool, and the active members their exclusion sums
+        key = pools[node]
         key += 4 * row  # row and pool: a flat index of rows.gammas
         gamma = rows.gammas.take(key)
         inhibited = gamma.nonzero()[0]
@@ -453,8 +438,8 @@ def step_rows(rows: Rows) -> None:
         shared = np.zeros((count, 4))
         shared.ravel()[groups] = sums
         stepped.ravel()[groups] = True
-        by_place = net.reshape(count, n)[:, first:].reshape(count, entries, 5)
-        by_place += shared.take(_PLACE_POOL[:5], axis=1)[:, None, :]
+        grid = net.reshape(count, n)
+        grid += shared.take(pools, axis=1)
         net[members] = own
 
     # phase 3: update_activation elementwise, in its operation order, over
@@ -471,21 +456,14 @@ def step_rows(rows: Rows) -> None:
     np.minimum(new, max_act, out=new)
     np.maximum(new, min_act, out=new)
 
-    # touched: every member of a pool that stepped; elsewhere a node that is
-    # a target, stimulus-weighted or away from rest
+    # touched: a target, stimulus-weighted, away from rest, or a member of a
+    # pool that stepped
     marks = rows.weighted.copy()
     marks[targets] = True
-    prev, marks = prev.reshape(count, n), marks.reshape(count, n)
-    stepped = stepped.take(_PLACE_POOL[:5], axis=1)
-    quiet_rows, quiet_places = (~stepped).nonzero()
-    flags = (prev[:, first:].reshape(count, entries, 5)[quiet_rows, :, quiet_places]
-             != layout.rest.take(quiet_places, axis=0))
-    flags |= marks[:, first:].reshape(count, entries, 5)[quiet_rows, :, quiet_places]
-    table = stepped * entries  # (row, place): every member where the pool stepped
-    table[quiet_rows, quiet_places] = np.add.reduce(flags, axis=1)
-    heads = prev[:, :first] != network.rest[:first]
-    heads |= marks[:, :first]
-    touched = np.add.reduce(table, axis=1) + np.add.reduce(heads, axis=1)
+    marks = marks.reshape(count, n)
+    marks |= prev.reshape(count, n) != network.rest
+    marks |= stepped.take(pools, axis=1)
+    touched = np.add.reduce(marks, axis=1)
     active = np.bincount(row, minlength=count)
     for state, activation, a, t in zip(states, new.reshape(count, n), active.tolist(),
                                        touched.tolist()):

@@ -58,12 +58,18 @@ class SearchConfig:
     max_iterations: int = 60
 
     def validate(self) -> None:
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ConfigError(f"search domain bounds must be finite, got "
+                              f"{self.lower!r}:{self.upper!r}")
         if not self.lower < self.upper:
             raise ConfigError("search domain requires lower < upper")
         if self.n_points < 2:
             raise ConfigError("n_points must be >= 2")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
+        # a NaN or infinite epsilon would stop the search after one window
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
+        if self.max_iterations < 1:
+            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
         if self.tie_gammas and self.fixed_pp_gamma != 0.0:
             raise ConfigError("a fixed PP_gamma needs untied gammas (fit --untie-pp)")
 

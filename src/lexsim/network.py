@@ -75,15 +75,13 @@ class Connection:
 
 class EntryArrays(NamedTuple):
     """The entry layout as arrays for the array step: each node's place in
-    [O_a, P_a, O_b, P_b, S] (5 for the input and language nodes); per place
-    (row 5 empty) the target offsets, alphas and link mask of entry_edges,
-    padded to the longest row; and the entries' rest levels, one row per
-    place."""
+    [O_a, P_a, O_b, P_b, S] (5 for the input and language nodes); and per
+    place (row 5 empty) the target offsets, alphas and link mask of
+    entry_edges, padded to the longest row."""
     place: np.ndarray
     offsets: np.ndarray
     weights: np.ndarray
     links: np.ndarray
-    rest: np.ndarray
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -98,11 +96,11 @@ class Network:
     its entry, ``to_language`` the (place, language node id, alpha) links
     to a language node and ``from_language`` the (language node id, place,
     alpha) links from one; ``entry_arrays`` gives the layout and
-    entry_edges as arrays, and ``rest`` every node's rest level. For
-    input weighting: the orthographic node ids, their symbol lengths, and
-    their code points with one row per letter position (column k is the
-    k-th ortho node, padded with 0 past its length). Every array is
-    read-only.
+    entry_edges as arrays, ``pools`` each node's inhibited pool, and
+    ``rest`` every node's rest level. For input weighting: the
+    orthographic node ids, their symbol lengths, and their code points
+    with one row per letter position (column k is the k-th ortho node,
+    padded with 0 past its length). Every array is read-only.
     """
 
     params: Parameters
@@ -136,14 +134,21 @@ class Network:
                 offsets[k, slot], weights[k, slot], links[k, slot] = offset, w, True
         for array in (place, offsets, weights, links):
             array.flags.writeable = False
-        rest = self.rest[first:].reshape(-1, 5).T
-        return EntryArrays(place, offsets, weights, links, rest)
+        return EntryArrays(place, offsets, weights, links)
+
+    @functools.cached_property
+    def pools(self) -> np.ndarray:
+        """Each node's index in INHIBITED_POOLS, 3 for the nodes in no pool
+        (input and language), read-only, from node metadata alone."""
+        index = {pool: k for k, pool in enumerate(INHIBITED_POOLS)}
+        pools = np.fromiter((index.get(node.pool, 3) for node in self.nodes), np.intp, len(self))
+        pools.flags.writeable = False
+        return pools
 
     @functools.cached_property
     def members(self) -> dict[Pool, np.ndarray]:
-        """Each inhibited pool's read-only member mask, from node metadata alone."""
-        members = {pool: np.fromiter((node.pool is pool for node in self.nodes), bool, len(self))
-                   for pool in INHIBITED_POOLS}
+        """Each inhibited pool's read-only member mask: ``pools == k``."""
+        members = {pool: self.pools == k for k, pool in enumerate(INHIBITED_POOLS)}
         for mask in members.values():
             mask.flags.writeable = False
         return members

@@ -200,6 +200,20 @@ def test_fit_rejects_pp_gamma_without_untie(stim_ld, tmp_path, capsys):
     assert not log.exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--epsilon=nan", "epsilon must be finite and > 0, got nan"),
+    ("--epsilon=inf", "epsilon must be finite and > 0, got inf"),
+    ("--domain=-inf:0", "search domain bounds must be finite, got -inf:0.0"),
+], ids=["nan_epsilon", "infinite_epsilon", "infinite_bound"])
+def test_fit_rejects_a_search_it_cannot_honour(stim_ld, tmp_path, capsys, flag, message):
+    log = tmp_path / "fit.csv"
+    code = main(["fit", "--lexicon", HOMOGRAPHS, "--stimuli", stim_ld, "--n", "5", flag,
+                 "--log", str(log)])
+    assert code == 1
+    assert capsys.readouterr().err == f"lexsim: error: {message}\n"
+    assert not log.exists()
+
+
 def test_fit_subcommand_summary(stim_ld, tmp_path, capsys):
     log = tmp_path / "fit.csv"
     code = main(["fit", "--lexicon", HOMOGRAPHS, "--stimuli", stim_ld,

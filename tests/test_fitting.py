@@ -113,6 +113,15 @@ def test_grid_search_validates_config():
         grid_search(lambda x: x, SearchConfig(n_points=1))
     with pytest.raises(ConfigError):
         grid_search(lambda x: x, SearchConfig(epsilon=0.0))
+    for epsilon in (float("nan"), float("inf"), -1e-6):
+        with pytest.raises(ConfigError, match="epsilon"):
+            grid_search(lambda x: x, SearchConfig(epsilon=epsilon))
+    for lower, upper in ((float("-inf"), 0.0), (-1.0, float("inf")), (float("nan"), 0.0)):
+        with pytest.raises(ConfigError, match="finite"):
+            grid_search(lambda x: x, SearchConfig(lower=lower, upper=upper))
+    for max_iterations in (0, -1):
+        with pytest.raises(ConfigError, match="max_iterations"):
+            grid_search(lambda x: x, SearchConfig(max_iterations=max_iterations))
     with pytest.raises(ConfigError, match="untied"):
         grid_search(lambda x: x, SearchConfig(fixed_pp_gamma=-0.01))
 

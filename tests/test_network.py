@@ -149,11 +149,21 @@ def test_entry_layout_of_empty_and_one_entry_lexicons(pairs):
 
 def _check_entry_layout(net):
     """Node k of entry e is node first_entry + 5*e + k, in the pool of place
-    k of [O_a, P_a, O_b, P_b, S]; the step reads pools from places."""
+    k of [O_a, P_a, O_b, P_b, S]. ``pools`` holds each node's index in
+    INHIBITED_POOLS, 3 for the input and language nodes, read-only, and
+    ``members[pool]`` is ``pools == k``."""
     places = (Pool.ORTHO, Pool.PHONO, Pool.ORTHO, Pool.PHONO, Pool.SEM)
     for pool in INHIBITED_POOLS:
         assert members(net, pool) == [n for n in range(net.first_entry, len(net))
                                       if places[(n - net.first_entry) % 5] is pool]
+    index = {pool: k for k, pool in enumerate(INHIBITED_POOLS)}
+    assert net.pools.tolist() == [index.get(node.pool, 3) for node in net.nodes]
+    assert net.pools[:net.first_entry].tolist() == [3] * net.first_entry
+    with pytest.raises(ValueError):
+        net.pools[0] = 0
+    for k, pool in enumerate(INHIBITED_POOLS):
+        assert net.members[pool].tolist() == (net.pools == k).tolist()
+        assert net.members[pool].nonzero()[0].tolist() == members(net, pool)
 
 
 def test_built_network_is_frozen(table1_network):
