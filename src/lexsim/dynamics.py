@@ -14,7 +14,7 @@ values over numpy arrays:
   for a stimulus term x = iw*I_rest and 0.0 elsewhere, computed once per
   trial (for finite x, fsum((x,)) equals x + 0.0, and both map -0.0 to
   +0.0). The active entry nodes' products p = w*a are gathered from the
-  entry layout (Network.entry_edges as one table indexed by place, plus
+  entry layout (Network.layout, one table row per place, plus
   to_language and from_language), and one stable sort groups them by
   target. A lone product takes one add, s + p; two products where s is
   zero take one add, p1 + p2, formed as (s + p1) + p2, where s + p1 is p1
@@ -403,7 +403,7 @@ def step_rows(rows: Rows) -> None:
     level (module docstring)."""
     network, params, states = rows.network, rows.params, rows.states
     n, count = len(network), len(states)
-    layout, pools = network.entry_arrays, network.pools
+    layout, pools = network.layout, network.pools
     prev = rows.activation
     ids = (prev > 0.0).nonzero()[0]
     acts = prev[ids]
@@ -490,10 +490,16 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
         input_weights: dict[int, float] | None = None):
     """Simulate one trial: run_rows on one row, advanced by ``step_fn(state, network,
     params)`` (None: this module's ``step``, looked up at call time so a wrapper on
-    ``dynamics.step`` sees every cycle). Returns (trace, outcome)."""
+    ``dynamics.step`` sees every cycle), which leaves the row's activation in
+    rows.activation too. Returns (trace, outcome)."""
     step_fn = step_fn or step
-    return run_rows(network, [(stimulus, monitor, input_weights)], params, trace,
-                    lambda rows: step_fn(rows.states[0], network, rows.params))[0]
+
+    def step_row(rows: Rows) -> None:
+        state, = rows.states
+        step_fn(state, network, rows.params)
+        rows.activation = state.activation
+
+    return run_rows(network, [(stimulus, monitor, input_weights)], params, trace, step_row)[0]
 
 
 def run_rows(network: Network, trials, params: Parameters | Sequence[Parameters] | None = None,

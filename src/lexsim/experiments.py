@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -112,8 +113,9 @@ def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
     Per-row task errors are recorded and the batch continues; parameters
     the network fixed raise ConfigError before the first row. Rows are
     independent trials over the shared network, so the result is the same
-    for every ``jobs``. ``jobs > 1`` runs rows on a thread pool, which the
-    GIL serialises: it takes about as long as ``jobs = 1``.
+    for every ``jobs``. ``jobs > 1`` runs rows on a thread pool of
+    min(jobs, records, CPUs) threads, which the GIL serialises: it takes
+    about as long as ``jobs = 1``.
     """
     network = lexicon if isinstance(lexicon, Network) else build_network(lexicon, params or Parameters())
     params = check_trial_params(network, params)
@@ -128,9 +130,10 @@ def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
         except (ConfigError, ValueError) as exc:
             return BatchRow(record, None, error=str(exc))
 
-    if jobs <= 1:
+    workers = min(jobs, len(records), os.cpu_count() or 1)
+    if workers <= 1:
         return [one(r) for r in records]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, records))
 
 

@@ -11,7 +11,6 @@ simulations can share one network concurrently.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,8 +75,9 @@ class Connection:
 class EntryArrays(NamedTuple):
     """The entry layout as arrays for the array step: each node's place in
     [O_a, P_a, O_b, P_b, S] (5 for the input and language nodes); and per
-    place (row 5 empty) the target offsets, alphas and link mask of
-    entry_edges, padded to the longest row."""
+    place (row 5 empty) the links with a nonzero alpha from that place to
+    the rest of its entry, as target id offsets, alphas and a link mask,
+    padded to the longest row."""
     place: np.ndarray
     offsets: np.ndarray
     weights: np.ndarray
@@ -86,30 +86,35 @@ class EntryArrays(NamedTuple):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Network:
-    """Built lexical network, frozen: ``build_network`` makes it in one call.
+    """Built lexical network, frozen: ``build_network`` makes it in one call,
+    with every table in the form its readers use and none computed later.
 
     ``nodes`` are the input node, the two language nodes in ``languages``
     order, then five nodes per entry in the layout [O_a, P_a, O_b, P_b, S]:
     node k of entry e has id first_entry + 5*e + k. The excitatory links
-    with a nonzero alpha are implied by that layout: ``entry_edges[k]``
-    holds the (target id offset, alpha) pairs from place k to the rest of
-    its entry, ``to_language`` the (place, language node id, alpha) links
-    to a language node and ``from_language`` the (language node id, place,
-    alpha) links from one; ``entry_arrays`` gives the layout and
-    entry_edges as arrays, ``pools`` each node's inhibited pool, and
-    ``rest`` every node's rest level. For input weighting: the
-    orthographic node ids, their symbol lengths, and their code points
-    with one row per letter position (column k is the k-th ortho node,
-    padded with 0 past its length). Every array is read-only.
+    with a nonzero alpha are implied by that layout: ``layout`` holds each
+    node's place and, per place, the target id offsets and alphas of its
+    links to the rest of its entry; ``to_language`` the (place, language
+    node id, alpha) links to a language node and ``from_language`` the
+    (language node id, place, alpha) links from one. ``pools`` holds each
+    node's index in INHIBITED_POOLS, 3 for the nodes in no pool (input and
+    language), from node metadata alone; ``members[pool]`` is that pool's
+    member mask, ``pools == k``; ``rest`` is every node's rest level. For
+    input weighting: the orthographic node ids, their symbol lengths, and
+    their code points with one row per letter position (column k is the
+    k-th ortho node, padded with 0 past its length). Every array is
+    read-only.
     """
 
     params: Parameters
     languages: tuple[str, str]
     nodes: list[Node]
     first_entry: int
-    entry_edges: tuple[tuple[tuple[int, float], ...], ...]
+    layout: EntryArrays
     to_language: tuple[tuple[int, int, float], ...]
     from_language: tuple[tuple[int, int, float], ...]
+    pools: np.ndarray
+    members: dict[Pool, np.ndarray]
     rest: np.ndarray
     ortho_ids: np.ndarray
     ortho_lengths: np.ndarray
@@ -117,41 +122,6 @@ class Network:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    @functools.cached_property
-    def entry_arrays(self) -> EntryArrays:
-        """EntryArrays, built on first use."""
-        first = self.first_entry
-        place = np.full(len(self), 5)
-        place[first:] = np.arange(len(self) - first) % 5
-        edges = self.entry_edges + ((),)
-        width = max(map(len, edges))
-        offsets = np.zeros((6, width), dtype=np.intp)
-        weights = np.zeros((6, width))
-        links = np.zeros((6, width), dtype=bool)
-        for k, table in enumerate(edges):
-            for slot, (offset, w) in enumerate(table):
-                offsets[k, slot], weights[k, slot], links[k, slot] = offset, w, True
-        for array in (place, offsets, weights, links):
-            array.flags.writeable = False
-        return EntryArrays(place, offsets, weights, links)
-
-    @functools.cached_property
-    def pools(self) -> np.ndarray:
-        """Each node's index in INHIBITED_POOLS, 3 for the nodes in no pool
-        (input and language), read-only, from node metadata alone."""
-        index = {pool: k for k, pool in enumerate(INHIBITED_POOLS)}
-        pools = np.fromiter((index.get(node.pool, 3) for node in self.nodes), np.intp, len(self))
-        pools.flags.writeable = False
-        return pools
-
-    @functools.cached_property
-    def members(self) -> dict[Pool, np.ndarray]:
-        """Each inhibited pool's read-only member mask: ``pools == k``."""
-        members = {pool: self.pools == k for k, pool in enumerate(INHIBITED_POOLS)}
-        for mask in members.values():
-            mask.flags.writeable = False
-        return members
 
     def find(self, pool: Pool, symbol: str, language: str | None = None) -> Node:
         matches = [n for n in self.nodes
@@ -243,10 +213,24 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
                   Node(n + 2, Pool.ORTHO, entry.ortho_b, language_b, rest_b, concept),
                   Node(n + 3, Pool.PHONO, entry.phono_b, language_b, rest_b, concept),
                   Node(n + 4, Pool.SEM, entry.ortho_b, None, p.S_rest, concept))
-    # from each place of [O_a, P_a, O_b, P_b, S] to the others of its entry
+    # from each place of [O_a, P_a, O_b, P_b, S] to the others of its entry;
+    # the layout keeps the nonzero alphas, and place 5 (no entry) has none
     within = (((1, p.OP_alpha), (4, p.OS_alpha)), ((-1, p.PO_alpha), (3, p.PS_alpha)),
               ((1, p.OP_alpha), (2, p.OS_alpha)), ((-1, p.PO_alpha), (1, p.PS_alpha)),
               ((-4, p.SO_alpha), (-3, p.SP_alpha), (-2, p.SO_alpha), (-1, p.SP_alpha)))
+    tables = [[edge for edge in edges if edge[1] != 0.0] for edges in within] + [[]]
+    offsets = np.zeros((6, max(map(len, tables))), dtype=np.intp)
+    weights = np.zeros(offsets.shape)
+    links = np.zeros(offsets.shape, dtype=bool)
+    for k, table in enumerate(tables):
+        for slot, (offset, w) in enumerate(table):
+            offsets[k, slot], weights[k, slot], links[k, slot] = offset, w, True
+    place = np.full(len(nodes), 5)
+    place[first_entry:] = np.arange(len(nodes) - first_entry) % 5
+    layout = EntryArrays(place, offsets, weights, links)
+    index = {pool: k for k, pool in enumerate(INHIBITED_POOLS)}
+    pools = np.fromiter((index.get(node.pool, 3) for node in nodes), np.intp, len(nodes))
+    members = {pool: pools == k for pool, k in index.items()}
     ortho = [node for node in nodes if node.pool is Pool.ORTHO]
     symbols = [node.symbol for node in ortho]
     lengths = list(map(len, symbols))
@@ -258,14 +242,14 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
     ortho_ids = np.array([node.id for node in ortho], dtype=np.int64)
     ortho_lengths = np.array(lengths, dtype=np.intp)
     ortho_codes = padded.T.copy()
-    for array in (rest, ortho_ids, ortho_lengths, ortho_codes):
+    for array in (*layout, pools, *members.values(), rest, ortho_ids, ortho_lengths, ortho_codes):
         array.flags.writeable = False
     return Network(
-        params=params, languages=languages, nodes=nodes, first_entry=first_entry,
-        entry_edges=tuple(tuple(edge for edge in place if edge[1] != 0.0) for place in within),
+        params=params, languages=languages, nodes=nodes, first_entry=first_entry, layout=layout,
         # places 0 and 1 belong to language a (node 1), 2 and 3 to language b (node 2)
         to_language=tuple((place, 1 + place // 2, w) for place, w
                           in enumerate((p.OL_alpha, p.PL_alpha) * 2) if w != 0.0),
         from_language=tuple((1 + place // 2, place, w) for place, w
                             in enumerate((p.LO_alpha, p.LP_alpha) * 2) if w != 0.0),
-        rest=rest, ortho_ids=ortho_ids, ortho_lengths=ortho_lengths, ortho_codes=ortho_codes)
+        pools=pools, members=members, rest=rest,
+        ortho_ids=ortho_ids, ortho_lengths=ortho_lengths, ortho_codes=ortho_codes)

@@ -355,6 +355,25 @@ def test_run_resets_the_state_once(table1_network, monkeypatch):
     assert len(resets) == 1
 
 
+@pytest.mark.parametrize("engine", ["fast", "dense"])
+def test_run_leaves_the_stepped_row_in_rows(table1_network, params, monkeypatch, engine):
+    # run_rows' step_fn must leave the stepped rows in rows.activation; the
+    # one-row step of run does so for either engine's state step
+    built = []
+
+    class Recorded(Rows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(dynamics, "Rows", Recorded)
+    step_fn = step if engine == "fast" else DenseEngine(table1_network).step
+    trace, outcome = run(table1_network, "AARDBEI", make_monitor("WT", "NL", "EN", params),
+                         params, trace="full", step_fn=step_fn)
+    assert outcome.cycles == len(trace) > 1
+    assert built[0].activation.tolist() == trace.frames[-1] != table1_network.rest.tolist()
+
+
 @pytest.mark.parametrize("change, field", [
     ({"SP_alpha": 0.0, "PS_alpha": 0.0}, "PS_alpha"), ({"IO_multiplier": 0.05}, "IO_multiplier"),
     ({"MAX_REST": -0.1}, "MAX_REST"), ({"MIN_ACT": -0.3}, "MIN_ACT")])

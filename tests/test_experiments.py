@@ -5,6 +5,7 @@ import pytest
 from lexsim import (ConfigError, DenseEngine, Network, ParseError, Parameters, ValidationError,
                     active_node_stats, benchmark, build_network, condition_report,
                     parse_stimuli, run, run_batch, synthetic_lexicon)
+from lexsim import experiments
 from lexsim.experiments import (BatchRow, StimulusRecord, _PoolSizes, _engine_runner,
                                 outcome_rows, report_rows, stats_rows)
 from lexsim.reference import DENSE_ENTRY_GUARD
@@ -103,6 +104,37 @@ def test_run_batch_jobs_deterministic(table1_network, table1, params):
     parallel = run_batch(table1_network, records, params, jobs=8)
     assert [(r.outcome.response_symbol, r.outcome.cycles) for r in serial] \
         == [(r.outcome.response_symbol, r.outcome.cycles) for r in parallel]
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (1, 4, None), (2, 4, 2), (100_000, 4, 3), (100_000, 2, 2), (8, None, None), (8, 1, None)])
+def test_run_batch_bounds_its_thread_pool(table1_network, params, monkeypatch, jobs, cpus,
+                                          workers):
+    # min(jobs, records, CPUs) threads, and no pool (serial) where that is 1;
+    # the stand-in pool records its size and maps serially, starting no thread
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    records = [StimulusRecord(stimulus=stimulus, source_lang="NL", task="LD")
+               for stimulus in ("AARDE", "ROOM", "XQZ")]
+    serial = run_batch(table1_network, records, params)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    rows = run_batch(table1_network, records, params, jobs=jobs)
+    assert sizes == ([] if workers is None else [workers])
+    assert [row.outcome for row in rows] == [row.outcome for row in serial]
 
 
 def test_run_batch_rejects_unknown_engine(table1, params):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lexsim import (Lexicon, LexiconEntry, ParseOptions, Parameters, ValidationError,
-                    build_network, input_weight, levenshtein_similarity, parse_lexicon)
+                    active_node_stats, build_network, input_weight, levenshtein_similarity,
+                    parse_lexicon, word_translation)
 from lexsim.network import INHIBITED_POOLS, Pool
 from lexsim.reference import scalar_input_weights
 
@@ -149,9 +150,10 @@ def test_entry_layout_of_empty_and_one_entry_lexicons(pairs):
 
 def _check_entry_layout(net):
     """Node k of entry e is node first_entry + 5*e + k, in the pool of place
-    k of [O_a, P_a, O_b, P_b, S]. ``pools`` holds each node's index in
-    INHIBITED_POOLS, 3 for the input and language nodes, read-only, and
-    ``members[pool]`` is ``pools == k``."""
+    k of [O_a, P_a, O_b, P_b, S], and ``layout.place`` says so (5 for the
+    input and language nodes). ``pools`` holds each node's index in
+    INHIBITED_POOLS, 3 for the input and language nodes, and
+    ``members[pool]`` is ``pools == k``; all of them are read-only."""
     places = (Pool.ORTHO, Pool.PHONO, Pool.ORTHO, Pool.PHONO, Pool.SEM)
     for pool in INHIBITED_POOLS:
         assert members(net, pool) == [n for n in range(net.first_entry, len(net))
@@ -161,6 +163,9 @@ def _check_entry_layout(net):
     assert net.pools[:net.first_entry].tolist() == [3] * net.first_entry
     with pytest.raises(ValueError):
         net.pools[0] = 0
+    assert net.layout.place.tolist() == [5] * net.first_entry + [
+        (n - net.first_entry) % 5 for n in range(net.first_entry, len(net))]
+    assert not any(array.flags.writeable for array in (*net.layout, *net.members.values()))
     for k, pool in enumerate(INHIBITED_POOLS):
         assert net.members[pool].tolist() == (net.pools == k).tolist()
         assert net.members[pool].nonzero()[0].tolist() == members(net, pool)
@@ -172,6 +177,10 @@ def test_built_network_is_frozen(table1_network):
             setattr(table1_network, name, value)
     assert not hasattr(table1_network, "extra")
     assert not hasattr(table1_network.nodes[0], "__dict__")
+    # a trial and a row sweep read the network's tables but add none to it
+    word_translation(table1_network, "AARDBEI", "NL", "EN")
+    active_node_stats(table1_network, ["AARDE", "ROOM"], [0.0, -0.1])
+    assert set(vars(table1_network)) == {f.name for f in dataclasses.fields(table1_network)}
 
 
 def _check_arrays(net):
@@ -260,9 +269,11 @@ def test_no_same_pool_connections(table1_network):
 def layout_edges(net):
     """Every nonzero (source, target, alpha) the fast engine's link tables
     imply, sorted: each entry's offsets, and each language place's links."""
-    edges = [(e + place, e + place + offset, w)
-             for e in range(net.first_entry, len(net), 5)
-             for place, table in enumerate(net.entry_edges) for offset, w in table]
+    layout = net.layout
+    edges = [(n, n + offset, w) for n, place in enumerate(layout.place.tolist())
+             for offset, w, link in zip(layout.offsets[place].tolist(),
+                                        layout.weights[place].tolist(), layout.links[place])
+             if link]
     for place, l_id, w in net.to_language:
         edges += [(m, l_id, w) for m in range(net.first_entry + place, len(net), 5)]
     for l_id, place, w in net.from_language:
@@ -290,8 +301,9 @@ def test_node_ids_deterministic(table1, params):
     assert [(n.id, n.pool, n.symbol, n.language, n.rest, n.concept) for n in net1.nodes] \
         == [(n.id, n.pool, n.symbol, n.language, n.rest, n.concept) for n in net2.nodes]
     assert net1.connections() == net2.connections()
-    assert (net1.entry_edges, net1.to_language, net1.from_language) \
-        == (net2.entry_edges, net2.to_language, net2.from_language)
+    for array1, array2 in zip(net1.layout, net2.layout):
+        assert array1.dtype == array2.dtype and array1.tolist() == array2.tolist()
+    assert (net1.to_language, net1.from_language) == (net2.to_language, net2.from_language)
 
 
 def test_input_weights_exact_match(table1_network):

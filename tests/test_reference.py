@@ -87,8 +87,8 @@ def test_oracle_reads_only_params_and_node_metadata(homograph_lexicon, change):
     # oracle builds the same links, pools, weights and frames
     params = Parameters().updated(OO_gamma=-0.05, PP_gamma=-0.05, **change)
     intact = build_network(homograph_lexicon, params)
-    bare = dataclasses.replace(intact, first_entry=None, entry_edges=None, to_language=None,
-                               from_language=None, ortho_ids=None,
+    bare = dataclasses.replace(intact, first_entry=None, layout=None, to_language=None,
+                               from_language=None, pools=None, ortho_ids=None,
                                ortho_lengths=None, ortho_codes=None)
     with pytest.raises(AttributeError):
         bare.input_weights("ROOM")
