@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -95,12 +96,13 @@ def _load_lexicon(args):
     return load_lexicon(args.lexicon, options)
 
 
-def _load_inputs(args, default_task: str | None, default_target: str | None):
+def _load_records(args, default_task: str | None, default_source: str | None,
+                  default_target: str | None):
     params = _resolve_params(args)
     lexicon = _load_lexicon(args)
     with open(args.stimuli, encoding="utf-8") as handle:
         records = parse_stimuli(handle, default_task=default_task,
-                                default_source=args.source, default_target=default_target)
+                                default_source=default_source, default_target=default_target)
     return params, lexicon, records
 
 
@@ -115,14 +117,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="divide language-B frequencies by 4 at load time")
     parser.add_argument("--allow-homographs", action="store_true",
                         help="permit within-language duplicate orthographic readings")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
+    parser.add_argument("--out", help="output file path (default: stdout)")
 
 
 def _add_stimuli(parser: argparse.ArgumentParser, task_defaults: bool,
                  stimuli_help: str = "stimulus CSV path") -> None:
     parser.add_argument("--stimuli", required=True, help=stimuli_help)
-    parser.add_argument("--source", help="default source language")
     if task_defaults:
+        parser.add_argument("--source", help="default source language")
         parser.add_argument("--task", choices=TASKS, help="default task for rows without one")
         parser.add_argument("--target", help="default target language")
 
@@ -131,7 +133,7 @@ def _cmd_simulate(args) -> int:
     for flag, count in (("--jobs", args.jobs), ("--trace-top-k", args.trace_top_k)):
         if count < 1:
             raise ConfigError(f"{flag} must be at least 1, got {count}")
-    params, lexicon, records = _load_inputs(args, args.task, args.target)
+    params, lexicon, records = _load_records(args, args.task, args.source, args.target)
     if args.trace and not 0 <= args.trace_row < len(records):
         raise ConfigError(f"--trace-row {args.trace_row} outside the stimulus file")
     network = build_network(lexicon, params)
@@ -160,7 +162,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    params, lexicon, records = _load_inputs(args, args.task, args.target)
+    params, lexicon, records = _load_records(args, args.task, args.source, args.target)
     lo, _sep, hi = args.domain.partition(":")
     config = SearchConfig(lower=float(lo), upper=float(hi), n_points=args.n,
                           epsilon=args.epsilon, tie_gammas=not args.untie_pp,
@@ -179,15 +181,17 @@ def _cmd_fit(args) -> int:
             log_rows.append([i, repr(it.window_lo), repr(it.window_hi),
                              repr(point), repr(fitness), responded, trials, note])
     _write_csv(log_rows, manifest, args.log)
-    summary = {"best_value": result.best_value, "best_fitness": result.best_fitness,
+    # strict JSON: a fit where no point scored has no fitness
+    fitness = result.best_fitness if math.isfinite(result.best_fitness) else None
+    summary = {"best_value": result.best_value, "best_fitness": fitness,
                "iterations": len(result.iterations),
                "manifest_sha256": manifest_hash(manifest)}
-    sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
+    _write_text(json.dumps(summary, sort_keys=True, allow_nan=False) + "\n", args.out)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    params, lexicon, records = _load_inputs(args, "LD", None)
+    params, lexicon, records = _load_records(args, "LD", None, None)
     gammas = [float(g) for g in args.gammas.split(",") if g.strip() != ""]
     stats = active_node_stats(lexicon, [r.stimulus for r in records], gammas, params)
     manifest = build_manifest("stats", params, args.lexicon, {
@@ -198,7 +202,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    params, lexicon, records = _load_inputs(args, "LD", None)
+    params, lexicon, records = _load_records(args, "LD", None, None)
     result = benchmark(lexicon, [r.stimulus for r in records], engine=args.engine,
                        params=params, repeats=args.repeats,
                        dense_max_entries=args.dense_max_entries)

@@ -151,22 +151,33 @@ class Trace:
 
 
 class SimulationState:
-    """Mutable per-trial state over one immutable network, starting at rest.
-    ``trace`` "full" keeps a Trace of every cycle, None keeps none."""
+    """Mutable per-trial state over one immutable network, starting at rest
+    with ``input_weights`` (see reset). ``trace`` "full" keeps a Trace of
+    every cycle, None keeps none."""
 
-    def __init__(self, network: Network, trace: str | None = "full"):
+    def __init__(self, network: Network, trace: str | None = "full",
+                 input_weights: dict[int, float] | None = None):
         if trace not in ("full", None):
             raise ValueError(f"unknown trace mode {trace!r}")
         self.network = network
         self.trace = Trace(network) if trace == "full" else None
-        self.reset()
+        self.reset(input_weights)
 
-    def reset(self) -> None:
-        """Back to rest: rest activations, no stimulus, cycle 0, no frames."""
+    def reset(self, input_weights: dict[int, float] | None = None) -> None:
+        """Back to rest for a trial with ``input_weights`` (None: no
+        stimulus): rest activations, cycle 0, no frames. Builds the trial's
+        row of stimulus-only net input -- iw * I_rest + 0.0 at every
+        stimulus-weighted node, 0.0 elsewhere, with the network's I_rest --
+        and the mask of the stimulus-weighted nodes."""
         network = self.network
         self.activation: np.ndarray = network.rest.copy()
-        self.input_weights: dict[int, float] = {}
-        self._inputs = None
+        self.input_weights = weights = {} if input_weights is None else input_weights
+        ids = np.fromiter(weights, np.intp, len(weights))
+        self.stimulus = np.zeros(len(network))
+        self.stimulus[ids] = (np.fromiter(weights.values(), np.float64, len(weights))
+                              * network.params.I_rest + 0.0)
+        self.weighted = np.zeros(len(network), dtype=bool)
+        self.weighted[ids] = True
         self.scan: tuple[Scan, int] | None = None  # (Scan, row) while run_rows observes rows
         self.cycle = 0
         self.counters = {"active_node_updates": 0, "touched_updates": 0}
@@ -180,26 +191,10 @@ class SimulationState:
         return {pool: (active & members).nonzero()[0].tolist()
                 for pool, members in self.network.members.items()}
 
-    def inputs(self, i_rest: float) -> tuple[np.ndarray, np.ndarray]:
-        """This trial's row of stimulus-only net input -- iw * I_rest + 0.0
-        at every stimulus-weighted node, 0.0 elsewhere -- and of the mask of
-        the stimulus-weighted nodes, kept for the trial; rebuilt only if
-        I_rest changes."""
-        if self._inputs is None or self._inputs[0] != i_rest:
-            weights, n = self.input_weights, len(self.network)
-            ids = np.fromiter(weights, np.intp, len(weights))
-            stimulus = np.zeros(n)
-            stimulus[ids] = np.fromiter(weights.values(), np.float64, len(weights)) * i_rest + 0.0
-            weighted = np.zeros(n, dtype=bool)
-            weighted[ids] = True
-            self._inputs = (i_rest, stimulus, weighted)
-        return self._inputs[1:]
-
 
 def set_stimulus(state: SimulationState, network: Network, stimulus: str) -> None:
-    """Reset the trial: rest activations, no frames, fresh weights."""
-    state.reset()
-    state.input_weights = network.input_weights(stimulus)
+    """Reset the trial: rest activations, no frames, the stimulus's weights."""
+    state.reset(network.input_weights(stimulus))
 
 
 def update_activation(a: float, net: float, rest: float, params: Parameters) -> float:
@@ -235,24 +230,27 @@ ROW_NAMES = GAMMA_NAMES + ("SS_multiplier",)
 class Rows:
     """Trials stepped together by step_rows, as the rows of flat buffers:
     row b (node n at b*N + n) belongs to ``states[b]``, whose activation is
-    a view of its row. ``params`` gives every field but the inhibition
-    weights; ``gammas[b, k]`` is row b's weight for INHIBITED_POOLS[k], and
-    column 3 is 0.0 for the nodes in no pool. The buffers of stimulus-only
-    net inputs and stimulus-weighted masks are built once; keep drops
-    rows."""
+    a view of its row, which each step overwrites. ``params`` gives every
+    field but the inhibition weights; ``gammas[b, k]`` is row b's weight for
+    INHIBITED_POOLS[k], and column 3 is 0.0 for the nodes in no pool. The
+    rows of stimulus-only net inputs and stimulus-weighted masks are the
+    states' own (SimulationState.reset), built with the network's I_rest,
+    so ConfigError rejects parameters with another; keep drops rows."""
 
     def __init__(self, network: Network, states: list[SimulationState],
                  params: Sequence[Parameters]):
         self.network, self.states, self.params = network, states, params[0]
-        i_rest = self.params.I_rest
+        if self.params.I_rest != network.params.I_rest:
+            raise ConfigError(f"I_rest is fixed by the network ({network.params.I_rest!r}); "
+                              f"a step cannot set it to {self.params.I_rest!r}")
         if len(states) == 1:
             state, = states
-            self.activation = state.activation
-            self.stimulus, self.weighted = state.inputs(i_rest)
+            self.activation, self.stimulus, self.weighted = (state.activation, state.stimulus,
+                                                             state.weighted)
         else:
             self.activation = np.concatenate([state.activation for state in states])
-            stimulus, weighted = zip(*(state.inputs(i_rest) for state in states))
-            self.stimulus, self.weighted = np.concatenate(stimulus), np.concatenate(weighted)
+            self.stimulus = np.concatenate([state.stimulus for state in states])
+            self.weighted = np.concatenate([state.weighted for state in states])
             self._share()
         self.gammas = np.array([[pool_gamma(p, pool) for pool in INHIBITED_POOLS] + [0.0]
                                 for p in params])
@@ -397,10 +395,11 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
 
 
 def step_rows(rows: Rows) -> None:
-    """Advance each row one cycle. A node is touched -- counted in its
-    row's touched_updates -- when it is an active node's target,
-    stimulus-weighted, a member of a pool that steps, or away from its rest
-    level (module docstring)."""
+    """Advance each row one cycle, writing its activations into
+    rows.activation, of which every state's activation is a view. A node is
+    touched -- counted in its row's touched_updates -- when it is an active
+    node's target, stimulus-weighted, a member of a pool that steps, or away
+    from its rest level (module docstring)."""
     network, params, states = rows.network, rows.params, rows.states
     n, count = len(network), len(states)
     layout, pools = network.layout, network.pools
@@ -454,7 +453,6 @@ def step_rows(rows: Rows) -> None:
     decay *= params.DECAY_RATE
     new -= decay
     np.minimum(new, max_act, out=new)
-    np.maximum(new, min_act, out=new)
 
     # touched: a target, stimulus-weighted, away from rest, or a member of a
     # pool that stepped
@@ -464,15 +462,13 @@ def step_rows(rows: Rows) -> None:
     marks |= prev.reshape(count, n) != network.rest
     marks |= stepped.take(pools, axis=1)
     touched = np.add.reduce(marks, axis=1)
+    np.maximum(new, min_act, out=prev)  # the last read of prev: the step ends in place
     active = np.bincount(row, minlength=count)
-    for state, activation, a, t in zip(states, new.reshape(count, n), active.tolist(),
-                                       touched.tolist()):
+    for state, a, t in zip(states, active.tolist(), touched.tolist()):
         counters = state.counters
         counters["active_node_updates"] += a
         counters["touched_updates"] += t
-        state.activation = activation
         state.cycle += 1
-    rows.activation = new
 
 
 # run_rows: nodes in a chunk of rows. On a 2-vCPU Xeon virtual machine, 120
@@ -490,14 +486,12 @@ def run(network: Network, stimulus: str, monitor, params: Parameters | None = No
         input_weights: dict[int, float] | None = None):
     """Simulate one trial: run_rows on one row, advanced by ``step_fn(state, network,
     params)`` (None: this module's ``step``, looked up at call time so a wrapper on
-    ``dynamics.step`` sees every cycle), which leaves the row's activation in
-    rows.activation too. Returns (trace, outcome)."""
+    ``dynamics.step`` sees every cycle), which steps state.activation in place.
+    Returns (trace, outcome)."""
     step_fn = step_fn or step
 
     def step_row(rows: Rows) -> None:
-        state, = rows.states
-        step_fn(state, network, rows.params)
-        rows.activation = state.activation
+        step_fn(rows.states[0], network, rows.params)
 
     return run_rows(network, [(stimulus, monitor, input_weights)], params, trace, step_row)[0]
 
@@ -513,11 +507,11 @@ def run_rows(network: Network, trials, params: Parameters | Sequence[Parameters]
     is. After each step ``monitor.observe(state, network)`` gives a row's
     outcome or None; ``monitor.timeout`` gives it once max_cycles pass. A
     row with its outcome drops out, after check_invariants. Several rows'
-    monitors read a Scan of rows.activation, where step_fn must leave the
-    stepped rows, and only _woken rows are observed (a monitor's ``watch``,
-    lexsim.tasks). ConfigError comes before the first step for a monitor
-    language the network lacks, a field of a row's parameters the network
-    fixed (check_trial_params), or rows that differ outside ROW_NAMES."""
+    monitors read a Scan of rows.activation, and only _woken rows are
+    observed (a monitor's ``watch``, lexsim.tasks). ConfigError comes before
+    the first step for a monitor language the network lacks, a field of a
+    row's parameters the network fixed (check_trial_params), or rows that
+    differ outside ROW_NAMES."""
     for _stimulus, monitor, _weights in trials:
         for language in monitor.languages:
             if language not in network.languages:
@@ -568,10 +562,9 @@ def run_rows(network: Network, trials, params: Parameters | Sequence[Parameters]
 
 def _start(network: Network, trial, trace: str | None) -> SimulationState:
     """A trial's state at rest, with its input weights."""
-    state = SimulationState(network, trace=trace)  # at rest: no reset needed
     stimulus, _monitor, weights = trial
-    state.input_weights = network.input_weights(stimulus) if weights is None else weights
-    return state
+    return SimulationState(network, trace,
+                           network.input_weights(stimulus) if weights is None else weights)
 
 
 def _row_params(network: Network, params, count: int) -> list[Parameters]:

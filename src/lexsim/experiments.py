@@ -298,7 +298,6 @@ class BenchmarkResult:
     repeats: int
     build_seconds: float
     batch_seconds: list[float] = field(default_factory=list)
-    null_seconds: float = 0.0
     work_active_updates: int = 0
     work_touched_updates: int = 0
 
@@ -310,7 +309,7 @@ class BenchmarkResult:
     def per_stimulus(self) -> float:
         if self.n_stimuli == 0:
             return 0.0
-        return (self.batch_mean - self.null_seconds) / self.n_stimuli
+        return self.batch_mean / self.n_stimuli
 
     def rows(self) -> list[list]:
         header = ["engine", "n_stimuli", "repeats", "build_s", "batch_mean_s",
@@ -347,26 +346,18 @@ def benchmark(lexicon: Lexicon, stimuli: Sequence[str], engine: str = "final",
     runner = _engine_runner(network, engine, dense_max_entries)
     build_seconds = time.perf_counter() - t0
 
-    def run_once(batch: Sequence[str]) -> tuple[float, int, int]:
+    batch_times = []
+    for _ in range(repeats):
         active = touched = 0
         t_start = time.perf_counter()
-        for stimulus in batch:
+        for stimulus in stimuli:
             monitor = _WorkCounters()
             runner(stimulus, monitor, params, trace=None)
             active += monitor.counters["active_node_updates"]
             touched += monitor.counters["touched_updates"]
-        return time.perf_counter() - t_start, active, touched
-
-    null_times = []
-    batch_times = []
-    active = touched = 0
-    for _ in range(repeats):
-        null_times.append(run_once([])[0])
-        seconds, active, touched = run_once(stimuli)
-        batch_times.append(seconds)
+        batch_times.append(time.perf_counter() - t_start)
     return BenchmarkResult(engine=engine, n_stimuli=len(stimuli), repeats=repeats,
                            build_seconds=build_seconds, batch_seconds=batch_times,
-                           null_seconds=math.fsum(null_times) / len(null_times),
                            work_active_updates=active, work_touched_updates=touched)
 
 

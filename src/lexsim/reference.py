@@ -153,7 +153,7 @@ def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters)
                 inhib = math.fsum((gamma * prev_np[sel]).tolist())
         new_act[n] = update_activation(prev[n], net + inhib, nodes[n].rest, params)
 
-    state.activation = np.array(new_act)
+    state.activation[:] = new_act
     state.cycle += 1
 
 

@@ -138,7 +138,11 @@ def test_missing_lexicon_is_input_error(stim_wt, capsys):
     (["simulate", "--task", "XX"], "argument --task: invalid choice: 'XX'"),
     (["stats", "--task", "LD"], "unrecognized arguments: --task LD"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
-], ids=["invalid_choice", "unrecognized_argument", "unknown_subcommand"])
+    # stats and bench read only the stimulus column
+    (["stats", "--source", "NL"], "unrecognized arguments: --source NL"),
+    (["bench", "--source", "NL"], "unrecognized arguments: --source NL"),
+], ids=["invalid_choice", "unrecognized_argument", "unknown_subcommand", "stats_source",
+        "bench_source"])
 def test_usage_error_exits_1(stim_ld, capsys, args, message):
     # exit 2 is left to faults of the program
     with pytest.raises(SystemExit) as info:
@@ -230,6 +234,32 @@ def test_fit_subcommand_summary(stim_ld, tmp_path, capsys):
         assert int(trials) == 5 and 0 <= int(responded) <= 5
         # a point scores -inf exactly when the note says why
         assert (fitness == "-inf") == (note != "")
+
+
+@pytest.mark.parametrize("rts, finite", [((520, 610, 700), True), ((600, 600, 600), False)],
+                         ids=["finite", "constant_rts"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_fit_summary_is_strict_json_at_out(tmp_path, capsys, rts, finite, to_file):
+    # a fit where no point scores has no fitness: null, not -Infinity
+    stimuli = tmp_path / "rts.csv"
+    stimuli.write_text("stimulus,source_lang,target_lang,task,rt_ms\n" + "".join(
+        f"{word},NL,EN,WT,{rt}\n" for word, rt in zip(("AARDBEI", "AARDE", "AAP"), rts)))
+    log, out = tmp_path / "fit.log", tmp_path / "fit.json"
+    code = main(["fit", "--lexicon", str(table1_path()), "--stimuli", str(stimuli),
+                 "--domain=-0.01:0", "--n", "5", "--log", str(log)]
+                + (["--out", str(out)] if to_file else []))
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert (stdout == "") == to_file and out.exists() == to_file
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    summary = json.loads(out.read_text() if to_file else stdout, parse_constant=no_constant)
+    assert set(summary) == {"best_value", "best_fitness", "iterations", "manifest_sha256"}
+    assert (type(summary["best_fitness"]) is float) == finite
+    assert (summary["best_fitness"] is None) != finite
+    assert log.read_text().startswith(f"# manifest sha256:{summary['manifest_sha256']}\n")
 
 
 def test_stats_subcommand(stim_ld, capsys):

@@ -350,28 +350,70 @@ def test_untraced_run_builds_no_trace(table1_network, params, monkeypatch):
 def test_run_resets_the_state_once(table1_network, monkeypatch):
     resets = []
     reset = SimulationState.reset
-    monkeypatch.setattr(SimulationState, "reset", lambda state: resets.append(reset(state)))
+    monkeypatch.setattr(SimulationState, "reset",
+                        lambda state, weights=None: resets.append(reset(state, weights)))
     assert lexical_decision(table1_network, "AARDE", "NL").response_kind == "yes"
     assert len(resets) == 1
 
 
-@pytest.mark.parametrize("engine", ["fast", "dense"])
-def test_run_leaves_the_stepped_row_in_rows(table1_network, params, monkeypatch, engine):
-    # run_rows' step_fn must leave the stepped rows in rows.activation; the
-    # one-row step of run does so for either engine's state step
-    built = []
+@pytest.mark.parametrize("engine", ["rows", "fast", "dense"])
+def test_steps_keep_each_state_a_view_of_its_row(table1_network, params, monkeypatch, engine):
+    # a step writes its activations into rows.activation in place, so after
+    # every step each live state's activation is still its row of the
+    # chunk's buffer: several rows of run_rows, and run's one row for either
+    # engine's state step
+    built, steps, buffers = [], [], []
 
     class Recorded(Rows):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
+            buffers.append(self.activation)
+
+        def keep(self, rows):
+            super().keep(rows)
+            buffers.append(self.activation)
+
+    def check(rows):
+        assert rows.activation is buffers[-1]
+        grid = rows.activation.reshape(len(rows.states), -1)
+        for state, row in zip(rows.states, grid):
+            assert np.shares_memory(state.activation, row)
+            assert state.activation.tolist() == row.tolist()
+        steps.append(len(rows.states))
 
     monkeypatch.setattr(dynamics, "Rows", Recorded)
-    step_fn = step if engine == "fast" else DenseEngine(table1_network).step
+    if engine == "rows":
+        trials = [(stimulus, make_monitor(task, "NL", "EN", params), None) for stimulus, task
+                  in (("AARDBEI", "WT"), ("AARDE", "LD"), ("AAP", "NAME"), ("XQZQX", "LD"))]
+        run_rows(table1_network, trials, params,
+                 step_fn=lambda rows: (step_rows(rows), check(rows)))
+        assert steps[0] == 4 and steps[-1] == 1 and len(set(steps)) > 2  # rows were dropped
+        return
+    state_step = step if engine == "fast" else DenseEngine(table1_network).step
+
+    def step_fn(state, network, p):
+        state_step(state, network, p)
+        check(built[0])
+
     trace, outcome = run(table1_network, "AARDBEI", make_monitor("WT", "NL", "EN", params),
                          params, trace="full", step_fn=step_fn)
-    assert outcome.cycles == len(trace) > 1
+    assert outcome.cycles == len(trace) == len(steps) > 1
     assert built[0].activation.tolist() == trace.frames[-1] != table1_network.rest.tolist()
+
+
+def test_step_rejects_an_i_rest_the_network_fixed(table1_network, params):
+    # the stimulus row is built with the network's I_rest, so a step with
+    # another would disagree with the dense engine, which multiplies by it
+    state = SimulationState(table1_network)
+    set_stimulus(state, table1_network, "AARDE")
+    step(state, table1_network, params)
+    before = [a.hex() for a in state.activation.tolist()]
+    with pytest.raises(ConfigError, match=r"^I_rest is fixed by the network \(1\.0\); "
+                                          r"a step cannot set it to 0\.5$"):
+        step(state, table1_network, params.updated(I_rest=0.5))
+    assert [a.hex() for a in state.activation.tolist()] == before
+    assert state.cycle == 1
 
 
 @pytest.mark.parametrize("change, field", [
