@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: simulate, fit, stats, bench, dump-network. Every output starts
-with a comment line carrying the run-manifest hash; runs with identical
-manifests produce byte-identical output (timings excepted, which is why
-bench output is labelled machine-dependent).
+Subcommands: simulate, fit, stats, bench, dump-network. Every output
+carries its run-manifest hash (CSV: a first comment line; JSON: the
+manifest_sha256 key), and an output file has the full manifest beside it in
+<path>.manifest.json. Identical manifests give byte-identical output
+(timings excepted, which is why bench output is labelled machine-dependent).
 """
 
 from __future__ import annotations
@@ -58,23 +59,21 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_text(text: str, out_path: str | None) -> None:
+def _write_output(text: str, manifest: dict, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(text)
+    with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _write_csv(rows, manifest: dict, out_path: str | None) -> None:
     buffer = io.StringIO()
     buffer.write(f"# manifest sha256:{manifest_hash(manifest)}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    _write_text(buffer.getvalue(), out_path)
-    if out_path is not None:
-        _write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n",
-                    out_path + ".manifest.json")
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    _write_output(buffer.getvalue(), manifest, out_path)
 
 
 def _resolve_params(args) -> Parameters:
@@ -186,7 +185,7 @@ def _cmd_fit(args) -> int:
     summary = {"best_value": result.best_value, "best_fitness": fitness,
                "iterations": len(result.iterations),
                "manifest_sha256": manifest_hash(manifest)}
-    _write_text(json.dumps(summary, sort_keys=True, allow_nan=False) + "\n", args.out)
+    _write_output(json.dumps(summary, sort_keys=True, allow_nan=False) + "\n", manifest, args.out)
     return 0
 
 
@@ -230,7 +229,7 @@ def _cmd_dump_network(args) -> int:
             "connections": [{"from": c.from_id, "to": c.to_id, "weight": c.weight}
                             for c in network.connections()],
         }
-        _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", manifest, args.out)
     else:
         rows = [["from", "to", "weight"]]
         rows += [[c.from_id, c.to_id, repr(c.weight)] for c in network.connections()]

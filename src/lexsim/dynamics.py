@@ -94,7 +94,7 @@ keeps finite, so d = r - MIN_ACT is finite and >= +0.0, net*d = +0.0,
 r + 0.0 = r, decay*(r - r) = +0.0, r - 0.0 = r and the clamps keep r:
 the update maps the node to its own bits. The step computes such nodes
 all the same, as the dense engine does, so only the touched_updates
-counter depends on this; it counts the other nodes.
+counter depends on this; it counts the other nodes, pools by their masks.
 """
 
 from __future__ import annotations
@@ -397,9 +397,9 @@ def step(state: SimulationState, network: Network, params: Parameters) -> Simula
 def step_rows(rows: Rows) -> None:
     """Advance each row one cycle, writing its activations into
     rows.activation, of which every state's activation is a view. A node is
-    touched -- counted in its row's touched_updates -- when it is an active
-    node's target, stimulus-weighted, a member of a pool that steps, or away
-    from its rest level (module docstring)."""
+    touched -- counted in its row's touched_updates, a Python int -- when it
+    is away from its rest level, stimulus-weighted, an active node's target,
+    or a member of a pool that steps (module docstring)."""
     network, params, states = rows.network, rows.params, rows.states
     n, count = len(network), len(states)
     layout, pools = network.layout, network.pools
@@ -454,14 +454,16 @@ def step_rows(rows: Rows) -> None:
     new -= decay
     np.minimum(new, max_act, out=new)
 
-    # touched: a target, stimulus-weighted, away from rest, or a member of a
-    # pool that stepped
-    marks = rows.weighted.copy()
-    marks[targets] = True
-    marks = marks.reshape(count, n)
-    marks |= prev.reshape(count, n) != network.rest
-    marks |= stepped.take(pools, axis=1)
-    touched = np.add.reduce(marks, axis=1)
+    # touched; a uint32 sum counts a row faster than count_nonzero's intp one
+    marks = prev.reshape(count, n) != network.rest
+    marks |= rows.weighted.reshape(count, n)
+    marks.ravel()[targets] = True
+    for pool, rows_stepped in zip(INHIBITED_POOLS, stepped.T):
+        if rows_stepped.all():
+            marks |= network.members[pool]
+        elif rows_stepped.any():
+            marks[rows_stepped] |= network.members[pool]
+    touched = marks.sum(axis=1, dtype=np.uint32)
     np.maximum(new, min_act, out=prev)  # the last read of prev: the step ends in place
     active = np.bincount(row, minlength=count)
     for state, a, t in zip(states, active.tolist(), touched.tolist()):

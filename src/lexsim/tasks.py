@@ -9,20 +9,20 @@ their language matches the target and their concept matches the input
 node's. Rejection is permanent for the trial.
 
 Candidates: a row of a run_rows step of several rows takes its part of one
-Scan per (pool, threshold) over all the rows; any other state scans its own.
-A one-row step keeps its own scan and observes every cycle because that is
-faster: routing one-row trials through a Scan and the watch as well cost
-the one-row LD, NAME and WT trials on a 1,000-pair lexicon (5,003 nodes)
-7-11% of their trials per second, slower in 11 of 12 alternating pairs.
+Scan per (pool, threshold) over all the rows; any other state scans its own
+and is observed every cycle, which is faster for one row (README, Monitors).
 
 Watch: after a step of several rows, run_rows observes only the rows where
 a (pool, threshold) of the monitor's ``watch`` has candidates (None or no
 attribute: every row), so observe must return None and change nothing
 without them. LD and NAME watch (pool, criterion): no candidate, no winner.
 WT watches (ORTHO, input threshold) until the input is fixed, as the input
-stage is a no-op without candidates, and (PHONO, output threshold): without
-those it admits nothing, and no admitted node is ready, since the criterion
-is at least the output threshold (else watch is None).
+stage is a no-op without candidates, and (PHONO, output level): output
+candidates enter at max(output threshold, criterion). A waiting node is
+ready only at or above the criterion, so if that is at least the threshold,
+admitting only candidates at it changes no outcome, rejection or cycle, and
+without them nothing is admitted or ready. Otherwise a node admitted at the
+threshold can be ready after falling below it: watch is None.
 """
 
 from __future__ import annotations
@@ -185,9 +185,9 @@ class WordTranslationMonitor:
         self.output_list = Shortlist()
         self.diagnostics = Diagnostics()
         # (module docstring); the ortho pair goes once the input is fixed
+        self.output_level = max(params.shortlist_output_threshold, params.criterion_value)
         self.watch = None if params.criterion_value < params.shortlist_output_threshold else (
-            (Pool.ORTHO, params.shortlist_input_threshold),
-            (Pool.PHONO, params.shortlist_output_threshold))
+            (Pool.ORTHO, params.shortlist_input_threshold), (Pool.PHONO, self.output_level))
 
     # -- stage 1: fix the input reading ------------------------------------
 
@@ -214,8 +214,7 @@ class WordTranslationMonitor:
     # -- stage 2: accept an output candidate -------------------------------
 
     def _select_output(self, state, network) -> TaskOutcome | None:
-        self.output_list.admit(*_candidates(state, network, Pool.PHONO,
-                                            self.params.shortlist_output_threshold))
+        self.output_list.admit(*_candidates(state, network, Pool.PHONO, self.output_level))
         if self.diagnostics.input_node is None or not self.output_list.admitted:
             return None  # the semantic check needs the input fixed and a candidate
         act = state.activation.item

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from lexsim import Network, step, table1_path
-from lexsim.cli import main
+from lexsim.cli import main, manifest_hash
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HOMOGRAPHS = str(FIXTURES / "table1_homographs.csv")
@@ -260,6 +260,19 @@ def test_fit_summary_is_strict_json_at_out(tmp_path, capsys, rts, finite, to_fil
     assert (type(summary["best_fitness"]) is float) == finite
     assert (summary["best_fitness"] is None) != finite
     assert log.read_text().startswith(f"# manifest sha256:{summary['manifest_sha256']}\n")
+
+
+@pytest.mark.parametrize("command", [["fit", "--domain=-0.01:0", "--n", "5"],
+                                     ["dump-network", "--format", "json"]],
+                         ids=["fit", "dump-network"])
+def test_json_outputs_write_their_manifest(stim_wt, tmp_path, capsys, command):
+    # fit without --log: the manifest file beside --out is its only full copy
+    out = tmp_path / "out.json"
+    stimuli = ["--stimuli", stim_wt] if command[0] == "fit" else []
+    assert main([*command, "--lexicon", HOMOGRAPHS, *stimuli, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
+    assert manifest["command"] == command[0]
+    assert manifest_hash(manifest) == json.loads(out.read_text())["manifest_sha256"]
 
 
 def test_stats_subcommand(stim_ld, capsys):

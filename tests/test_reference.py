@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lexsim import (Network, NullMonitor, Parameters, ValidationError, build_network,
                     materialize_dense, run, step, synthetic_lexicon, update_activation)
+from lexsim.dynamics import run_rows, step_rows
 from lexsim.network import INHIBITED_POOLS, Pool, pool_gamma
 from lexsim.reference import DenseEngine, excitatory_in, scalar_input_weights
 from lexsim.tasks import make_monitor
@@ -152,30 +153,53 @@ def test_engines_agree_with_language_links(homograph_lexicon):
 def test_touched_updates_match_a_brute_force_count(homograph_lexicon, change):
     # a node is touched when an active node's connection (the dense
     # engine's exc_in) targets it, when it has a stimulus term, when its
-    # pool takes an inhibition step, or when it is away from rest
+    # pool takes an inhibition step, or when it is away from rest; one row
+    # at a time, then as the rows of one run_rows call whose pools step
+    # differently: the default pools, no orthographic step, a semantic step
     params = Parameters().updated(MAX_REST=0.05, **change)
     network = build_network(homograph_lexicon, params)
     exc_in = materialize_dense(network).exc_in
-    counts = []
+    trials = (("ROOM", "WT", "NL", "EN"), ("AARDE", "LD", "NL", None), ("AAP", "NAME", "NL", "NL"))
+    counts, states = [], set()
 
-    def counting(state, net, p):
+    def expected(state, p):
         prev = state.activation.tolist()
         stepped = {pool for pool in INHIBITED_POOLS if pool_gamma(p, pool) != 0.0
-                   and any(prev[m] > 0.0 for m in members(net, pool))}
-        expected = sum(1 for n, node in enumerate(net.nodes)
-                       if any(prev[src] > 0.0 for src, _w in exc_in[n])
-                       or n in state.input_weights or node.pool in stepped
-                       or prev[n] != node.rest)
-        before = state.counters["touched_updates"]
-        step(state, net, p)
-        counts.append((state.counters["touched_updates"] - before, expected))
+                   and any(prev[m] > 0.0 for m in members(network, pool))}
+        return sum(1 for n, node in enumerate(network.nodes)
+                   if any(prev[src] > 0.0 for src, _w in exc_in[n])
+                   or n in state.input_weights or node.pool in stepped
+                   or prev[n] != node.rest)
 
-    for stimulus, task, source, target in (("ROOM", "WT", "NL", "EN"), ("AARDE", "LD", "NL", None),
-                                           ("AAP", "NAME", "NL", "NL")):
+    def counting(state, net, p):
+        want, before = expected(state, p), state.counters["touched_updates"]
+        step(state, net, p)
+        counts.append((state.counters["touched_updates"] - before, want))
+        states.add(state)
+
+    for stimulus, task, source, target in trials:
         run(network, stimulus, make_monitor(task, source, target, params), params, trace=None,
             step_fn=counting)
+
+    row_params, rows_trials = {}, []  # each row's parameters, by its input weights' id
+    for p in (params, params.updated(OO_gamma=0.0), params.updated(SS_multiplier=1.0)):
+        for stimulus, task, source, target in trials:
+            weights = dict(network.input_weights(stimulus))
+            row_params[id(weights)] = p
+            rows_trials.append((stimulus, make_monitor(task, source, target, p), weights))
+
+    def counting_rows(rows):
+        wants = [(expected(state, row_params[id(state.input_weights)]),
+                  state.counters["touched_updates"]) for state in rows.states]
+        step_rows(rows)
+        counts.extend((state.counters["touched_updates"] - before, want)
+                      for state, (want, before) in zip(rows.states, wants))
+        states.update(rows.states)
+
+    run_rows(network, rows_trials, list(row_params.values()), step_fn=counting_rows)
     assert all(got == expected for got, expected in counts), counts
     assert len({expected for _got, expected in counts}) > 3
+    assert all(type(value) is int for state in states for value in state.counters.values())
 
 
 @pytest.mark.parametrize("change", [

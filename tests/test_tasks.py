@@ -346,6 +346,46 @@ def test_observe_changes_nothing_while_the_watched_scans_are_empty(request, fixt
     assert all(counts[key] > 0 for key in (("LD", 1), ("NAME", 1), ("WT", 2), ("WT", 1)))
 
 
+class _AdmitAtThreshold(WordTranslationMonitor):
+    """The reference WT monitor: output candidates wait from the output
+    threshold on, and it is observed every cycle."""
+
+    def __init__(self, source_language, target_language, params):
+        super().__init__(source_language, target_language, params)
+        self.output_level = params.shortlist_output_threshold
+        self.watch = None
+
+
+@pytest.mark.parametrize("fixture", ["table1", "homograph_lexicon"])
+def test_wt_admitting_at_the_criterion_matches_admitting_at_the_threshold(request, fixture):
+    # criterion above, equal to and below the output threshold, and raised
+    # gammas; outcomes compare their diagnostics, rejections with their cycles
+    lexicon = request.getfixturevalue(fixture)
+    network = build_network(lexicon, Parameters())
+    trials = [(e.ortho_a, "NL", "EN") for e in lexicon.entries]
+    trials += [(e.ortho_b, "EN", "NL") for e in lexicon.entries]
+    changes = [{}, {"shortlist_output_threshold": 0.3},
+               {"shortlist_output_threshold": 0.6, "criterion_value": 0.6},
+               {"shortlist_output_threshold": 0.5, "criterion_value": 0.45},
+               {"OO_gamma": -0.03, "PP_gamma": -0.03, "SS_gamma": -0.01},
+               {"OO_gamma": -0.1, "PP_gamma": -0.1, "shortlist_output_threshold": 0.3,
+                "criterion_value": 0.5},
+               {"OO_gamma": -0.3, "PP_gamma": -0.3, "shortlist_input_threshold": 0.4,
+                "shortlist_output_threshold": 0.45, "criterion_value": 0.4}]
+    kinds, rejections = collections.Counter(), 0
+    for change in changes:
+        p = Parameters().updated(**change)
+        results = {}
+        for monitor in (WordTranslationMonitor, _AdmitAtThreshold):
+            results[monitor] = [outcome for _trace, outcome in run_rows(
+                network, [(s, monitor(source, target, p), None) for s, source, target in trials],
+                p)]
+        assert results[WordTranslationMonitor] == results[_AdmitAtThreshold], change
+        kinds.update(o.response_kind for o in results[_AdmitAtThreshold])
+        rejections += sum(o.n_rejected for o in results[_AdmitAtThreshold])
+    assert kinds["symbol"] > 0 and kinds["none"] > 0 and rejections > 0
+
+
 # -- shortlist mechanics ---------------------------------------------------------
 
 def test_shortlist_rejection_is_permanent():
