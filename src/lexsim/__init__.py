@@ -14,7 +14,7 @@ from .experiments import (BatchRow, ConditionReport, StimulusRecord, active_node
 from .fitting import FitResult, SearchConfig, fit_inhibition, grid_search, pearson
 from .lexicon import (Lexicon, LexiconEntry, ParseOptions, load_lexicon, opb,
                       parse_lexicon, rest_activation, table1_path)
-from .network import Network, Node, Pool, build_network
+from .network import InputWeights, Network, Node, Pool, build_network
 from .params import Parameters, load_parameters, parse_assignment
 from .reference import DenseEngine, input_weight, levenshtein_similarity, materialize_dense
 from .tasks import (LexicalDecisionMonitor, NamingMonitor, NullMonitor, Shortlist,

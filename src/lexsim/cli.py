@@ -179,7 +179,8 @@ def _cmd_fit(args) -> int:
                 it.points, it.fitnesses, it.n_responded, it.n_trials, it.notes):
             log_rows.append([i, repr(it.window_lo), repr(it.window_hi),
                              repr(point), repr(fitness), responded, trials, note])
-    _write_csv(log_rows, manifest, args.log)
+    if args.log is not None:  # stdout holds only the summary
+        _write_csv(log_rows, manifest, args.log)
     # strict JSON: a fit where no point scored has no fitness
     fitness = result.best_fitness if math.isfinite(result.best_fitness) else None
     summary = {"best_value": result.best_value, "best_fitness": fitness,
@@ -273,7 +274,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="search OO_gamma only, holding PP_gamma fixed")
     p.add_argument("--pp-gamma", type=float, default=0.0,
                    help="fixed PP_gamma in untied mode (default 0.0)")
-    p.add_argument("--log", help="fit log CSV path (default: stdout)")
+    p.add_argument("--log", help="fit log CSV path (default: no log)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("stats", help="active-node counts per inhibition setting")

@@ -100,12 +100,12 @@ counter depends on this; it counts the other nodes, pools by their masks.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .network import INHIBITED_POOLS, Network, Pool, pool_gamma
+from .network import INHIBITED_POOLS, InputWeights, Network, Pool, pool_gamma
 from .params import GAMMA_NAMES, TRIAL_NAMES, Parameters
 
 
@@ -156,28 +156,27 @@ class SimulationState:
     every cycle, None keeps none."""
 
     def __init__(self, network: Network, trace: str | None = "full",
-                 input_weights: dict[int, float] | None = None):
+                 input_weights: Mapping[int, float] | None = None):
         if trace not in ("full", None):
             raise ValueError(f"unknown trace mode {trace!r}")
         self.network = network
         self.trace = Trace(network) if trace == "full" else None
         self.reset(input_weights)
 
-    def reset(self, input_weights: dict[int, float] | None = None) -> None:
-        """Back to rest for a trial with ``input_weights`` (None: no
-        stimulus): rest activations, cycle 0, no frames. Builds the trial's
-        row of stimulus-only net input -- iw * I_rest + 0.0 at every
-        stimulus-weighted node, 0.0 elsewhere, with the network's I_rest --
-        and the mask of the stimulus-weighted nodes."""
+    def reset(self, input_weights: Mapping[int, float] | None = None) -> None:
+        """Back to rest for a trial with ``input_weights``, any Mapping of id
+        to weight kept as given (None: no stimulus): rest activations, cycle
+        0, no frames. From its InputWeights arrays, builds the row of
+        stimulus-only net input -- iw * I_rest + 0.0 at every weighted node,
+        0.0 elsewhere, with the network's I_rest -- and the weighted mask."""
         network = self.network
         self.activation: np.ndarray = network.rest.copy()
-        self.input_weights = weights = {} if input_weights is None else input_weights
-        ids = np.fromiter(weights, np.intp, len(weights))
+        self.input_weights = {} if input_weights is None else input_weights
+        weights = InputWeights.of(self.input_weights)
         self.stimulus = np.zeros(len(network))
-        self.stimulus[ids] = (np.fromiter(weights.values(), np.float64, len(weights))
-                              * network.params.I_rest + 0.0)
+        self.stimulus[weights.ids] = weights.weights * network.params.I_rest + 0.0
         self.weighted = np.zeros(len(network), dtype=bool)
-        self.weighted[ids] = True
+        self.weighted[weights.ids] = True
         self.scan: tuple[Scan, int] | None = None  # (Scan, row) while run_rows observes rows
         self.cycle = 0
         self.counters = {"active_node_updates": 0, "touched_updates": 0}
@@ -485,7 +484,7 @@ _CHUNK_ELEMENTS = 2**16
 
 def run(network: Network, stimulus: str, monitor, params: Parameters | None = None,
         trace: str | None = "full", step_fn=None,
-        input_weights: dict[int, float] | None = None):
+        input_weights: Mapping[int, float] | None = None):
     """Simulate one trial: run_rows on one row, advanced by ``step_fn(state, network,
     params)`` (None: this module's ``step``, looked up at call time so a wrapper on
     ``dynamics.step`` sees every cycle), which steps state.activation in place.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -84,6 +84,36 @@ class EntryArrays(NamedTuple):
     links: np.ndarray
 
 
+class InputWeights(Mapping):
+    """A stimulus's nonzero input weights: a read-only Mapping of node id to weight, in id
+    order, over aligned read-only arrays ``ids`` (intp, strictly increasing) and ``weights``."""
+
+    def __init__(self, ids: np.ndarray, weights: np.ndarray):
+        ids.flags.writeable = weights.flags.writeable = False
+        self.ids, self.weights = ids, weights
+
+    @classmethod
+    def of(cls, mapping: Mapping[int, float]) -> InputWeights:
+        """``mapping`` if it is an InputWeights, else its items as arrays in id order."""
+        if isinstance(mapping, cls):
+            return mapping
+        ids = np.fromiter(mapping, np.intp, len(mapping))
+        order = ids.argsort()
+        return cls(ids[order], np.fromiter(mapping.values(), np.float64, len(mapping))[order])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __getitem__(self, node: int) -> float:
+        i = self.ids.searchsorted(node)
+        if i < len(self.ids) and self.ids[i] == node:
+            return self.weights.item(i)
+        raise KeyError(node)
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Network:
     """Built lexical network, frozen: ``build_network`` makes it in one call,
@@ -101,9 +131,9 @@ class Network:
     language), from node metadata alone; ``members[pool]`` is that pool's
     member mask, ``pools == k``; ``rest`` is every node's rest level. For
     input weighting: the orthographic node ids, their symbol lengths, and
-    their code points with one row per letter position (column k is the
-    k-th ortho node, padded with 0 past its length). Every array is
-    read-only.
+    their code points in C order and the narrowest unsigned type, one row
+    per letter position (column k is the k-th ortho node, 0 past its
+    length). Every array is read-only.
     """
 
     params: Parameters
@@ -139,21 +169,22 @@ class Network:
         return [Connection(*edge) for edge in sorted(
             (src, dst, w) for dst, sources in enumerate(excitatory_in(self)) for src, w in sources)]
 
-    def input_weights(self, stimulus: str) -> dict[int, float]:
+    def input_weights(self, stimulus: str) -> InputWeights:
         """Nonzero stimulus weights over orthographic nodes (symbol uppercased),
-        in node id order: IO_multiplier x similarity cubed, where similarity
-        is 1 - edit distance / the longer length.
+        as InputWeights arrays in node id order: IO_multiplier x similarity
+        cubed, where similarity is 1 - edit distance / the longer length.
 
         One Wagner-Fischer table (Wagner & Fischer, JACM 1974) runs over
         every orthographic node at once: each stimulus letter i makes a new
         row of D[i][j], one vector across nodes per letter position j. A
         node's distance is the last row's entry at its own length; the
         padding past that length is never read there, because D[i][j]
-        depends only on positions <= j. The entries are at most i + j, so
-        the rows use the narrowest unsigned type that holds the largest.
-        The weights are float64 ufuncs in the scalar expression's operation
-        order, each a single IEEE operation rounded as Python rounds it, so
-        they equal reference.input_weight bit for bit.
+        depends only on positions <= j, and a letter beyond the codes' type
+        mismatches every node. The entries are at most i + j, so the rows
+        use the narrowest unsigned type that holds the largest. The weights
+        are float64 ufuncs in the scalar expression's operation order, each
+        a single IEEE operation rounded as Python rounds it, so they equal
+        reference.input_weight bit for bit.
         """
         if not stimulus:
             raise ValueError("stimulus must be non-empty")
@@ -164,9 +195,13 @@ class Network:
         row = np.repeat(np.arange(width + 1, dtype=dtype)[:, None], n, axis=1)
         new = np.empty_like(row)
         mismatch = np.empty(codes.shape, dtype=bool)
+        largest = np.iinfo(codes.dtype).max
         for i, letter in enumerate(stimulus, start=1):
             # substitution (or match) from the diagonal, deletion from above
-            np.not_equal(codes, ord(letter), out=mismatch)
+            if ord(letter) > largest:
+                mismatch.fill(True)
+            else:
+                np.not_equal(codes, ord(letter), out=mismatch)
             np.add(row[:-1], mismatch, out=new[1:])
             row += 1
             np.minimum(new[1:], row[1:], out=new[1:])
@@ -180,7 +215,7 @@ class Network:
         similarity = 1.0 - distance / np.maximum(lengths, len(stimulus))
         weights = self.params.IO_multiplier * (similarity * similarity * similarity)
         keep = np.flatnonzero(weights > 0.0)
-        return dict(zip(self.ortho_ids[keep].tolist(), weights[keep].tolist()))
+        return InputWeights(self.ortho_ids[keep], weights[keep])
 
 
 def build_network(lexicon: Lexicon, params: Parameters) -> Network:
@@ -236,12 +271,12 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
     lengths = list(map(len, symbols))
     width = max(lengths, default=0)
     # a fixed-width numpy string holds one UCS-4 code point per letter,
-    # zero-padded: one row per symbol, transposed to one row per position
+    # zero-padded: one row per symbol, copied to one row per position (C order)
     padded = np.array(symbols, dtype=f"<U{width}").view("<u4").reshape(len(symbols), width)
     rest = np.fromiter((node.rest for node in nodes), np.float64, len(nodes))
-    ortho_ids = np.array([node.id for node in ortho], dtype=np.int64)
+    ortho_ids = np.array([node.id for node in ortho], dtype=np.intp)
     ortho_lengths = np.array(lengths, dtype=np.intp)
-    ortho_codes = padded.T.copy()
+    ortho_codes = np.ascontiguousarray(padded.T, np.min_scalar_type(padded.max(initial=0)))
     for array in (*layout, pools, *members.values(), rest, ortho_ids, ortho_lengths, ortho_codes):
         array.flags.writeable = False
     return Network(

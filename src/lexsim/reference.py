@@ -55,7 +55,7 @@ def input_weight(stimulus: str, ortho_symbol: str, params: Parameters) -> float:
 
 
 def scalar_input_weights(network: Network, stimulus: str) -> dict[int, float]:
-    """``network.input_weights(stimulus)``, one orthographic node at a time."""
+    """``network.input_weights(stimulus)`` as a plain dict, node by node: the oracle's weights."""
     if not stimulus:
         raise ValueError("stimulus must be non-empty")
     stimulus = stimulus.upper()

@@ -262,6 +262,14 @@ def test_fit_summary_is_strict_json_at_out(tmp_path, capsys, rts, finite, to_fil
     assert log.read_text().startswith(f"# manifest sha256:{summary['manifest_sha256']}\n")
 
 
+def test_fit_without_log_or_out_prints_only_the_summary(stim_wt, capsys):
+    # the log goes only to --log: stdout holds one JSON object, no CSV before it
+    assert main(["fit", "--lexicon", HOMOGRAPHS, "--stimuli", stim_wt,
+                 "--domain=-0.01:0", "--n", "5"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert set(summary) == {"best_value", "best_fitness", "iterations", "manifest_sha256"}
+
+
 @pytest.mark.parametrize("command", [["fit", "--domain=-0.01:0", "--n", "5"],
                                      ["dump-network", "--format", "json"]],
                          ids=["fit", "dump-network"])

@@ -12,7 +12,7 @@ from lexsim import (ConfigError, DenseEngine, InvariantError, Lexicon, Network, 
 from lexsim import dynamics
 from lexsim.dynamics import (Rows, SimulationState, Trace, _excite, _expansion, _inhibit, run_rows,
                              step_rows)
-from lexsim.network import INHIBITED_POOLS, Pool
+from lexsim.network import INHIBITED_POOLS, InputWeights, Pool
 from lexsim.tasks import LexicalDecisionMonitor, WordTranslationMonitor, make_monitor
 
 from conftest import members, random_case
@@ -234,6 +234,27 @@ def test_set_stimulus_resets(table1_network, params):
     assert state.cycle == 0
     assert [a.hex() for a in state.activation.tolist()] \
         == [node.rest.hex() for node in table1_network.nodes]
+
+
+@pytest.mark.parametrize("stimulus", ["AARDE", "ROOM", "XQZQX"])
+def test_reset_reads_input_weights_and_a_dict_of_them_alike(table1_network, params, stimulus):
+    # the arrays input_weights returns, the same weights as a dict, and as a
+    # dict in descending id order: bit-identical rows, runs and traces
+    weights = table1_network.input_weights(stimulus)
+    forms = (weights, dict(weights), dict(reversed(list(weights.items()))))
+    assert InputWeights.of(weights) is weights
+    assert InputWeights.of(forms[2]).ids.tolist() == weights.ids.tolist()
+    states = [SimulationState(table1_network, None, w) for w in forms]
+    for state, w in zip(states, forms):
+        assert state.input_weights is w
+        for name in ("stimulus", "weighted"):
+            row, first = getattr(state, name), getattr(states[0], name)
+            assert row.dtype == first.dtype and row.tobytes() == first.tobytes()
+    runs = [run(table1_network, stimulus, make_monitor("WT", "NL", "EN", params), params,
+                input_weights=w) for w in forms]
+    for trace, outcome in runs:
+        assert outcome == runs[0][1]
+        assert np.array(trace.frames).tobytes() == np.array(runs[0][0].frames).tobytes()
 
 
 def test_activation_is_an_own_float64_array(homograph_network, params):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from lexsim import (Lexicon, LexiconEntry, ParseOptions, Parameters, ValidationError,
                     active_node_stats, build_network, input_weight, levenshtein_similarity,
                     parse_lexicon, word_translation)
-from lexsim.network import INHIBITED_POOLS, Pool
+from lexsim.network import INHIBITED_POOLS, InputWeights, Pool
 from lexsim.reference import scalar_input_weights
 
 from conftest import members
@@ -229,6 +229,11 @@ def weighting_cases(draw):
 @example(([("AB", "B"), ("ж", "ÉA")], "ABÉABÉ", 0.2))  # longer than every symbol
 @example(([("ABBA", "ABBA"), ("ABBA", "ABBE")], "ABBA", 0.2))  # homographs
 @example(([("ABBA", "AB")], "ABBA", 0.0))
+# stimulus letters beyond the codes' type, uint8 then uint16; Ł (U+0141) and
+# U+10416 keep the low bits of A and Ж, so a wrapped code would match those
+@example(([("AB", "BA"), ("ÉA", "B")], "AЖB", 0.2))
+@example(([("A÷", "÷")], "÷ŁĀ", 1.0))
+@example(([("Ж", "AЖ"), ("ЖA", "B")], "Ж😀\U00010416A", 0.2))
 def test_input_weights_match_scalar_loop(case):
     pairs, stimulus, gain = case
     net = build_network(_lexicon(pairs), Parameters().updated(IO_multiplier=gain))
@@ -236,8 +241,26 @@ def test_input_weights_match_scalar_loop(case):
     slow = scalar_input_weights(net, stimulus)
     # same keys in the same order, same doubles bit for bit
     assert [(k, w.hex()) for k, w in fast.items()] == [(k, w.hex()) for k, w in slow.items()]
+    assert isinstance(fast, InputWeights) and type(slow) is dict
+    assert not fast.ids.flags.writeable and not fast.weights.flags.writeable
+    assert fast.ids.dtype == np.intp and fast.weights.dtype == np.float64
+    assert (np.diff(fast.ids) > 0).all()
+    assert len(fast) == len(slow) == len(fast.ids) == len(fast.weights)
+    assert fast == slow and slow == fast
     if gain == 0.0:
-        assert fast == {}
+        assert fast == {} and {} == fast
+
+
+@pytest.mark.parametrize("letters, dtype", [("AB", np.uint8), ("AÉ", np.uint8),
+                                            ("Aж", np.uint16), ("Aж\U0001D538", np.uint32)],
+                         ids=["ascii", "latin1", "bmp", "beyond_bmp"])
+def test_ortho_codes_take_the_narrowest_type(letters, dtype):
+    # the largest code point decides: É is 0xC9, ж 0x436, 𝔸 (U+1D538) 0x1D538
+    net = build_network(_lexicon([(letters, "B")]), Parameters())
+    codes = net.ortho_codes
+    assert codes.dtype == dtype
+    assert codes.flags.c_contiguous and not codes.flags.writeable
+    assert codes[:, 0].tolist() == list(map(ord, net.nodes[net.ortho_ids[0]].symbol))
 
 
 def test_ortho_phono_share_concept(table1_network):

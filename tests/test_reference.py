@@ -40,6 +40,20 @@ def test_weightings_reject_an_empty_stimulus(table1_network, weights):
     assert str(info.value) == "stimulus must be non-empty"
 
 
+def test_dense_engine_reads_its_weights_from_a_plain_dict(table1_network, params):
+    # the oracle's per-node .get stays a dict lookup, never the arrays' searchsorted
+    engine = DenseEngine(table1_network)
+    dense_step, seen = engine.step, []
+
+    def capturing(state, network, p):
+        seen.append(type(state.input_weights))
+        dense_step(state, network, p)
+
+    engine.step = capturing
+    engine.run("AARDE", make_monitor("WT", "NL", "EN", params), params)
+    assert seen and set(seen) == {dict}
+
+
 def test_size_guard_refuses_large_lexicons():
     lex = synthetic_lexicon(501)
     net = build_network(lex, Parameters())
