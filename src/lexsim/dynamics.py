@@ -27,8 +27,9 @@ values over numpy arrays:
   the exact sum nor, next to a product that is not -0.0, the sign of a
   zero sum. fsum decides every sum that is not finite, so a finite sum
   that overflows raises OverflowError as it does in the dense engine (the
-  array adds run with numpy's overflow warnings off for that reason). The
-  dense engine builds its links on its own, from node metadata.
+  array adds run with numpy's overflow warnings off for that reason). In a
+  step of at least _SUM3_GROUPS such targets, those of three terms take
+  _sum3 (below). The dense engine builds its links on its own.
 - Inhibition: one stable sort groups the active members' terms gamma*a
   by pool. Every sum over them is correctly rounded, so their order does
   not matter. The members of a pool that are not active all get the
@@ -39,8 +40,10 @@ values over numpy arrays:
   IEEE add as above, and each member's exclusion is the other term, a
   one-term sum. A term that underflows is -0.0 where fsum would give
   +0.0; the sign does not matter, as the sum is added to a net input that
-  is not -0.0. Three or more members, or a shared sum that is not finite,
-  take the expansion: r_0 = fsum(terms), then
+  is not -0.0. Three members in a step of at least _SUM3_GROUPS such pools
+  get _sum3 and, as each exclusion, the add of the other two terms, finite
+  where the shared sum is, as the terms share gamma's sign. More members,
+  or a sum that is not finite, take the expansion: r_0 = fsum(terms), then
   r_k = fsum(terms + [-r_0, ..., -r_{k-1}]) until r_k == 0.0; the shared
   sum is fsum(expansion) and an exclusion fsum(expansion + [-t]). Each
   r_k is the correctly rounded residual, and every
@@ -57,6 +60,13 @@ values over numpy arrays:
   gets its row's entry for its pool, +0.0 for no pool, in one add: no net
   input is -0.0 (s is not, products are not, and neither are their sums),
   so adding +0.0 leaves it as it is.
+- Three terms: _sum3 is Boldo and Melquiond's adder ("Emulation of FMA
+  and correctly rounded sums: proved algorithms using rounding to odd",
+  IEEE Trans. Computers 57(4), 2008). TwoSums give a + b + c = th + tl + ul
+  exactly; v = RO(tl + ul), rounded to odd from a third TwoSum's error,
+  keeps the sticky bit that makes RN(th + v) = RN(a + b + c), fsum's value,
+  on subnormals too; a zero sum of terms that are not -0.0 is +0.0. An
+  overflow gives inf or NaN, which fsum decides.
 - The add and the update rule run over every node as elementwise float64
   ufuncs in update_activation's operation order. Each rounds exactly as
   the Python float operation does (numpy does not fuse multiply-add). The
@@ -125,8 +135,11 @@ class Trace:
 
     def sampled_nodes(self) -> list[int]:
         """Nodes whose activation exceeded their resting level at any cycle."""
+        return self._sampled()[1].tolist()
+
+    def _sampled(self) -> tuple[np.ndarray, np.ndarray]:  # the frames array, sampled ids
         frames = np.reshape(self.frames, (-1, len(self._network)))
-        return np.flatnonzero((frames > self._network.rest).any(axis=0)).tolist()
+        return frames, np.flatnonzero((frames > self._network.rest).any(axis=0))
 
     def rows(self, top_k: int | None = None):
         """Expand to (cycle, node_id, pool, language, symbol, activation) rows.
@@ -136,18 +149,12 @@ class Trace:
         """
         if top_k is not None and top_k < 1:
             raise ValueError(f"top_k must be at least 1, got {top_k}")
-        ids = self.sampled_nodes()
-        if top_k is not None and len(ids) > top_k:
-            peak = {n: max(frame[n] for frame in self.frames) for n in ids}
-            ids = sorted(sorted(ids, key=lambda n: -peak[n])[:top_k])
-        nodes = self._network.nodes
-        out = []
-        for cycle, frame in enumerate(self.frames, start=1):
-            for n in ids:
-                node = nodes[n]
-                out.append((cycle, n, node.pool.value, node.language or "",
-                            node.symbol, frame[n]))
-        return out
+        frames, ids = self._sampled()
+        if top_k is not None and len(ids) > top_k:  # the highest peaks, ties to the lower id
+            ids = np.sort(ids[np.argsort(-frames[:, ids].max(axis=0), kind="stable")[:top_k]])
+        picked = [(n, self._network.nodes[n]) for n in ids.tolist()]
+        return [(cycle, n, node.pool.value, node.language or "", node.symbol, frame[n])
+                for cycle, frame in enumerate(self.frames, start=1) for n, node in picked]
 
 
 class SimulationState:
@@ -234,7 +241,8 @@ class Rows:
     INHIBITED_POOLS[k], and column 3 is 0.0 for the nodes in no pool. The
     rows of stimulus-only net inputs and stimulus-weighted masks are the
     states' own (SimulationState.reset), built with the network's I_rest,
-    so ConfigError rejects parameters with another; keep drops rows."""
+    so ConfigError rejects parameters with another. keep drops rows; with
+    several, ``rejected[b]`` masks the ids row b's monitor rejected."""
 
     def __init__(self, network: Network, states: list[SimulationState],
                  params: Sequence[Parameters]):
@@ -250,6 +258,7 @@ class Rows:
             self.activation = np.concatenate([state.activation for state in states])
             self.stimulus = np.concatenate([state.stimulus for state in states])
             self.weighted = np.concatenate([state.weighted for state in states])
+            self.rejected = np.zeros((len(states), len(network)), dtype=bool)
             self._share()
         self.gammas = np.array([[pool_gamma(p, pool) for pool in INHIBITED_POOLS] + [0.0]
                                 for p in params])
@@ -265,6 +274,7 @@ class Rows:
         self.activation = self.activation.reshape(shape)[rows].ravel()
         self.stimulus = self.stimulus.reshape(shape)[rows].ravel()
         self.weighted = self.weighted.reshape(shape)[rows].ravel()
+        self.rejected = self.rejected[rows]
         self.gammas = self.gammas[rows]
         self._share()
 
@@ -272,12 +282,12 @@ class Rows:
 class Scan(dict):
     """After a step of several rows, ``scan[pool, threshold]`` is (ids, bounds,
     found): row b's members of the pool at or above the threshold, in id
-    order, are ids[bounds[b]:bounds[b + 1]], and found[b] is whether it has
-    any; scanned on first request over the flat buffer."""
+    order, are ids[bounds[b]:bounds[b + 1]], and found[b] is whether one is
+    not in Rows.rejected; scanned on first request over the flat buffer."""
 
     def __init__(self, rows: Rows):
         self.activation = rows.activation.reshape(len(rows.states), -1)
-        self.members = rows.network.members
+        self.members, self.rejected = rows.network.members, rows.rejected.ravel()
 
     def __missing__(self, key: tuple[Pool, float]) -> tuple[list[int], list[int], np.ndarray]:
         pool, threshold = key
@@ -286,8 +296,9 @@ class Scan(dict):
         n = hits.shape[1]
         ids = np.flatnonzero(hits)
         bounds = ids.searchsorted(np.arange(0, hits.size + 1, n))
-        return self.setdefault(key, ((ids % n).tolist(), bounds.tolist(),
-                                     bounds[1:] > bounds[:-1]))
+        found = np.zeros(len(hits), dtype=bool)  # the rows of the hits not rejected
+        found[ids[~self.rejected[ids]] // n] = True
+        return self.setdefault(key, ((ids % n).tolist(), bounds.tolist(), found))
 
 
 def _woken(scan: Scan, watches: dict, codes: np.ndarray) -> np.ndarray:
@@ -315,20 +326,48 @@ def _groups(keys: np.ndarray):
     return order, keys[starts], starts, sizes, sizes == 2
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray):
+    """(s, e): s = RN(a + b) and e = a + b - s, exact without overflow (Knuth's TwoSum)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
+def _sum3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """RN(a + b + c) elementwise, or a value that is not finite (module docstring)."""
+    uh, ul = _two_sum(a, b)
+    th, tl = _two_sum(c, uh)
+    v, e = _two_sum(tl, ul)
+    bits, inexact = v.view(np.int64), e != 0.0
+    bits -= inexact & ((bits ^ e.view(np.int64)) < 0)  # toward zero where inexact,
+    bits |= inexact  # then the last bit set: v = RO(tl + ul)
+    return th + v
+
+
+# _excite, _inhibit: slow groups from which three-term ones take _sum3. Median
+# µs per call at 8, 16, 32, 64, 128, 256 slow groups, 2-vCPU Xeon VM: _excite
+# 28 34 48 75 132 272 by fsum, 54 59 60 67 82 138 with _sum3; _inhibit 46 74
+# 128 236 449 930 and 55 58 60 64 73 89. One-row steps have at most 49 and 3
+# (mixed_1k, wt_10k); a criterion-7 grid step a median of 407 and 27.
+_SUM3_GROUPS = 64
+
+
 def _excite(net: np.ndarray, dst: np.ndarray, prod: np.ndarray) -> np.ndarray:
-    """Add the products ``prod`` to their targets ``dst`` (any order) in
-    ``net``, which holds the stimulus-only net inputs s, and return the
-    targets: a lone product takes one add s + p, two products where s is
-    zero one add p1 + p2 (as (s + p1) + p2), and fsum takes every other
-    target and every sum that is not finite, s a term only where nonzero."""
+    """Add the products ``prod`` to their targets ``dst`` (any order) in ``net``, which
+    holds the stimulus-only net inputs (each sum: module docstring); return the targets."""
     order, targets, starts, sizes, pairs = _groups(dst)
     prod = prod[order]
     stim = net[targets]
     sums = stim + prod[starts]
     sums += prod[starts + pairs] * pairs  # the second product of a pair, else 0.0
-    slow = (sizes + (stim != 0.0) > 2)
-    slow |= ~np.isfinite(sums)
-    slow = slow.nonzero()[0]
+    count = sizes + (stim != 0.0)  # terms
+    slow = ((count > 2) | ~np.isfinite(sums)).nonzero()[0]
+    if slow.size >= _SUM3_GROUPS:  # three terms: two products and a third or s
+        three = count[slow] == 3
+        i = starts[slow[three]]
+        sums[slow[three]] = _sum3(prod[i], prod[i + 1], np.where(
+            sizes[slow[three]] == 3, prod.take(i + 2, mode="clip"), stim[slow[three]]))
+        slow = slow[~three | ~np.isfinite(sums[slow])]
     if slow.size:
         terms = prod.tolist()
         sums[slow] = [math.fsum(terms[i:i + k] + [s] if s else terms[i:i + k]) for i, k, s
@@ -340,10 +379,8 @@ def _excite(net: np.ndarray, dst: np.ndarray, prod: np.ndarray) -> np.ndarray:
 def _inhibit(keys: np.ndarray, terms: np.ndarray):
     """Inhibition steps over the terms gamma*a of the active members,
     grouped by ``keys`` (any order). Returns the order that groups them,
-    each group's key and shared sum, and each member's exclusion sum, in
-    that order. One member: the shared sum is t and the exclusion +0.0;
-    two: t1 + t2, and each member's exclusion is the other term; more, or
-    a sum that is not finite: fsum over the group's expansion."""
+    each group's key and shared sum (module docstring), and each member's
+    exclusion sum, in that order."""
     order, groups, starts, sizes, pairs = _groups(keys)
     terms = terms[order]
     one = starts[pairs]
@@ -353,9 +390,14 @@ def _inhibit(keys: np.ndarray, terms: np.ndarray):
     exclusion = np.zeros(len(terms))
     exclusion[one] = terms[two]
     exclusion[two] = terms[one]
-    slow = sizes > 2
-    slow |= ~np.isfinite(sums)
-    slow = slow.nonzero()[0]
+    slow = ((sizes > 2) | ~np.isfinite(sums)).nonzero()[0]
+    if slow.size >= _SUM3_GROUPS:  # three members: each exclusion is one add
+        three = sizes[slow] == 3
+        i = starts[slow[three]]
+        t = terms[i], terms[i + 1], terms[i + 2]
+        sums[slow[three]] = _sum3(*t)
+        exclusion[i], exclusion[i + 1], exclusion[i + 2] = t[1] + t[2], t[0] + t[2], t[0] + t[1]
+        slow = slow[~three | ~np.isfinite(sums[slow])]
     if slow.size:
         values = terms.tolist()
         for g, i, k in zip(slow.tolist(), starts[slow].tolist(), sizes[slow].tolist()):
@@ -509,10 +551,10 @@ def run_rows(network: Network, trials, params: Parameters | Sequence[Parameters]
     outcome or None; ``monitor.timeout`` gives it once max_cycles pass. A
     row with its outcome drops out, after check_invariants. Several rows'
     monitors read a Scan of rows.activation, and only _woken rows are
-    observed (a monitor's ``watch``, lexsim.tasks). ConfigError comes before
-    the first step for a monitor language the network lacks, a field of a
-    row's parameters the network fixed (check_trial_params), or rows that
-    differ outside ROW_NAMES."""
+    observed (a monitor's ``watch``; its ``rejected`` ids wake no row,
+    lexsim.tasks). ConfigError comes before the first step for a monitor
+    language the network lacks, a field of a row's parameters the network
+    fixed (check_trial_params), or rows that differ outside ROW_NAMES."""
     for _stimulus, monitor, _weights in trials:
         for language in monitor.languages:
             if language not in network.languages:
@@ -550,8 +592,10 @@ def run_rows(network: Network, trials, params: Parameters | Sequence[Parameters]
                     check_invariants(state, rows.params)
                     results[i] = (state.trace, outcome)
                     done.add(b)
-                elif scan is not None:  # observe may have changed the watch
+                elif scan is not None:  # observe may have changed the watch and rejected ids
                     codes[b] = watches.setdefault(getattr(monitor, "watch", None), len(watches))
+                    if rejected := getattr(monitor, "rejected", None):
+                        rows.rejected[b, list(rejected)] = True
             if done:
                 kept = [b for b in range(len(live)) if b not in done]
                 live = [live[b] for b in kept]

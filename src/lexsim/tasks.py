@@ -22,7 +22,8 @@ candidates enter at max(output threshold, criterion). A waiting node is
 ready only at or above the criterion, so if that is at least the threshold,
 admitting only candidates at it changes no outcome, rejection or cycle, and
 without them nothing is admitted or ready. Otherwise a node admitted at the
-threshold can be ready after falling below it: watch is None.
+threshold can be ready after falling below it: watch is None. Ids in a
+monitor's ``rejected`` wake no row: WT never admits them again.
 """
 
 from __future__ import annotations
@@ -188,6 +189,11 @@ class WordTranslationMonitor:
         self.output_level = max(params.shortlist_output_threshold, params.criterion_value)
         self.watch = None if params.criterion_value < params.shortlist_output_threshold else (
             (Pool.ORTHO, params.shortlist_input_threshold), (Pool.PHONO, self.output_level))
+
+    @property
+    def rejected(self) -> set[int]:
+        """The ids rejected at either stage, which wake no row (module docstring)."""
+        return self.input_list.rejected | self.output_list.rejected
 
     # -- stage 1: fix the input reading ------------------------------------
 

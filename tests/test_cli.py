@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from lexsim import Network, step, table1_path
+from lexsim import (Network, Parameters, build_network, load_lexicon, make_monitor, run, step,
+                    table1_path)
 from lexsim.cli import main, manifest_hash
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -347,6 +350,37 @@ def test_trace_export(stim_wt, tmp_path):
     assert lines[1] == "cycle,node_id,pool,language,symbol,activation"
     node_ids = {line.split(",")[1] for line in lines[2:]}
     assert len(node_ids) == 6
+
+
+def _reference_trace(stimulus, top_k):
+    """The trace CSV of a WT NL->EN trial on the homograph fixture, manifest
+    line aside, with each node's peak taken by a Python max over every
+    frame: the top_k highest peaks, ties to the lower id, in id order."""
+    network = build_network(load_lexicon(HOMOGRAPHS), Parameters())
+    trace, _outcome = run(network, stimulus, make_monitor("WT", "NL", "EN", Parameters()))
+    ids = trace.sampled_nodes()
+    if len(ids) > top_k:
+        peak = {n: max(frame[n] for frame in trace.frames) for n in ids}
+        ids = sorted(sorted(ids, key=lambda n: -peak[n])[:top_k])
+    rows = [["cycle", "node_id", "pool", "language", "symbol", "activation"]]
+    for cycle, frame in enumerate(trace.frames, start=1):
+        for n in ids:
+            node = network.nodes[n]
+            rows.append([cycle, n, node.pool.value, node.language or "", node.symbol,
+                         repr(frame[n])])
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue().encode()
+
+
+@pytest.mark.parametrize("row, top_k", [(0, 1), (2, 6), (2, 40), (1, 1000)])
+def test_trace_top_k_keeps_the_highest_peaks_byte_for_byte(stim_wt, tmp_path, row, top_k):
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", "--lexicon", HOMOGRAPHS, "--stimuli", stim_wt,
+                 "--out", str(tmp_path / "o.csv"), "--trace", str(trace),
+                 "--trace-row", str(row), "--trace-top-k", str(top_k)]) == 0
+    stimulus = ("AARDE", "AARDBEI", "ROOM")[row]
+    assert trace.read_bytes().split(b"\n", 1)[1] == _reference_trace(stimulus, top_k)
 
 
 def test_dense_trace_runs_the_oracle(tmp_path, monkeypatch):

@@ -3,15 +3,15 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexsim import (ConfigError, DenseEngine, InvariantError, Lexicon, Network, NullMonitor,
                     Parameters, StimulusRecord, build_network, lexical_decision, parse_lexicon,
                     run, run_batch, set_stimulus, step, update_activation, word_translation)
 from lexsim import dynamics
-from lexsim.dynamics import (Rows, SimulationState, Trace, _excite, _expansion, _inhibit, run_rows,
-                             step_rows)
+from lexsim.dynamics import (Rows, SimulationState, Trace, _excite, _expansion, _inhibit, _sum3,
+                             run_rows, step_rows)
 from lexsim.network import INHIBITED_POOLS, InputWeights, Pool
 from lexsim.tasks import LexicalDecisionMonitor, WordTranslationMonitor, make_monitor
 
@@ -812,15 +812,28 @@ def _scatter(groups, rng):
     return net, np.array([t for t, _p in pairs], dtype=np.intp), np.array([p for _t, p in pairs])
 
 
-@settings(max_examples=300, deadline=None)
-@given(GROUPS, st.randoms(use_true_random=False))
-def test_gather_sums_are_the_fsum_of_each_target(groups, rng):
+def _assert_gather_sums_are_the_fsum_of_each_target(groups, rng):
     net, dst, prod = _scatter(groups, rng)
     with np.errstate(over="ignore", invalid="ignore"):  # as in step_rows
         targets = _excite(net, dst, prod)
     assert targets.tolist() == list(range(len(groups)))
     expected = [math.fsum(prods + [s] if s else prods) for s, prods in groups]
     assert _bits_of(net) == [x.hex() for x in expected] + [(0.25).hex()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(GROUPS, st.randoms(use_true_random=False))
+def test_gather_sums_are_the_fsum_of_each_target(groups, rng):
+    _assert_gather_sums_are_the_fsum_of_each_target(groups, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GROUPS, st.randoms(use_true_random=False))
+def test_gather_sums_through_the_three_term_adder_are_the_fsum_of_each_target(groups, rng):
+    # these draws hold at most 12 targets, under the gate: open it to every step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_SUM3_GROUPS", 0)
+        _assert_gather_sums_are_the_fsum_of_each_target(groups, rng)
 
 
 @pytest.mark.parametrize("stimulus, products", [
@@ -839,9 +852,7 @@ TERMS_OF_A_POOL = st.lists(st.one_of(st.sampled_from((-0.0, -5e-324, -1.0, -2.0 
                            min_size=1, max_size=5)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(TERMS_OF_A_POOL, min_size=1, max_size=8), st.randoms(use_true_random=False))
-def test_pool_steps_give_the_fsum_of_the_members(pools, rng):
+def _assert_pool_steps_give_the_fsum_of_the_members(pools, rng):
     # the sign of a zero sum does not count: it is added to a net input that
     # is never -0.0, which it leaves as it is
     members = [(key, t) for key, terms in enumerate(pools) for t in terms]
@@ -857,3 +868,64 @@ def test_pool_steps_give_the_fsum_of_the_members(pools, rng):
         others = list(pools[key])
         others.remove(t)
         assert (excluded + 0.0).hex() == (math.fsum(others) + 0.0).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TERMS_OF_A_POOL, min_size=1, max_size=8), st.randoms(use_true_random=False))
+def test_pool_steps_give_the_fsum_of_the_members(pools, rng):
+    _assert_pool_steps_give_the_fsum_of_the_members(pools, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TERMS_OF_A_POOL, min_size=1, max_size=8), st.randoms(use_true_random=False))
+def test_pool_steps_through_the_three_term_adder_give_the_fsum_of_the_members(pools, rng):
+    # these draws hold at most 8 pools, under the gate: open it to every step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_SUM3_GROUPS", 0)
+        _assert_pool_steps_give_the_fsum_of_the_members(pools, rng)
+
+
+# -- the three-term adder against fsum -------------------------------------------
+
+# no term is -0.0 (x + 0.0), as in a step's excitation sums
+THREE_TERMS = st.one_of(st.floats(min_value=-1e300, max_value=1e300),
+                        st.floats(min_value=-1e-300, max_value=1e-300),
+                        st.builds(math.ldexp, st.floats(min_value=-2.0, max_value=2.0),
+                                  st.integers(min_value=-1074, max_value=996))).map(
+    lambda x: x + 0.0)
+TIE = 2.0 ** -53  # half an ulp of 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(THREE_TERMS, THREE_TERMS, THREE_TERMS), min_size=1, max_size=40))
+@example([(1.0, TIE, 0.0),  # a tie, to even: 1.0
+          (1.0 + 2.0 ** -52, TIE, 0.0),  # a tie, to even: up
+          (1.0, TIE, 5e-324), (1.0, TIE, -5e-324),  # a subnormal decides the tie
+          (2.0 ** 53, 1.0, 2.0 ** -60),  # the third term decides the tie
+          (5e-324, -1e-320, 2.5e-308),  # subnormal terms
+          (1e-310, 1e-310, -2e-310),  # a zero sum of subnormals: +0.0
+          (0.25, 0.5, -0.75), (0.1, 0.2, -0.3),  # a negative stimulus term (I_rest < 0)
+          (1e300, 1.0, -1e300)])  # cancellation leaves the smallest term
+def test_three_term_adder_is_the_fsum_of_its_terms(triples):
+    got = _sum3(*map(np.array, zip(*triples))).tolist()
+    assert [x.hex() for x in got] == [math.fsum(t).hex() for t in triples]
+
+
+@pytest.mark.parametrize("a, b, c", [(1e308, 1e308, -1e308), (1.7e308, 1.7e308, 1.7e308),
+                                     (-1e308, -1e308, -1e308)])
+def test_three_term_sums_that_are_not_finite_take_fsum(monkeypatch, a, b, c):
+    # the adder overflows; the step leaves the sum to fsum, which raises
+    monkeypatch.setattr(dynamics, "_SUM3_GROUPS", 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(_sum3(np.array([a]), np.array([b]), np.array([c]))).any()
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum([a, b, c])
+    if a > 0:  # products are positive: two, and the third as the stimulus term
+        net, dst, prod = _scatter([(0.0, [1.0, 2.0]), (c + 0.0, [a, b])], random.Random(0))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OverflowError, match="intermediate overflow"):
+            _excite(net, dst, prod)
+    if a < 0:  # inhibition terms share their gamma's sign
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OverflowError, match="intermediate overflow"):
+            _inhibit(np.array([0, 1, 1, 1, 2]), np.array([-1.0, a, b, c, -2.0]))

@@ -386,6 +386,51 @@ def test_wt_admitting_at_the_criterion_matches_admitting_at_the_threshold(reques
     assert kinds["symbol"] > 0 and kinds["none"] > 0 and rejections > 0
 
 
+class _Counting(WordTranslationMonitor):
+    """WT that records, after construction and after each observe, the
+    cycle, its watch and its rejected ids."""
+
+    def __init__(self, source_language, target_language, params):
+        super().__init__(source_language, target_language, params)
+        self.log = [(0, self.watch, set())]
+
+    def observe(self, state, network):
+        outcome = super().observe(state, network)
+        self.log.append((state.cycle, self.watch, set(self.rejected)))
+        return outcome
+
+
+def test_rejected_candidates_wake_no_row(homograph_network):
+    # ROOM NL->EN rejects its EN reading as the input and rum, rom and kam@r
+    # as outputs, and with raised gammas they stay at or above their watched
+    # level; the criterion above, equal to and below the output threshold
+    network, quiet = homograph_network, 0
+    gammas = (-0.01, -0.03, -0.1)
+    for criterion in (0.8, 0.5, 0.45):
+        row_params = [Parameters().updated(OO_gamma=g, PP_gamma=g, criterion_value=criterion,
+                                           shortlist_output_threshold=0.5) for g in gammas]
+        monitors = [_Counting("NL", "EN", p) for p in row_params]
+        outcomes = run_rows(network, [("ROOM", m, None) for m in monitors], row_params)
+        for p, monitor, (_trace, outcome) in zip(row_params, monitors, outcomes):
+            alone = run(network, "ROOM", WordTranslationMonitor("NL", "EN", p), p, trace=None)[1]
+            assert outcome == alone and outcome.diagnostics == alone.diagnostics
+            trace, _outcome = run(network, "ROOM", NullMonitor(), p.updated(
+                max_cycles=outcome.cycles))
+            observed = [cycle for cycle, _watch, _rejected in monitor.log[1:]]
+            woken = []
+            for cycle, frame in enumerate(trace.frames, start=1):
+                # the watch and rejections that the observe before this cycle left
+                _at, watch, rejected = [entry for entry in monitor.log if entry[0] < cycle][-1]
+                found = {n for pool, limit in watch or () for n in members(network, pool)
+                         if frame[n] >= limit}
+                if watch is None or found - rejected:
+                    woken.append(cycle)
+                elif found:
+                    quiet += 1
+            assert observed == woken, (criterion, p.OO_gamma)
+    assert quiet > 0
+
+
 # -- shortlist mechanics ---------------------------------------------------------
 
 def test_shortlist_rejection_is_permanent():
