@@ -17,8 +17,8 @@ from .lexicon import (Lexicon, LexiconEntry, ParseOptions, load_lexicon, opb,
 from .network import InputWeights, Network, Node, Pool, build_network
 from .params import Parameters, load_parameters, parse_assignment
 from .reference import DenseEngine, input_weight, levenshtein_similarity, materialize_dense
-from .tasks import (LexicalDecisionMonitor, NamingMonitor, NullMonitor, Shortlist,
-                    TaskOutcome, WordTranslationMonitor, lexical_decision, make_monitor,
-                    naming, word_translation)
+from .tasks import (LexicalDecisionMonitor, NamingMonitor, NullMonitor, TaskOutcome,
+                    WordTranslationMonitor, lexical_decision, make_monitor, naming,
+                    word_translation)
 
 __version__ = "0.1.0"

@@ -133,23 +133,17 @@ class Trace:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def sampled_nodes(self) -> list[int]:
-        """Nodes whose activation exceeded their resting level at any cycle."""
-        return self._sampled()[1].tolist()
-
-    def _sampled(self) -> tuple[np.ndarray, np.ndarray]:  # the frames array, sampled ids
-        frames = np.reshape(self.frames, (-1, len(self._network)))
-        return frames, np.flatnonzero((frames > self._network.rest).any(axis=0))
-
     def rows(self, top_k: int | None = None):
         """Expand to (cycle, node_id, pool, language, symbol, activation) rows.
 
-        Row count is exactly cycles x sampled nodes. ``top_k`` keeps the k
-        nodes with the highest peak activation, for k >= 1.
+        Row count is exactly cycles x sampled nodes, the nodes whose
+        activation exceeded their resting level at any cycle. ``top_k``
+        keeps the k nodes with the highest peak activation, for k >= 1.
         """
         if top_k is not None and top_k < 1:
             raise ValueError(f"top_k must be at least 1, got {top_k}")
-        frames, ids = self._sampled()
+        frames = np.reshape(self.frames, (-1, len(self._network)))
+        ids = np.flatnonzero((frames > self._network.rest).any(axis=0))
         if top_k is not None and len(ids) > top_k:  # the highest peaks, ties to the lower id
             ids = np.sort(ids[np.argsort(-frames[:, ids].max(axis=0), kind="stable")[:top_k]])
         picked = [(n, self._network.nodes[n]) for n in ids.tolist()]

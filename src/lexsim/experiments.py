@@ -10,7 +10,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 from .dynamics import check_trial_params, run as run_trial, run_rows
 from .errors import ConfigError, ParseError
@@ -45,7 +45,7 @@ class StimulusRecord:
             raise ParseError(f"rt_ms must be > 0 when present{where}")
 
 
-def parse_stimuli(source: str | IO[str] | Iterable[str],
+def parse_stimuli(source: str | IO[str],
                   default_task: str | None = None,
                   default_source: str | None = None,
                   default_target: str | None = None) -> list[StimulusRecord]:
@@ -53,13 +53,8 @@ def parse_stimuli(source: str | IO[str] | Iterable[str],
 
     Per-row values win over the defaults, which fill empty cells.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = source
-    lines = [ln for ln in lines if not ln.startswith("#")]
+    text = source if isinstance(source, str) else source.read()
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     reader = csv.DictReader(lines)
     if reader.fieldnames is None:
         return []
@@ -114,8 +109,10 @@ def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
     the network fixed raise ConfigError before the first row. Rows are
     independent trials over the shared network, so the result is the same
     for every ``jobs``. ``jobs > 1`` runs rows on a thread pool of
-    min(jobs, records, CPUs) threads, which the GIL serialises: it takes
-    about as long as ``jobs = 1``.
+    min(jobs, records, CPUs) threads, which the GIL serialises. On two
+    CPUs, ``jobs=2`` took about twice as long as ``jobs=1`` for 120 mixed
+    LD/NAME/WT rows over a 1,000-pair lexicon, and within about 10% of it
+    for 40 WT rows over a 10,000-pair lexicon (README, Library).
     """
     network = lexicon if isinstance(lexicon, Network) else build_network(lexicon, params or Parameters())
     params = check_trial_params(network, params)

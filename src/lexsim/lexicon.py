@@ -14,7 +14,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import IO, Iterable
+from typing import IO
 
 from .errors import ParseError, ValidationError
 from .params import Parameters
@@ -107,19 +107,14 @@ def _parse_float(raw: str, row: int, what: str) -> float:
     return value
 
 
-def parse_lexicon(source: str | IO[str] | Iterable[str],
+def parse_lexicon(source: str | IO[str],
                   options: ParseOptions = ParseOptions()) -> Lexicon:
     """Parse a bilingual lexicon from CSV text (optional header row).
 
     Orthographic symbols are uppercased; phonological symbols are kept
     byte-exact (SAMPA is case-significant).
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = source
+    lines = (source if isinstance(source, str) else source.read()).splitlines()
 
     entries: list[LexiconEntry] = []
     seen: dict[tuple[str, str], int] = {}

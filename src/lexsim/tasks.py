@@ -3,10 +3,12 @@
 Lexical decision and naming are single-threshold monitors. Word translation
 is the two-stage procedure: orthographic candidates crossing the input
 threshold are scanned, most active first, until one matches the source
-language; phonological candidates crossing the output threshold wait in a
-shortlist and, upon reaching the criterion, are accepted only when both
+language; phonological candidates crossing the output threshold wait
+(``waiting``) and, upon reaching the criterion, are accepted only when both
 their language matches the target and their concept matches the input
-node's. Rejection is permanent for the trial.
+node's. Rejection is permanent for the trial: the ids rejected at either
+stage are one set, ``rejected`` (orthographic ids at the input stage,
+phonological ids at the output stage), and a rejected id never waits again.
 
 Candidates: a row of a run_rows step of several rows takes its part of one
 Scan per (pool, threshold) over all the rows; any other state scans its own
@@ -23,7 +25,7 @@ ready only at or above the criterion, so if that is at least the threshold,
 admitting only candidates at it changes no outcome, rejection or cycle, and
 without them nothing is admitted or ready. Otherwise a node admitted at the
 threshold can be ready after falling below it: watch is None. Ids in a
-monitor's ``rejected`` wake no row: WT never admits them again.
+monitor's ``rejected`` wake no row: WT never considers them again.
 """
 
 from __future__ import annotations
@@ -34,22 +36,6 @@ from .dynamics import SimulationState, run
 from .errors import ConfigError
 from .network import Network, Pool
 from .params import Parameters
-
-
-class Shortlist:
-    """Waiting room of candidate nodes: the ids admitted and still waiting,
-    and the ids rejected, which never re-enter."""
-
-    def __init__(self):
-        self.admitted: set[int] = set()
-        self.rejected: set[int] = set()
-
-    def admit(self, *node_ids: int) -> None:
-        self.admitted |= set(node_ids) - self.rejected
-
-    def reject(self, node_id: int) -> None:
-        self.admitted.discard(node_id)
-        self.rejected.add(node_id)
 
 
 @dataclass
@@ -182,29 +168,22 @@ class WordTranslationMonitor:
         self.target_language = target_language
         self.params = params
         self.languages = (source_language, target_language)
-        self.input_list = Shortlist()
-        self.output_list = Shortlist()
+        self.rejected: set[int] = set()  # at either stage; they wake no row (module docstring)
+        self.waiting: set[int] = set()  # output candidates admitted and not rejected
         self.diagnostics = Diagnostics()
         # (module docstring); the ortho pair goes once the input is fixed
         self.output_level = max(params.shortlist_output_threshold, params.criterion_value)
         self.watch = None if params.criterion_value < params.shortlist_output_threshold else (
             (Pool.ORTHO, params.shortlist_input_threshold), (Pool.PHONO, self.output_level))
 
-    @property
-    def rejected(self) -> set[int]:
-        """The ids rejected at either stage, which wake no row (module docstring)."""
-        return self.input_list.rejected | self.output_list.rejected
-
     # -- stage 1: fix the input reading ------------------------------------
 
     def _identify_input(self, state, network) -> None:
-        candidates = _candidates(state, network, Pool.ORTHO, self.params.shortlist_input_threshold)
-        if not candidates:
-            return  # the shortlist is empty between cycles until the input is fixed
+        candidates = set(_candidates(state, network, Pool.ORTHO,
+                                     self.params.shortlist_input_threshold)) - self.rejected
         act = state.activation.item
-        self.input_list.admit(*candidates)
-        # scan the live list, most activated first, until the source language appears
-        for o_id in sorted(self.input_list.admitted, key=lambda n: (-act(n), n)):
+        # scan the candidates, most activated first, until the source language appears
+        for o_id in sorted(candidates, key=lambda n: (-act(n), n)):
             node = network.nodes[o_id]
             if node.language == self.source_language:
                 self.diagnostics.input_node = node.id
@@ -212,7 +191,7 @@ class WordTranslationMonitor:
                 if self.watch is not None:
                     self.watch = self.watch[1:]
                 return
-            self.input_list.reject(o_id)
+            self.rejected.add(o_id)
             self.diagnostics.input_rejections.append(Rejection(
                 node.id, node.symbol, node.language, node.concept,
                 "language", state.cycle))
@@ -220,13 +199,13 @@ class WordTranslationMonitor:
     # -- stage 2: accept an output candidate -------------------------------
 
     def _select_output(self, state, network) -> TaskOutcome | None:
-        self.output_list.admit(*_candidates(state, network, Pool.PHONO, self.output_level))
-        if self.diagnostics.input_node is None or not self.output_list.admitted:
+        self.waiting |= set(_candidates(state, network, Pool.PHONO,
+                                        self.output_level)) - self.rejected
+        if self.diagnostics.input_node is None or not self.waiting:
             return None  # the semantic check needs the input fixed and a candidate
         act = state.activation.item
         input_concept = network.nodes[self.diagnostics.input_node].concept
-        ready = [n for n in self.output_list.admitted
-                 if act(n) >= self.params.criterion_value]
+        ready = [n for n in self.waiting if act(n) >= self.params.criterion_value]
         ready.sort(key=lambda n: (-act(n), n))
         for p_id in ready:
             node = network.nodes[p_id]
@@ -237,7 +216,8 @@ class WordTranslationMonitor:
             else:
                 return _outcome(self.task, self.params, state, "symbol", node.id,
                                 node.symbol, self.diagnostics)
-            self.output_list.reject(p_id)
+            self.waiting.discard(p_id)
+            self.rejected.add(p_id)
             self.diagnostics.output_rejections.append(Rejection(
                 node.id, node.symbol, node.language, node.concept,
                 reason, state.cycle))

@@ -354,11 +354,13 @@ def test_trace_export(stim_wt, tmp_path):
 
 def _reference_trace(stimulus, top_k):
     """The trace CSV of a WT NL->EN trial on the homograph fixture, manifest
-    line aside, with each node's peak taken by a Python max over every
-    frame: the top_k highest peaks, ties to the lower id, in id order."""
+    line aside, in plain Python: the nodes above their rest in some frame,
+    each node's peak a max over every frame, the top_k highest peaks, ties
+    to the lower id, in id order."""
     network = build_network(load_lexicon(HOMOGRAPHS), Parameters())
     trace, _outcome = run(network, stimulus, make_monitor("WT", "NL", "EN", Parameters()))
-    ids = trace.sampled_nodes()
+    ids = [node.id for node in network.nodes
+           if any(frame[node.id] > node.rest for frame in trace.frames)]
     if len(ids) > top_k:
         peak = {n: max(frame[n] for frame in trace.frames) for n in ids}
         ids = sorted(sorted(ids, key=lambda n: -peak[n])[:top_k])

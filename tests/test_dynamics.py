@@ -294,7 +294,7 @@ def test_off_rest_tracking_matches_activations(table1_network, params):
         assert [a.hex() for a in frame] == [a.hex() for a in state.activation.tolist()]
         assert all(type(a) is float for a in frame)
         above |= {n for n, (a, r) in enumerate(zip(frame, rests)) if a > r}
-    assert trace.sampled_nodes() == sorted(above)
+    assert sorted({row[1] for row in trace.rows()}) == sorted(above)
 
 
 def test_sparse_trace_mode_is_rejected(table1_network):
@@ -464,7 +464,8 @@ def test_trace_row_count_contract(table1_network, params):
     monitor = LexicalDecisionMonitor("NL", params)
     trace, outcome = run(table1_network, "AARDE", monitor, params)
     rows = trace.rows()
-    sampled = trace.sampled_nodes()
+    sampled = [node.id for node in table1_network.nodes
+               if any(frame[node.id] > node.rest for frame in trace.frames)]
     assert len(rows) == outcome.cycles * len(sampled)
 
 

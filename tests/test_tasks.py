@@ -9,7 +9,7 @@ from lexsim import (ConfigError, DenseEngine, Parameters, build_network, lexical
 from lexsim.dynamics import run_rows
 from lexsim import tasks
 from lexsim.network import Pool
-from lexsim.tasks import (NullMonitor, Shortlist, WordTranslationMonitor, make_monitor)
+from lexsim.tasks import NullMonitor, WordTranslationMonitor, make_monitor
 
 from conftest import members
 
@@ -253,15 +253,18 @@ def test_candidates_under_the_dense_engine_match_a_scan_of_the_pool(homograph_ne
 
 def test_input_shortlist_is_empty_until_the_input_is_fixed(homograph_lexicon,
                                                            homograph_network, params):
-    # _identify_input skips a cycle without candidates: that is safe only if
-    # each of its scans fixes the input or rejects every node it admitted
+    # the input stage keeps no waiting list: each of its scans fixes the input
+    # or rejects every candidate it sees, so while the input is open every
+    # orthographic candidate of the cycle is in rejected
     open_after_rejections = []
 
     class Checked(WordTranslationMonitor):
         def observe(self, state, network):
             outcome = super().observe(state, network)
             if self.diagnostics.input_node is None:
-                assert self.input_list.admitted == set()
+                limit = self.params.shortlist_input_threshold
+                assert {n for n in members(network, Pool.ORTHO)
+                        if state.activation[n] >= limit} <= self.rejected
                 open_after_rejections.append(bool(self.diagnostics.input_rejections))
             return outcome
 
@@ -278,10 +281,10 @@ def test_input_shortlist_is_empty_until_the_input_is_fixed(homograph_lexicon,
 # -- watch -----------------------------------------------------------------------
 
 def _snapshot(monitor):
-    """What observe may change: the watch, the shortlists and the diagnostics."""
-    lists = [getattr(monitor, name) for name in ("input_list", "output_list")
-             if hasattr(monitor, name)]
-    return (monitor.watch, [(set(s.admitted), set(s.rejected)) for s in lists],
+    """What observe may change: the watch, WT's waiting and rejected ids and
+    the diagnostics."""
+    return (monitor.watch, [set(getattr(monitor, name)) for name in ("waiting", "rejected")
+                            if hasattr(monitor, name)],
             copy.deepcopy(getattr(monitor, "diagnostics", None)))
 
 
@@ -431,24 +434,73 @@ def test_rejected_candidates_wake_no_row(homograph_network):
     assert quiet > 0
 
 
-# -- shortlist mechanics ---------------------------------------------------------
+# -- waiting and rejected ids --------------------------------------------------
 
-def test_shortlist_rejection_is_permanent():
-    shortlist = Shortlist()
-    shortlist.admit(7)
-    shortlist.reject(7)
-    shortlist.admit(7)  # re-crossing must not re-enter
-    assert shortlist.admitted == set()
-    assert shortlist.rejected == {7}
+class _Logged(WordTranslationMonitor):
+    """WT that records, after each observe, the cycle, whether the input is
+    fixed, the cycle's output candidates (a scan of the state's own pool),
+    ``waiting`` as a sorted list, a copy of ``rejected`` and the ``rejected``
+    set itself."""
+
+    def __init__(self, source_language, target_language, params):
+        super().__init__(source_language, target_language, params)
+        self.log = []
+
+    def observe(self, state, network):
+        outcome = super().observe(state, network)
+        found = {n for n in members(network, Pool.PHONO)
+                 if state.activation[n] >= self.output_level}
+        self.log.append((state.cycle, self.diagnostics.input_node is not None, found,
+                         sorted(self.waiting), set(self.rejected), self.rejected))
+        return outcome
 
 
-def test_shortlist_entry_records_crossing():
-    shortlist = Shortlist()
-    shortlist.admit(3)
-    shortlist.admit(3)  # still above threshold on a later cycle
-    shortlist.admit(5)
-    assert shortlist.admitted == {3, 5}
-    assert shortlist.rejected == set()
+def test_shortlist_rejection_is_permanent(homograph_network):
+    # with raised gammas ROOM NL->EN rejects rum, rom and kam@r, which then
+    # stay at or above the output level to the last cycle without waiting again
+    p = Parameters().updated(OO_gamma=-0.03, PP_gamma=-0.03)
+    monitor = _Logged("NL", "EN", p)
+    _trace, outcome = run(homograph_network, "ROOM", monitor, p, trace=None)
+    assert outcome.response_kind == "none"
+    assert sorted(r.symbol for r in outcome.diagnostics.output_rejections) == \
+        ["kam@r", "rom", "rum"]
+    for _cycle, _fixed, _found, waiting, rejected, _set in monitor.log:
+        assert rejected.isdisjoint(waiting)
+    assert {r.node_id for r in outcome.diagnostics.output_rejections} <= monitor.log[-1][2]
+
+
+def test_shortlist_entry_records_crossing(homograph_network):
+    # an input threshold of 0.77 fixes ROOM NL at cycle 29, four cycles after
+    # rum reaches the output level: the candidates wait, each once, until the
+    # input is fixed, and each is then rejected or accepted once
+    p = Parameters().updated(shortlist_input_threshold=0.77)
+    monitor = _Logged("NL", "EN", p)
+    _trace, outcome = run(homograph_network, "ROOM", monitor, p, trace=None)
+    assert (outcome.response_symbol, outcome.cycles) == ("krim", 29)
+    admitted = set()
+    for _cycle, fixed, found, waiting, rejected, _set in monitor.log[:-1]:
+        admitted |= found - rejected
+        assert not fixed and waiting == sorted(admitted - rejected)
+    rum = homograph_network.find(Pool.PHONO, "rum", "EN").id
+    assert sum(rum in found for _cycle, _fixed, found, *_rest in monitor.log[:-1]) == 4
+    ids = [r.node_id for r in outcome.diagnostics.output_rejections]
+    assert len(ids) == len(set(ids)) == 3 and outcome.node_id not in ids
+    assert sorted(ids + [outcome.node_id]) == monitor.log[-2][3]
+
+
+def test_wt_rejected_ids_are_one_set_for_both_stages(homograph_network, params):
+    # ROOM NL->EN rejects the EN reading of ROOM as its input, then rum, rom
+    # and kam@r as outputs, into the one set made with the monitor
+    network = homograph_network
+    monitor = _Logged("NL", "EN", params)
+    rejected = monitor.rejected
+    _trace, outcome = run(network, "ROOM", monitor, params, trace=None)
+    assert outcome.response_symbol == "krim"
+    assert rejected == {network.find(Pool.ORTHO, "ROOM", "EN").id} | {
+        network.find(Pool.PHONO, symbol, language).id
+        for symbol, language in (("rum", "EN"), ("rom", "NL"), ("kam@r", "NL"))}
+    assert monitor.rejected is rejected
+    assert all(entry[-1] is rejected for entry in monitor.log)
 
 
 # -- monitor factory --------------------------------------------------------------
