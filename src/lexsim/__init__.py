@@ -16,7 +16,7 @@ from .lexicon import (Lexicon, LexiconEntry, ParseOptions, load_lexicon, opb,
                       parse_lexicon, rest_activation, table1_path)
 from .network import InputWeights, Network, Node, Pool, build_network
 from .params import Parameters, load_parameters, parse_assignment
-from .reference import DenseEngine, input_weight, levenshtein_similarity, materialize_dense
+from .reference import DenseEngine, input_weight, levenshtein_similarity
 from .tasks import (LexicalDecisionMonitor, NamingMonitor, NullMonitor, TaskOutcome,
                     WordTranslationMonitor, lexical_decision, make_monitor, naming,
                     word_translation)

@@ -27,7 +27,6 @@ from .fitting import SearchConfig, fit_inhibition
 from .lexicon import ParseOptions, load_lexicon
 from .network import build_network
 from .params import Parameters, load_parameters, parse_assignment
-from .reference import DENSE_ENTRY_GUARD
 from .tasks import make_monitor
 
 
@@ -204,8 +203,7 @@ def _cmd_stats(args) -> int:
 def _cmd_bench(args) -> int:
     params, lexicon, records = _load_records(args, "LD", None, None)
     result = benchmark(lexicon, [r.stimulus for r in records], engine=args.engine,
-                       params=params, repeats=args.repeats,
-                       dense_max_entries=args.dense_max_entries)
+                       params=params, repeats=args.repeats)
     manifest = build_manifest("bench", params, args.lexicon, {
         "stimuli_sha256": _file_sha256(args.stimuli),
         "engine": args.engine, "repeats": args.repeats,
@@ -289,8 +287,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_stimuli(p, task_defaults=False)
     p.add_argument("--engine", choices=["final", "dense"], default="final")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--dense-max-entries", type=int, default=DENSE_ENTRY_GUARD,
-                   help=f"the dense engine's entry guard (default {DENSE_ENTRY_GUARD})")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("dump-network", help="dump nodes and connections for debugging")

@@ -18,7 +18,7 @@ from .fitting import pearson
 from .lexicon import Lexicon, LexiconEntry
 from .network import INHIBITED_POOLS, Network, build_network
 from .params import Parameters
-from .reference import DENSE_ENTRY_GUARD, DenseEngine
+from .reference import DenseEngine
 from .tasks import NullMonitor, TaskOutcome, make_monitor
 
 TASKS = ("LD", "NAME", "WT")
@@ -89,14 +89,13 @@ class BatchRow:
     error: str | None = None
 
 
-def _engine_runner(network: Network, engine: str,
-                   dense_max_entries: int | None = DENSE_ENTRY_GUARD):
+def _engine_runner(network: Network, engine: str):
     """``runner(stimulus, monitor, params, trace)`` over ``network``: dynamics.run for "final",
-    DenseEngine.run for "dense", guarded at ``dense_max_entries`` (None: no guard)."""
+    DenseEngine.run for "dense"."""
     if engine == "final":
         return functools.partial(run_trial, network)
     if engine == "dense":
-        return DenseEngine(network, dense_max_entries).run
+        return DenseEngine(network).run
     raise ConfigError(f"unknown engine {engine!r}; expected final or dense")
 
 
@@ -328,8 +327,7 @@ class _WorkCounters(NullMonitor):
 
 
 def benchmark(lexicon: Lexicon, stimuli: Sequence[str], engine: str = "final",
-              params: Parameters | None = None, repeats: int = 3,
-              dense_max_entries: int | None = DENSE_ENTRY_GUARD) -> BenchmarkResult:
+              params: Parameters | None = None, repeats: int = 3) -> BenchmarkResult:
     """Wall-clock timings for a stimulus batch, model build reported apart.
 
     Each stimulus runs to max_cycles (no task early-stopping); the
@@ -340,7 +338,7 @@ def benchmark(lexicon: Lexicon, stimuli: Sequence[str], engine: str = "final",
     params = params or Parameters()
     t0 = time.perf_counter()
     network = build_network(lexicon, params)
-    runner = _engine_runner(network, engine, dense_max_entries)
+    runner = _engine_runner(network, engine)
     build_seconds = time.perf_counter() - t0
 
     batch_times = []

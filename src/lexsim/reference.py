@@ -1,9 +1,10 @@
 """Slow reference engine kept for equivalence testing.
 
-The dense engine materialises every same-pool inhibitory connection and
-recomputes every node every cycle, and weights its stimulus with the
-scalar edit-distance loop below; it exists so the fast active-set engine
-and the array input weighting can be checked against it bit-for-bit.
+The dense engine recomputes every node every cycle: it sums each node's
+gathered excitatory connections and the inhibition of its pool's active
+members, listed once per cycle, and weights its stimulus with the scalar
+edit-distance loop below; it exists so the fast active-set engine and the
+array input weighting can be checked against it bit-for-bit.
 """
 
 from __future__ import annotations
@@ -11,14 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import SimulationState, run, update_activation
 from .errors import ValidationError
 from .network import INHIBITED_POOLS, Network, Pool, pool_gamma
 from .params import Parameters
-
-DENSE_ENTRY_GUARD = 500
 
 
 def levenshtein_similarity(a: str, b: str) -> float:
@@ -96,45 +93,32 @@ def excitatory_in(network: Network) -> list[list[tuple[int, float]]]:
 
 @dataclass
 class DenseNetwork:
-    """A built network plus its gathered in-connections.
+    """A built network plus its gathered excitatory in-connections.
 
     ``exc_in`` lists each node's nonzero excitatory (source, weight) pairs.
-    Each orthographic/phonological/semantic node also stores the ids of
-    every other node in its pool; that connection's weight is the pool's
-    gamma.
+    Inhibition needs no table: a node of an inhibited pool takes the pool's
+    gamma from every other active member of its pool.
     """
 
     base: Network
     exc_in: list  # per node: list of (source id, weight), zero weights dropped
-    inhib_in: list  # per node: int array of same-pool ids excluding self, or None
-
-
-def materialize_dense(network: Network, max_entries: int | None = DENSE_ENTRY_GUARD) -> DenseNetwork:
-    n_entries = sum(node.pool is Pool.SEM for node in network.nodes)  # one S node per entry
-    if max_entries is not None and n_entries > max_entries:
-        raise ValidationError(
-            f"dense materialization refused for {n_entries} entries "
-            f"(guard {max_entries}); raise max_entries explicitly for benchmark use")
-    exc_in = excitatory_in(network)
-    inhib_in: list = [None] * len(network)
-    for pool in INHIBITED_POOLS:
-        ids = np.array([node.id for node in network.nodes if node.pool is pool], dtype=np.int64)
-        for i, node_id in enumerate(ids.tolist()):
-            inhib_in[node_id] = np.concatenate([ids[:i], ids[i + 1:]])
-    return DenseNetwork(base=network, exc_in=exc_in, inhib_in=inhib_in)
 
 
 def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters) -> None:
     network = dense.base
-    prev_np = state.activation
-    prev = prev_np.tolist()
-    active_mask = prev_np > 0.0
+    prev = state.activation.tolist()
     nodes = network.nodes
     gamma_of = {pool: pool_gamma(params, pool) for pool in INHIBITED_POOLS}
     i_rest = params.I_rest
     n_nodes = len(network)
 
-    state.counters["active_node_updates"] += int(np.count_nonzero(active_mask))
+    # each inhibiting pool's active members as (id, gamma x activation), from node metadata
+    inhibitors: dict = {pool: [] for pool, gamma in gamma_of.items() if gamma != 0.0}
+    for node in nodes:
+        if prev[node.id] > 0.0 and node.pool in inhibitors:
+            inhibitors[node.pool].append((node.id, gamma_of[node.pool] * prev[node.id]))
+
+    state.counters["active_node_updates"] += sum(a > 0.0 for a in prev)
     state.counters["touched_updates"] += n_nodes
 
     new_act = [0.0] * n_nodes
@@ -144,13 +128,8 @@ def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters)
         if iw is not None:
             products.append(iw * i_rest)
         net = math.fsum(products)
-        inhib = 0.0
-        gamma = gamma_of.get(nodes[n].pool, 0.0)
-        srcs = dense.inhib_in[n]
-        if gamma != 0.0 and srcs is not None:
-            sel = srcs[active_mask[srcs]]
-            if sel.size:
-                inhib = math.fsum((gamma * prev_np[sel]).tolist())
+        # fsum is correctly rounded, so the order of the terms does not matter
+        inhib = math.fsum([term for src, term in inhibitors.get(nodes[n].pool, ()) if src != n])
         new_act[n] = update_activation(prev[n], net + inhib, nodes[n].rest, params)
 
     state.activation[:] = new_act
@@ -160,8 +139,13 @@ def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters)
 class DenseEngine:
     """The oracle over one network, built from its params and node metadata alone."""
 
-    def __init__(self, network: Network, max_entries: int | None = DENSE_ENTRY_GUARD):
-        self.dense = materialize_dense(network, max_entries)
+    def __init__(self, network: Network, max_entries: int | None = None):
+        """ValidationError for more than ``max_entries`` entries (None: no limit)."""
+        n_entries = sum(node.pool is Pool.SEM for node in network.nodes)  # one S node per entry
+        if max_entries is not None and n_entries > max_entries:
+            raise ValidationError(f"dense engine refused for {n_entries} entries "
+                                  f"(max_entries {max_entries})")
+        self.dense = DenseNetwork(base=network, exc_in=excitatory_in(network))
 
     def step(self, state: SimulationState, _network: Network, params: Parameters) -> None:
         """One dense cycle, in the ``step_fn`` form dynamics.run takes."""

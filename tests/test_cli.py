@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from lexsim import (Network, Parameters, build_network, load_lexicon, make_monitor, run, step,
-                    table1_path)
+                    synthetic_lexicon, table1_path)
 from lexsim.cli import main, manifest_hash
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -406,6 +406,26 @@ def test_dense_trace_runs_the_oracle(tmp_path, monkeypatch):
     # the first line is the manifest hash, which names the engine
     final, dense = (traces[engine].read_bytes().split(b"\n", 1) for engine in traces)
     assert dense[1] == final[1] and final[1].count(b"\n") > 100
+
+
+def test_dense_engine_simulates_a_lexicon_of_any_size(tmp_path):
+    # the dense engine takes no entry limit: on 600 entries it writes the
+    # final engine's outcome rows
+    lexicon = tmp_path / "lexicon.csv"
+    lexicon.write_text("ortho_a,freq_a,phono_a,freq_pa,ortho_b,freq_b,phono_b,freq_pb\n" + "".join(
+        f"{e.ortho_a},{e.freq_a},{e.phono_a},{e.freq_a},{e.ortho_b},{e.freq_b},{e.phono_b},"
+        f"{e.freq_b}\n" for e in synthetic_lexicon(600).entries))
+    stimuli = tmp_path / "s.csv"
+    stimuli.write_text("stimulus,source_lang,target_lang,task\n"
+                       "BBBBB,NL,EN,WT\nMTTRP,EN,,LD\nDLKGB,NL,NL,NAME\n")
+    outputs = {}
+    for engine in ("final", "dense"):
+        outputs[engine] = tmp_path / f"{engine}.csv"
+        assert main(["simulate", "--lexicon", str(lexicon), "--stimuli", str(stimuli),
+                     "--engine", engine, "--out", str(outputs[engine])]) == 0
+    # the first line is the manifest hash, which names the engine
+    final, dense = (outputs[engine].read_bytes().split(b"\n", 1)[1] for engine in outputs)
+    assert dense == final and final.count(b"\n") == 4
 
 
 @pytest.mark.parametrize("row, cause", [

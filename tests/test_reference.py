@@ -1,35 +1,20 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexsim import (Network, NullMonitor, Parameters, ValidationError, build_network,
-                    materialize_dense, run, step, synthetic_lexicon, update_activation)
+from lexsim import (Network, NullMonitor, Parameters, ValidationError, build_network, run, step,
+                    synthetic_lexicon, update_activation)
 from lexsim.dynamics import run_rows, step_rows
 from lexsim.network import INHIBITED_POOLS, Pool, pool_gamma
 from lexsim.reference import DenseEngine, excitatory_in, scalar_input_weights
 from lexsim.tasks import make_monitor
 
 from conftest import members, random_case
-
-
-def test_dense_materialization_counts(table1_network):
-    dense = materialize_dense(table1_network)
-
-    def inhibitory_count(node_id):
-        srcs = dense.inhib_in[node_id]
-        return 0 if srcs is None else srcs.size
-
-    for o in members(table1_network, Pool.ORTHO):
-        assert inhibitory_count(o) == 19  # every other orthographic node
-    for p in members(table1_network, Pool.PHONO):
-        assert inhibitory_count(p) == 19
-    for s in members(table1_network, Pool.SEM):
-        assert inhibitory_count(s) == 9
-    for other in members(table1_network, Pool.LANG) + members(table1_network, Pool.INPUT):
-        assert inhibitory_count(other) == 0
+from lockstep import lockstep_mismatches
 
 
 @pytest.mark.parametrize("weights", [scalar_input_weights, Network.input_weights],
@@ -55,12 +40,12 @@ def test_dense_engine_reads_its_weights_from_a_plain_dict(table1_network, params
 
 
 def test_size_guard_refuses_large_lexicons():
-    lex = synthetic_lexicon(501)
-    net = build_network(lex, Parameters())
-    with pytest.raises(ValidationError, match="refused"):
-        materialize_dense(net)
-    # explicit override for benchmark use
-    assert materialize_dense(net, max_entries=600) is not None
+    # DenseEngine(network, max_entries=k) refuses more than k entries; by default it takes any
+    net = build_network(synthetic_lexicon(501), Parameters())
+    with pytest.raises(ValidationError, match="refused for 501 entries"):
+        DenseEngine(net, max_entries=500)
+    assert DenseEngine(net, max_entries=501).dense.base is net
+    assert DenseEngine(net).dense.base is net
 
 
 def _bits(frames):
@@ -108,13 +93,7 @@ def test_oracle_reads_only_params_and_node_metadata(homograph_lexicon, change):
     with pytest.raises(AttributeError):
         bare.input_weights("ROOM")
 
-    def inhibitors(dense):
-        return [None if ids is None else ids.tolist() for ids in dense.inhib_in]
-
     assert excitatory_in(bare) == excitatory_in(intact)
-    bare_dense, intact_dense = materialize_dense(bare), materialize_dense(intact)
-    assert bare_dense.exc_in == intact_dense.exc_in
-    assert inhibitors(bare_dense) == inhibitors(intact_dense)
     for stimulus, task, source, target in (("ROOM", "WT", "NL", "EN"), ("AARDE", "LD", "NL", None),
                                            ("AAP", "NAME", "NL", "NL")):
         assert scalar_input_weights(bare, stimulus) == scalar_input_weights(intact, stimulus)
@@ -148,6 +127,24 @@ def test_engines_agree_on_synthetic_120():
                            (other.ortho_a, "NAME", "NL", "NL")])
 
 
+def test_engines_step_in_lockstep_on_synthetic_1000():
+    # every node's bits after every cycle, at a size where a table of each
+    # pool member's fellow members would not fit; on most cycles each of
+    # the three pools inhibits with two or more active members
+    lexicon = synthetic_lexicon(1000)
+    params = Parameters().updated(OO_gamma=-0.005, PP_gamma=-0.005, SS_multiplier=0.02)
+    network = build_network(lexicon, params)
+    ids = [members(network, pool) for pool in INHIBITED_POOLS]
+    crowded = []  # per cycle: do all three pools have several active members
+
+    def count_active(activation):
+        crowded.append(all(np.count_nonzero(activation[pool_ids] > 0.0) > 1 for pool_ids in ids))
+
+    for stimulus in (lexicon.entries[0].ortho_a, lexicon.entries[617].ortho_b):
+        assert lockstep_mismatches(network, params, stimulus, 30, count_active) == []
+    assert sum(crowded) > 20, crowded
+
+
 def test_engines_agree_with_language_links(homograph_lexicon):
     # language nodes rest above zero, so from cycle 1 they are active and fan
     # out to every reading of their language through the nonzero L->O/P links
@@ -172,7 +169,7 @@ def test_touched_updates_match_a_brute_force_count(homograph_lexicon, change):
     # differently: the default pools, no orthographic step, a semantic step
     params = Parameters().updated(MAX_REST=0.05, **change)
     network = build_network(homograph_lexicon, params)
-    exc_in = materialize_dense(network).exc_in
+    exc_in = excitatory_in(network)
     trials = (("ROOM", "WT", "NL", "EN"), ("AARDE", "LD", "NL", None), ("AAP", "NAME", "NL", "NL"))
     counts, states = [], set()
 
