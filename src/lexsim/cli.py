@@ -254,7 +254,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_stimuli(p, task_defaults=True)
     p.add_argument("--engine", choices=["final", "dense"], default="final")
-    p.add_argument("--jobs", type=int, default=1, help="parallel trials, >= 1 (default 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, >= 1 (default 1)")
     p.add_argument("--report", help="also write a condition report CSV to this path")
     p.add_argument("--trace", help="write an activation trace CSV for one row")
     p.add_argument("--trace-row", type=int, default=0, help="row index to trace (default 0)")

@@ -8,7 +8,6 @@ import functools
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
@@ -61,8 +60,13 @@ def parse_stimuli(source: str | IO[str],
     unknown = set(reader.fieldnames) - set(STIMULUS_COLUMNS)
     if unknown:
         raise ParseError(f"unknown stimulus columns: {sorted(unknown)}")
+    repeated = sorted({name for name in reader.fieldnames if reader.fieldnames.count(name) > 1})
+    if repeated:
+        raise ParseError(f"repeated stimulus columns: {repeated}")
     records = []
     for row_no, row in enumerate(reader, start=2):
+        if None in row:  # DictReader files the cells beyond the header under None
+            raise ParseError(f"row {row_no}: cells beyond the header: {row[None]}")
         get = lambda key: (row.get(key) or "").strip()
         rt_raw = get("rt_ms")
         try:
@@ -99,6 +103,11 @@ def _engine_runner(network: Network, engine: str):
     raise ConfigError(f"unknown engine {engine!r}; expected final or dense")
 
 
+def _run_in_worker(record: StimulusRecord) -> BatchRow:
+    """One row in a forked worker, by the ``one`` its pool's initializer set."""
+    return _run_in_worker.one(record)
+
+
 def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
               params: Parameters | None = None, engine: str = "final",
               jobs: int = 1) -> list[BatchRow]:
@@ -107,11 +116,9 @@ def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
     Per-row task errors are recorded and the batch continues; parameters
     the network fixed raise ConfigError before the first row. Rows are
     independent trials over the shared network, so the result is the same
-    for every ``jobs``. ``jobs > 1`` runs rows on a thread pool of
-    min(jobs, records, CPUs) threads, which the GIL serialises. On two
-    CPUs, ``jobs=2`` took about twice as long as ``jobs=1`` for 120 mixed
-    LD/NAME/WT rows over a 1,000-pair lexicon, and within about 10% of it
-    for 40 WT rows over a 10,000-pair lexicon (README, Library).
+    for every ``jobs``. ``jobs > 1`` forks min(jobs, records, CPUs) worker
+    processes, each running a contiguous slice of the records; where that
+    is 1, or fork is unavailable, rows run serially (README, Library).
     """
     network = lexicon if isinstance(lexicon, Network) else build_network(lexicon, params or Parameters())
     params = check_trial_params(network, params)
@@ -127,10 +134,15 @@ def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
             return BatchRow(record, None, error=str(exc))
 
     workers = min(jobs, len(records), os.cpu_count() or 1)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [one(r) for r in records]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, records))
+    # imported here, as a serial batch needs neither (about 1 MB); forked, not spawned, so
+    # the workers inherit the network and ``one``, and only records and rows are pickled
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=setattr, initargs=(_run_in_worker, "one", one)) as pool:
+        return list(pool.map(_run_in_worker, records, chunksize=-(-len(records) // workers)))
 
 
 def outcome_rows(rows: Sequence[BatchRow]) -> list[list]:

@@ -121,8 +121,8 @@ def parse_lexicon(source: str | IO[str],
     for row, record in enumerate(csv.reader(lines), start=1):
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
-        if row == 1 and len(record) >= 2 and not _is_number(record[1]):
-            continue  # header row
+        if row == 1 and record[1:8:2] and not any(map(_is_number, record[1:8:2])):
+            continue  # header row: no frequency cell is a number
         if len(record) != 8:
             raise ParseError(f"row {row}: expected 8 columns, got {len(record)}")
         o_a, f_a, p_a, f_pa, o_b, f_b, p_b, f_pb = (c.strip() for c in record)

@@ -174,6 +174,40 @@ def test_broken_invariant_exits_2(stim_wt, capsys, monkeypatch):
     assert "lexsim: invariant violated: cycle" in capsys.readouterr().err
 
 
+def test_broken_invariant_in_a_forked_worker_exits_2(stim_wt, capsys, monkeypatch):
+    # the workers fork after the patch, so they inherit it
+    def nan_step(state, network, params):
+        step(state, network, params)
+        state.activation[5] = float("nan")
+
+    monkeypatch.setattr("lexsim.dynamics.step", nan_step)
+    code = main(["simulate", "--lexicon", HOMOGRAPHS, "--stimuli", stim_wt, "--jobs", "2"])
+    assert code == 2
+    assert "lexsim: invariant violated: cycle" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_in_a_forked_worker_is_input_error(stim_wt, capsys):
+    code = main(["simulate", "--lexicon", str(table1_path()), "--stimuli", stim_wt, "--jobs", "2",
+                 "--set", "OP_alpha=1e308", "--set", "PO_alpha=1e308",
+                 "--set", "IO_multiplier=1e308"])
+    assert code == 1
+    assert capsys.readouterr().err == "lexsim: error: intermediate overflow in fsum\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("stimulus,source_lang,target_lang,task\nAARDBEI,NL,EN,WT,oops\n",
+     "row 2: cells beyond the header: ['oops']"),
+    ("stimulus,stimulus,task,source_lang\nAARDBEI,AARDE,LD,NL\n",
+     "repeated stimulus columns: ['stimulus']"),
+], ids=["extra_cells", "repeated_column"])
+def test_stimulus_file_that_would_lose_cells_exits_1(tmp_path, capsys, text, message):
+    path = tmp_path / "stimuli.csv"
+    path.write_text(text)
+    assert main(["simulate", "--lexicon", str(table1_path()), "--stimuli", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"lexsim: error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "dump-network"])
 def test_internal_error_exits_2(stim_wt, capsys, monkeypatch, command):
     # an exception that is no input error is a fault of the program

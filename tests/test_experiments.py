@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import pytest
@@ -50,7 +51,11 @@ def test_parse_stimuli_rejects_bad_rt():
     ("stimulus,source_lang\n,NL\n", "empty stimulus (row 2)"),
     ("stimulus,source_lang,rt_ms\nAARDE,NL,520\nAAP,NL,fast\n",
      "row 3: non-numeric rt_ms 'fast'"),
-], ids=["empty_stimulus", "non_numeric_rt"])
+    ("stimulus,source_lang,target_lang,task\nAARDE,NL,EN,WT\nAARDBEI,NL,EN,WT,oops\n",
+     "row 3: cells beyond the header: ['oops']"),
+    ("stimulus,stimulus,task,source_lang\nAARDBEI,AARDE,LD,NL\n",
+     "repeated stimulus columns: ['stimulus']"),
+], ids=["empty_stimulus", "non_numeric_rt", "extra_cells", "repeated_column"])
 def test_parse_stimuli_names_the_bad_row(text, message):
     with pytest.raises(ParseError) as info:
         parse_stimuli(text)
@@ -105,17 +110,17 @@ def test_run_batch_jobs_deterministic(table1_network, table1, params):
         == [(r.outcome.response_symbol, r.outcome.cycles) for r in parallel]
 
 
-@pytest.mark.parametrize("jobs, cpus, workers", [
-    (1, 4, None), (2, 4, 2), (100_000, 4, 3), (100_000, 2, 2), (8, None, None), (8, 1, None)])
-def test_run_batch_bounds_its_thread_pool(table1_network, params, monkeypatch, jobs, cpus,
-                                          workers):
-    # min(jobs, records, CPUs) threads, and no pool (serial) where that is 1;
-    # the stand-in pool records its size and maps serially, starting no thread
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts of the process pools run_batch opens, each a stand-in
+    that runs the pool's initializer and maps serially, starting no process."""
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            assert mp_context.get_start_method() == "fork"
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -123,17 +128,52 @@ def test_run_batch_bounds_its_thread_pool(table1_network, params, monkeypatch, j
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize):
+            assert chunksize == math.ceil(len(items) / sizes[-1])
             return map(fn, items)
 
-    records = [StimulusRecord(stimulus=stimulus, source_lang="NL", task="LD")
-               for stimulus in ("AARDE", "ROOM", "XQZ")]
-    serial = run_batch(table1_network, records, params)
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # the stand-in's initializer sets the row function in this process: undone after the test
+    monkeypatch.setattr(experiments._run_in_worker, "one", None, raising=False)
+    return sizes
+
+
+LD_RECORDS = [StimulusRecord(stimulus=stimulus, source_lang="NL", task="LD")
+              for stimulus in ("AARDE", "ROOM", "XQZ")]
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (1, 4, None), (2, 4, 2), (100_000, 4, 3), (100_000, 2, 2), (8, None, None), (8, 1, None)])
+def test_run_batch_bounds_its_thread_pool(table1_network, params, monkeypatch, pool_sizes,
+                                          jobs, cpus, workers):
+    # min(jobs, records, CPUs) workers, and no pool (serial) where that is 1
+    serial = run_batch(table1_network, LD_RECORDS, params)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-    rows = run_batch(table1_network, records, params, jobs=jobs)
-    assert sizes == ([] if workers is None else [workers])
+    rows = run_batch(table1_network, LD_RECORDS, params, jobs=jobs)
+    assert pool_sizes == ([] if workers is None else [workers])
     assert [row.outcome for row in rows] == [row.outcome for row in serial]
+
+
+def test_run_batch_runs_serially_without_fork(table1_network, params, monkeypatch, pool_sizes):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(experiments.os, "fork")
+    rows = run_batch(table1_network, LD_RECORDS, params, jobs=2)
+    assert pool_sizes == []
+    assert [row.outcome for row in rows] == [row.outcome
+                                             for row in run_batch(table1_network, LD_RECORDS, params)]
+
+
+def test_forked_batch_keeps_a_row_error_in_place(table1_network, params):
+    # at most two workers, fewer on one CPU; the DE row is the second worker's first
+    records = [StimulusRecord(stimulus=stimulus, source_lang="NL", target_lang=target, task="WT")
+               for stimulus, target in (("AARDBEI", "EN"), ("AARDE", "EN"),
+                                        ("AARDBEI", "DE"), ("AAP", "EN"))]
+    rows = run_batch(table1_network, records, params, jobs=2)
+    assert [row.record for row in rows] == records
+    assert [row.error for row in rows] == [
+        None, None, "unknown language tag 'DE'; network has ('NL', 'EN')", None]
+    assert [row.outcome for row in rows] == [row.outcome
+                                             for row in run_batch(table1_network, records, params)]
 
 
 def test_run_batch_rejects_unknown_engine(table1, params):

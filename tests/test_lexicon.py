@@ -29,6 +29,22 @@ def test_parse_header_only():
     assert lex.max_opb == 0.0
 
 
+@pytest.mark.parametrize("first, message", [
+    ("AAP,1o,ap,1o,APE,1,ep,1", "row 1: non-numeric frequency '1o'"),
+    ("AAP,,ap,,APE,1,ep,1", "row 1: non-numeric frequency ''"),
+], ids=["typo", "empty"])
+def test_first_row_with_a_numeric_frequency_is_data(first, message):
+    # a header names every column, so one number among row 1's frequencies makes it data
+    with pytest.raises(ParseError) as info:
+        parse_lexicon(first + "\n" + AARDE_ROW)
+    assert str(info.value) == message
+
+
+def test_short_header_names_still_load():
+    lex = parse_lexicon("ortho,f,ph,f,o,f,p,f\n" + AARDE_ROW)
+    assert [e.ortho_a for e in lex.entries] == ["AARDE"]
+
+
 def test_wrong_column_count_names_row():
     with pytest.raises(ParseError, match="row 2"):
         parse_lexicon(AARDE_ROW + "\nAAP,28.56,ap,28.56,MONKEY,8.38,mVNkI")
