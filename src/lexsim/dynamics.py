@@ -55,11 +55,12 @@ values over numpy arrays:
   r_k before it, so |r_{k+1}| <= 2**-53 * |r_k| and |r_k| < 2**(1024 -
   53*k). r_40 would lie under 2**-1096, below the smallest subnormal, so
   the expansion has at most 40 entries. Each node is in at most one pool
-  (Network.pools; the input and language nodes in none), so the shared
-  sums form one table, +0.0 where a pool did not step, and every node
-  gets its row's entry for its pool, +0.0 for no pool, in one add: no net
-  input is -0.0 (s is not, products are not, and neither are their sums),
-  so adding +0.0 leaves it as it is.
+  (Network.pools; the input and language nodes in none; entry place k,
+  node first_entry + 5*e + k, fixes it), so the shared sums form one
+  table, +0.0 where a pool did not step, and each place whose pool steps
+  in some row gets its row's entry in one strided add. A node elsewhere
+  keeps its net input, as adding +0.0 would: no net input is -0.0 (s is
+  not, products are not, and neither are their sums).
 - Three terms: _sum3 is Boldo and Melquiond's adder ("Emulation of FMA
   and correctly rounded sums: proved algorithms using rounding to odd",
   IEEE Trans. Computers 57(4), 2008). TwoSums give a + b + c = th + tl + ul
@@ -67,16 +68,18 @@ values over numpy arrays:
   keeps the sticky bit that makes RN(th + v) = RN(a + b + c), fsum's value,
   on subnormals too; a zero sum of terms that are not -0.0 is +0.0. An
   overflow gives inf or NaN, which fsum decides.
-- The add and the update rule run over every node as elementwise float64
-  ufuncs in update_activation's operation order. Each rounds exactly as
+- The update rule runs over every node as elementwise float64 ufuncs in
+  update_activation's operation order (_update). Each rounds exactly as
   the Python float operation does (numpy does not fuse multiply-add). The
-  branch on net > 0.0 is prev - MIN_ACT, overwritten by MAX_ACT - prev
-  where net > 0.0, and the clamps are np.minimum then np.maximum, which
-  pick what the comparisons of update_activation pick, NaN activations
-  included (a tie is between equal doubles, as no value is -0.0), except
-  at a NaN bound, which Parameters.validate rejects. Most nodes are quiet:
-  their net input is 0.0, their stimulus term, or one add of the shared
-  inhibition to either, and no Python code runs for them one by one.
+  branch on net > 0.0 is prev - MIN_ACT, then MAX_ACT - prev at the nodes
+  (net > 0.0).nonzero() lists, and np.clip, min(max(x, MIN_ACT), MAX_ACT)
+  with NaN passed through, picks what the comparisons of update_activation
+  pick, NaN included, as Parameters.validate keeps MIN_ACT <= MAX_ACT
+  finite (a tie is between equal doubles, as no value is -0.0). The
+  decay's prev - rest is 0.0 only where prev == rest (gradual underflow),
+  so it also marks touched nodes. Most nodes are quiet: their net input
+  is 0.0, their stimulus term, or one add of the shared inhibition to
+  either, and no Python code runs for them one by one.
 
 Rows: step_rows steps several trials over one network as the rows of one
 flat array (node n of row b at b*N + n) and gives each row the bits a
@@ -101,7 +104,7 @@ Untouched nodes are fixed points. A node that is no target, has no
 stimulus term, is in no pool that steps and sits at its rest level r has
 net +0.0, and r lies in [MIN_ACT, MAX_ACT], a span Parameters.validate
 keeps finite, so d = r - MIN_ACT is finite and >= +0.0, net*d = +0.0,
-r + 0.0 = r, decay*(r - r) = +0.0, r - 0.0 = r and the clamps keep r:
+r + 0.0 = r, decay*(r - r) = +0.0, r - 0.0 = r and the clamp keeps r:
 the update maps the node to its own bits. The step computes such nodes
 all the same, as the dense engine does, so only the touched_updates
 counter depends on this; it counts the other nodes, pools by their masks.
@@ -109,6 +112,7 @@ counter depends on this; it counts the other nodes, pools by their masks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Mapping, Sequence
 
@@ -362,10 +366,13 @@ def _excite(net: np.ndarray, dst: np.ndarray, prod: np.ndarray) -> np.ndarray:
         sums[slow[three]] = _sum3(prod[i], prod[i + 1], np.where(
             sizes[slow[three]] == 3, prod.take(i + 2, mode="clip"), stim[slow[three]]))
         slow = slow[~three | ~np.isfinite(sums[slow])]
-    if slow.size:
-        terms = prod.tolist()
-        sums[slow] = [math.fsum(terms[i:i + k] + [s] if s else terms[i:i + k]) for i, k, s
-                      in zip(starts[slow].tolist(), sizes[slow].tolist(), stim[slow].tolist())]
+    if slow.size:  # only the slow groups' products, in order, as Python floats
+        flags = np.zeros(len(sizes), dtype=bool)
+        flags[slow] = True
+        terms = prod[flags.repeat(sizes)].tolist()
+        sizes = sizes[slow].tolist()
+        sums[slow] = [math.fsum(terms[e - k:e] + [s] if s else terms[e - k:e]) for e, k, s
+                      in zip(itertools.accumulate(sizes), sizes, stim[slow].tolist())]
     net[targets] = sums
     return targets
 
@@ -423,6 +430,23 @@ def _language_links(network: Network, row: np.ndarray, node: np.ndarray, place: 
     return np.concatenate(dsts), np.concatenate(prods)
 
 
+def _update(prev: np.ndarray, net: np.ndarray, rest: np.ndarray, params: Parameters) -> np.ndarray:
+    """update_activation elementwise on rows of activations ``prev``, written in place, with net
+    inputs ``net`` (spent) and one row's ``rest`` (module docstring). Returns prev != rest."""
+    min_act, max_act = params.MIN_ACT, params.MAX_ACT
+    new = prev - min_act
+    up = (net > 0.0).nonzero()[0]
+    new[up] = max_act - prev[up]
+    new *= net
+    new += prev
+    np.subtract(prev.reshape(-1, len(rest)), rest, out=net.reshape(-1, len(rest)))  # the decay
+    away = net != 0.0
+    net *= params.DECAY_RATE
+    new -= net
+    np.clip(new, min_act, max_act, out=prev)
+    return away
+
+
 def step(state: SimulationState, network: Network, params: Parameters) -> SimulationState:
     """Advance one cycle: step_rows on one row."""
     step_rows(Rows(network, [state], [params]))
@@ -456,8 +480,8 @@ def step_rows(rows: Rows) -> None:
         targets = _excite(net, dst, prod)
 
         # phase 2: one inhibition step per row and pool with a nonzero gamma
-        # and an active member in the row. Every node gets its row's shared
-        # sum for its pool, and the active members their exclusion sums
+        # and an active member in the row. A stepping pool's members get
+        # its row's shared sum, and the active members their exclusion sums
         key = pools[node]
         key += 4 * row  # row and pool: a flat index of rows.gammas
         gamma = rows.gammas.take(key)
@@ -465,41 +489,30 @@ def step_rows(rows: Rows) -> None:
         order, groups, sums, exclusion = _inhibit(key[inhibited],
                                                   gamma[inhibited] * acts[inhibited])
     stepped = np.zeros((count, 4), dtype=bool)
+    stepped.ravel()[groups] = True
+    every, some = stepped.all(axis=0).tolist(), stepped.any(axis=0).tolist()  # per pool
     if groups.size:
         members = ids[inhibited[order]]
         own = net[members]
         own += exclusion
         shared = np.zeros((count, 4))
         shared.ravel()[groups] = sums
-        stepped.ravel()[groups] = True
-        grid = net.reshape(count, n)
-        grid += shared.take(pools, axis=1)
+        grid, first = net.reshape(count, n), network.first_entry
+        for k, pool in enumerate(pools[first:first + 5].tolist()):  # entry place k
+            if some[pool]:
+                grid[:, first + k::5] += shared[:, pool, None]
         net[members] = own
 
-    # phase 3: update_activation elementwise, in its operation order, over
-    # every node; an untouched node maps to itself (module docstring)
-    max_act, min_act = params.MAX_ACT, params.MIN_ACT
-    new = prev - min_act
-    np.subtract(max_act, prev, out=new, where=net > 0.0)
-    new *= net
-    new += prev
-    decay = net  # net is spent: prev - rest, row by row
-    np.subtract(prev.reshape(count, n), network.rest, out=decay.reshape(count, n))
-    decay *= params.DECAY_RATE
-    new -= decay
-    np.minimum(new, max_act, out=new)
-
-    # touched; a uint32 sum counts a row faster than count_nonzero's intp one
-    marks = prev.reshape(count, n) != network.rest
+    # phase 3, then touched; a uint32 sum counts a row faster than count_nonzero's intp one
+    marks = _update(prev, net, network.rest, params).reshape(count, n)
     marks |= rows.weighted.reshape(count, n)
     marks.ravel()[targets] = True
-    for pool, rows_stepped in zip(INHIBITED_POOLS, stepped.T):
-        if rows_stepped.all():
+    for k, pool in enumerate(INHIBITED_POOLS):
+        if every[k]:
             marks |= network.members[pool]
-        elif rows_stepped.any():
-            marks[rows_stepped] |= network.members[pool]
+        elif some[k]:
+            marks[stepped[:, k]] |= network.members[pool]
     touched = marks.sum(axis=1, dtype=np.uint32)
-    np.maximum(new, min_act, out=prev)  # the last read of prev: the step ends in place
     active = np.bincount(row, minlength=count)
     for state, a, t in zip(states, active.tolist(), touched.tolist()):
         counters = state.counters

@@ -2,12 +2,14 @@
 
 Imported by the tests; run as a script it checks one word-translation trial
 on the benchmark's seed-0 lexicon of 10,000 pairs, built with
-``bench/generate.py`` into a given directory:
+``bench/generate.py`` into a given directory, at the default parameters
+changed by any NAME=VALUE assignments given after it:
 
-    python3 tests/lockstep.py DIR
+    python3 tests/lockstep.py DIR [NAME=VALUE ...]
 
 with lexsim importable (``pip install -e .``, or ``PYTHONPATH=src``). It
-prints the number of mismatched activations and exits 1 if there are any.
+prints the number of mismatched activations and the time taken, and exits 1
+if there are any.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from lexsim import Parameters, SimulationState, build_network, load_lexicon, step
+from lexsim import SimulationState, build_network, load_lexicon, step
+from lexsim.params import load_parameters
 from lexsim.reference import DenseEngine, scalar_input_weights
 
 
@@ -51,12 +54,12 @@ def main(argv: list[str]) -> int:
     path = Path(argv[0]) / "lockstep-10k-0-lexicon.csv"
     generate.write_lexicon(path, entries)
     stimulus = generate.wt_stimuli(entries, kinds, 1, 0)[0][0]
-    params = Parameters()
+    params = load_parameters("\n".join(argv[1:]))
     network = build_network(load_lexicon(path), params)
     start = time.perf_counter()
     mismatches = lockstep_mismatches(network, params, stimulus, 30)
-    print(f"{stimulus} over {len(network)} nodes, 30 cycles: {len(mismatches)} mismatched "
-          f"activations ({time.perf_counter() - start:.1f}s)")
+    print(f"{stimulus} over {len(network)} nodes, 30 cycles, {' '.join(argv[1:]) or 'defaults'}: "
+          f"{len(mismatches)} mismatched activations ({time.perf_counter() - start:.1f}s)")
     return 1 if mismatches else 0
 
 

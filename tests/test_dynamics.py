@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from lexsim import (ConfigError, DenseEngine, InvariantError, Lexicon, Network, 
                     run, run_batch, set_stimulus, step, update_activation, word_translation)
 from lexsim import dynamics
 from lexsim.dynamics import (Rows, SimulationState, Trace, _excite, _expansion, _inhibit, _sum3,
-                             run_rows, step_rows)
+                             _update, check_invariants, run_rows, step_rows)
 from lexsim.network import INHIBITED_POOLS, InputWeights, Pool
 from lexsim.tasks import LexicalDecisionMonitor, WordTranslationMonitor, make_monitor
 
@@ -199,6 +200,40 @@ def test_update_negative_net_scales_by_distance_to_floor():
     a, net, rest = 0.5, -0.1, -0.1
     expected = a + net * (a - p.MIN_ACT) - p.DECAY_RATE * (a - rest)
     assert update_activation(a, net, rest, p) == expected
+
+
+def _no_negative_zero(doubles):
+    return doubles.map(lambda x: x + 0.0)  # the step never sees -0.0 (lexsim.dynamics)
+
+
+_ACTIVATIONS = st.one_of(st.sampled_from([-0.2, 1.0, math.nan]),  # MIN_ACT, MAX_ACT
+                         _no_negative_zero(st.floats(-0.2, 1.0)))
+_NETS = st.one_of(st.sampled_from([0.0, math.nan]), _no_negative_zero(st.floats(-50.0, 50.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_no_negative_zero(st.floats(-0.2, 0.0)), _ACTIVATIONS, _NETS,
+                          _ACTIVATIONS, _NETS), min_size=1, max_size=12),
+       st.sampled_from([0.0, 0.07, 1.0]))
+@example([(-0.2, -0.2, 0.0, 1.0, 0.0), (0.0, 0.5, 50.0, 0.5, -50.0),
+          (-0.1, math.nan, 0.3, 0.1, math.nan), (-0.2, -0.2, -0.3, 1.0, 0.3)], 0.07)
+def test_update_gives_update_activation_bits(nodes, decay):
+    # the step's update over two rows: per node (rest, then activation and
+    # net in each row), update_activation's bits, a NaN kept as NaN, and
+    # the away-from-rest mask of the activations it read
+    p = Parameters().updated(DECAY_RATE=decay)
+    rest = [node[0] for node in nodes]
+    act = [node[1] for node in nodes] + [node[3] for node in nodes]
+    net = [node[2] for node in nodes] + [node[4] for node in nodes]
+    prev = np.array(act)
+    away = _update(prev, np.array(net), np.array(rest), p)
+    for a, x, r, got in zip(act, net, rest * 2, prev.tolist()):
+        want = update_activation(a, x, r, p)
+        assert math.isnan(got) if math.isnan(want) else got.hex() == want.hex(), (a, x, r)
+    assert away.tolist() == [a != r for a, r in zip(act, rest * 2)]
+    if any(map(math.isnan, prev.tolist())):
+        with pytest.raises(InvariantError):
+            check_invariants(SimpleNamespace(activation=prev, cycle=1), p)
 
 
 # -- step --------------------------------------------------------------------

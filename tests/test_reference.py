@@ -145,6 +145,24 @@ def test_engines_step_in_lockstep_on_synthetic_1000():
     assert sum(crowded) > 20, crowded
 
 
+def test_engines_step_in_lockstep_on_synthetic_1000_at_defaults():
+    # SS_multiplier 0.0: the semantic pool never steps, so the step leaves
+    # its places out of the shared add while the other two pools step
+    lexicon = synthetic_lexicon(1000)
+    params = Parameters()
+    network = build_network(lexicon, params)
+    ortho, phono = members(network, Pool.ORTHO), members(network, Pool.PHONO)
+    stepping = []  # per cycle: do the ortho and phono pools both have an active member
+
+    def count_active(activation):
+        stepping.append((activation[ortho] > 0.0).any() and (activation[phono] > 0.0).any())
+
+    assert pool_gamma(params, Pool.SEM) == 0.0
+    assert lockstep_mismatches(network, params, lexicon.entries[0].ortho_a, 30,
+                               count_active) == []
+    assert sum(stepping) > 20, stepping
+
+
 def test_engines_agree_with_language_links(homograph_lexicon):
     # language nodes rest above zero, so from cycle 1 they are active and fan
     # out to every reading of their language through the nonzero L->O/P links
