@@ -150,9 +150,12 @@ class Trace:
         ids = np.flatnonzero((frames > self._network.rest).any(axis=0))
         if top_k is not None and len(ids) > top_k:  # the highest peaks, ties to the lower id
             ids = np.sort(ids[np.argsort(-frames[:, ids].max(axis=0), kind="stable")[:top_k]])
-        picked = [(n, self._network.nodes[n]) for n in ids.tolist()]
-        return [(cycle, n, node.pool.value, node.language or "", node.symbol, frame[n])
-                for cycle, frame in enumerate(self.frames, start=1) for n, node in picked]
+        net = self._network
+        picked = [(n, net.pool_of[n].value, net.language_of[n] or "", net.symbol_of[n])
+                  for n in ids.tolist()]
+        return [(cycle, n, pool, language, symbol, frame[n])
+                for cycle, frame in enumerate(self.frames, start=1)
+                for n, pool, language, symbol in picked]
 
 
 class SimulationState:

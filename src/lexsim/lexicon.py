@@ -60,8 +60,9 @@ class Lexicon:
     max_opb: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        freqs = [f for e in self.entries for f in (e.freq_a, e.freq_b)]
-        self.max_opb = max((opb(f) for f in freqs), default=0.0)
+        # opb once per distinct frequency, in first-seen order: the first bad one raises
+        freqs = dict.fromkeys(f for e in self.entries for f in (e.freq_a, e.freq_b))
+        self.max_opb = max(map(opb, freqs), default=0.0)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -125,7 +126,7 @@ def parse_lexicon(source: str | IO[str],
             continue  # header row: no frequency cell is a number
         if len(record) != 8:
             raise ParseError(f"row {row}: expected 8 columns, got {len(record)}")
-        o_a, f_a, p_a, f_pa, o_b, f_b, p_b, f_pb = (c.strip() for c in record)
+        o_a, f_a, p_a, f_pa, o_b, f_b, p_b, f_pb = map(str.strip, record)
         freq_a = _parse_float(f_a, row, "frequency")
         freq_pa = _parse_float(f_pa, row, "frequency")
         freq_b = _parse_float(f_b, row, "frequency")
@@ -137,7 +138,8 @@ def parse_lexicon(source: str | IO[str],
             freq_b = freq_b / 4.0
         entry = LexiconEntry(ortho_a=o_a.upper(), freq_a=freq_a, phono_a=p_a,
                              ortho_b=o_b.upper(), freq_b=freq_b, phono_b=p_b)
-        entry.validate(row)
+        if not (o_a and p_a and o_b and p_b):
+            entry.validate(row)  # names the empty symbol; the frequencies passed _parse_float
         for language, symbol in ((options.language_a, entry.ortho_a),
                                  (options.language_b, entry.ortho_b)):
             key = (language, symbol)

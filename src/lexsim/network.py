@@ -1,23 +1,28 @@
 """Lexical network structure: node pools in a fixed entry layout that
 implies the excitatory links, and stimulus-dependent input weighting.
 
-``build_network`` computes every node and table first and makes the
-``Network`` with one constructor call; the record is frozen, and its
-arrays are read-only. Anything that depends on the stimulus (input
-weights, activations) lives in the per-simulation state so that many
-simulations can share one network concurrently.
+``build_network`` computes every table first and makes the ``Network``
+with one constructor call; the record is frozen, its arrays are read-only
+and its per-node columns are tuples. No ``Node`` is stored: ``nodes`` makes
+each one on access from the lexicon entries and the id layout. Anything
+that depends on the stimulus (input weights, activations) lives in the
+per-simulation state so that many simulations can share one network
+concurrently.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .lexicon import Lexicon, rest_activation
+from .lexicon import Lexicon, LexiconEntry, rest_activation
 from .params import Parameters
 
 
@@ -35,6 +40,10 @@ class Pool(enum.Enum):
 
 # pools that take a lateral-inhibition step; pool_gamma gives each one's weight
 INHIBITED_POOLS = (Pool.ORTHO, Pool.PHONO, Pool.SEM)
+# the pool of each place of an entry's five nodes [O_a, P_a, O_b, P_b, S]
+_ENTRY_POOLS = (Pool.ORTHO, Pool.PHONO, Pool.ORTHO, Pool.PHONO, Pool.SEM)
+# the input node and the two language nodes come before the entries
+_FIRST_ENTRY = 3
 
 
 def pool_gamma(params, pool: "Pool") -> float:
@@ -63,6 +72,53 @@ class Node:
     language: str | None
     rest: float
     concept: int | None = None
+
+
+class Nodes(Sequence):
+    """``Network.nodes``: a read-only Sequence of Node over the lexicon
+    entries and the id layout. Indexing and iteration make each Node on
+    access, with ``rest`` looked up per frequency in ``rest_of``; none is
+    stored. Readers that need one field of many nodes read the network's
+    columns instead."""
+
+    def __init__(self, entries: tuple[LexiconEntry, ...], languages: tuple[str, str],
+                 rest_of: dict[float, float], params: Parameters):
+        self._entries, self._languages = entries, languages
+        self._rest_of, self._params = rest_of, params
+
+    def __len__(self) -> int:
+        return _FIRST_ENTRY + 5 * len(self._entries)
+
+    def __getitem__(self, n: int) -> Node:
+        n = operator.index(n)
+        if not -len(self) <= n < len(self):
+            raise IndexError("node index out of range")
+        n %= len(self)
+        if n < _FIRST_ENTRY:
+            return self._fixed()[n]
+        concept, k = divmod(n - _FIRST_ENTRY, 5)
+        return self._entry(concept)[k]
+
+    def __iter__(self):
+        entries = map(self._entry, range(len(self._entries)))
+        return chain(self._fixed(), chain.from_iterable(entries))
+
+    def _fixed(self) -> tuple[Node, Node, Node]:
+        p, (language_a, language_b) = self._params, self._languages
+        return (Node(0, Pool.INPUT, "INPUT", None, p.I_rest),
+                Node(1, Pool.LANG, language_a, language_a, p.L_rest),
+                Node(2, Pool.LANG, language_b, language_b, p.L_rest))
+
+    def _entry(self, concept: int) -> tuple[Node, ...]:
+        """Entry ``concept``'s five nodes, ids first_entry + 5*concept + k."""
+        entry, (language_a, language_b) = self._entries[concept], self._languages
+        n = _FIRST_ENTRY + 5 * concept
+        rest_a, rest_b = self._rest_of[entry.freq_a], self._rest_of[entry.freq_b]
+        return (Node(n, Pool.ORTHO, entry.ortho_a, language_a, rest_a, concept),
+                Node(n + 1, Pool.PHONO, entry.phono_a, language_a, rest_a, concept),
+                Node(n + 2, Pool.ORTHO, entry.ortho_b, language_b, rest_b, concept),
+                Node(n + 3, Pool.PHONO, entry.phono_b, language_b, rest_b, concept),
+                Node(n + 4, Pool.SEM, entry.ortho_b, None, self._params.S_rest, concept))
 
 
 @dataclass(frozen=True)
@@ -121,7 +177,10 @@ class Network:
 
     ``nodes`` are the input node, the two language nodes in ``languages``
     order, then five nodes per entry in the layout [O_a, P_a, O_b, P_b, S]:
-    node k of entry e has id first_entry + 5*e + k. The excitatory links
+    node k of entry e has id first_entry + 5*e + k; each Node is made on
+    access (``Nodes``). ``pool_of``, ``symbol_of``, ``language_of`` and
+    ``concept_of`` are those fields of every node as tuples by id, for the
+    readers of many nodes (monitors, traces, ``find``). The excitatory links
     with a nonzero alpha are implied by that layout: ``layout`` holds each
     node's place and, per place, the target id offsets and alphas of its
     links to the rest of its entry; ``to_language`` the (place, language
@@ -138,7 +197,11 @@ class Network:
 
     params: Parameters
     languages: tuple[str, str]
-    nodes: list[Node]
+    nodes: Nodes
+    pool_of: tuple[Pool, ...]
+    symbol_of: tuple[str, ...]
+    language_of: tuple[str | None, ...]
+    concept_of: tuple[int | None, ...]
     first_entry: int
     layout: EntryArrays
     to_language: tuple[tuple[int, int, float], ...]
@@ -151,23 +214,24 @@ class Network:
     ortho_codes: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.rest)
 
     def find(self, pool: Pool, symbol: str, language: str | None = None) -> Node:
-        matches = [n for n in self.nodes
-                   if n.pool is pool and n.symbol == symbol and n.language == language]
+        matches = [n for n, fields in enumerate(zip(self.pool_of, self.symbol_of, self.language_of))
+                   if fields == (pool, symbol, language)]
         if not matches:
             raise KeyError(f"no {pool.value} node {symbol!r} ({language})")
         if len(matches) > 1:
             raise KeyError(f"ambiguous {pool.value} reading {symbol!r} ({language})")
-        return matches[0]
+        return self.nodes[matches[0]]
 
     def connections(self) -> list[Connection]:
         """Nonzero excitatory connections by source and target id, as the
         reference engine builds them from the node metadata."""
         from .reference import excitatory_in  # reference imports this module
+        exc_in = excitatory_in(self.nodes, self.params)
         return [Connection(*edge) for edge in sorted(
-            (src, dst, w) for dst, sources in enumerate(excitatory_in(self)) for src, w in sources)]
+            (src, dst, w) for dst, sources in enumerate(exc_in) for src, w in sources)]
 
     def input_weights(self, stimulus: str) -> InputWeights:
         """Nonzero stimulus weights over orthographic nodes (symbol uppercased),
@@ -235,19 +299,24 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
         raise ValidationError(f"the two languages must differ, both are {language_a!r}")
     p = params
     max_opb = p.MAX_OPB if p.MAX_OPB is not None else lexicon.max_opb
-    nodes = [Node(0, Pool.INPUT, "INPUT", None, p.I_rest),
-             Node(1, Pool.LANG, language_a, language_a, p.L_rest),
-             Node(2, Pool.LANG, language_b, language_b, p.L_rest)]
-    first_entry = len(nodes)
-    for concept, entry in enumerate(lexicon.entries):
-        n = first_entry + 5 * concept
-        rest_a = rest_activation(entry.freq_a, max_opb, p)
-        rest_b = rest_activation(entry.freq_b, max_opb, p)
-        nodes += (Node(n, Pool.ORTHO, entry.ortho_a, language_a, rest_a, concept),
-                  Node(n + 1, Pool.PHONO, entry.phono_a, language_a, rest_a, concept),
-                  Node(n + 2, Pool.ORTHO, entry.ortho_b, language_b, rest_b, concept),
-                  Node(n + 3, Pool.PHONO, entry.phono_b, language_b, rest_b, concept),
-                  Node(n + 4, Pool.SEM, entry.ortho_b, None, p.S_rest, concept))
+    entries = tuple(lexicon.entries)
+    n_entries, first_entry = len(entries), _FIRST_ENTRY
+    n_nodes = first_entry + 5 * n_entries
+    freq_a = [entry.freq_a for entry in entries]
+    freq_b = [entry.freq_b for entry in entries]
+    # one rest_activation call per distinct frequency; Nodes reads the same table
+    rest_of = {f: rest_activation(f, max_opb, p) for f in {*freq_a, *freq_b}}
+    rest_a, rest_b = [rest_of[f] for f in freq_a], [rest_of[f] for f in freq_b]
+    rest = np.fromiter(chain((p.I_rest, p.L_rest, p.L_rest), chain.from_iterable(
+        zip(rest_a, rest_a, rest_b, rest_b, repeat(p.S_rest)))), np.float64, n_nodes)
+    pool_of = (Pool.INPUT, Pool.LANG, Pool.LANG) + _ENTRY_POOLS * n_entries
+    symbol_of = ("INPUT", *languages) + tuple(chain.from_iterable(
+        map(operator.attrgetter("ortho_a", "phono_a", "ortho_b", "phono_b", "ortho_b"), entries)))
+    language_of = (None, *languages) + (language_a, language_a, language_b, language_b,
+                                        None) * n_entries
+    # each entry's index five times, one int object per entry
+    concept_of = (None,) * first_entry + tuple(chain.from_iterable(
+        map(repeat, range(n_entries), repeat(5))))
     # from each place of [O_a, P_a, O_b, P_b, S] to the others of its entry;
     # the layout keeps the nonzero alphas, and place 5 (no entry) has none
     within = (((1, p.OP_alpha), (4, p.OS_alpha)), ((-1, p.PO_alpha), (3, p.PS_alpha)),
@@ -260,27 +329,27 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
     for k, table in enumerate(tables):
         for slot, (offset, w) in enumerate(table):
             offsets[k, slot], weights[k, slot], links[k, slot] = offset, w, True
-    place = np.full(len(nodes), 5)
-    place[first_entry:] = np.arange(len(nodes) - first_entry) % 5
+    place = np.full(n_nodes, 5)
+    place[first_entry:] = np.arange(n_nodes - first_entry) % 5
     layout = EntryArrays(place, offsets, weights, links)
     index = {pool: k for k, pool in enumerate(INHIBITED_POOLS)}
-    pools = np.fromiter((index.get(node.pool, 3) for node in nodes), np.intp, len(nodes))
+    pools = np.array([index[pool] for pool in _ENTRY_POOLS] + [3], dtype=np.intp)[place]
     members = {pool: pools == k for pool, k in index.items()}
-    ortho = [node for node in nodes if node.pool is Pool.ORTHO]
-    symbols = [node.symbol for node in ortho]
+    symbols = list(chain.from_iterable(map(operator.attrgetter("ortho_a", "ortho_b"), entries)))
     lengths = list(map(len, symbols))
     width = max(lengths, default=0)
     # a fixed-width numpy string holds one UCS-4 code point per letter,
     # zero-padded: one row per symbol, copied to one row per position (C order)
     padded = np.array(symbols, dtype=f"<U{width}").view("<u4").reshape(len(symbols), width)
-    rest = np.fromiter((node.rest for node in nodes), np.float64, len(nodes))
-    ortho_ids = np.array([node.id for node in ortho], dtype=np.intp)
+    ortho_ids = members[Pool.ORTHO].nonzero()[0]
     ortho_lengths = np.array(lengths, dtype=np.intp)
     ortho_codes = np.ascontiguousarray(padded.T, np.min_scalar_type(padded.max(initial=0)))
     for array in (*layout, pools, *members.values(), rest, ortho_ids, ortho_lengths, ortho_codes):
         array.flags.writeable = False
     return Network(
-        params=params, languages=languages, nodes=nodes, first_entry=first_entry, layout=layout,
+        params=params, languages=languages, nodes=Nodes(entries, languages, rest_of, params),
+        pool_of=pool_of, symbol_of=symbol_of, language_of=language_of, concept_of=concept_of,
+        first_entry=first_entry, layout=layout,
         # places 0 and 1 belong to language a (node 1), 2 and 3 to language b (node 2)
         to_language=tuple((place, 1 + place // 2, w) for place, w
                           in enumerate((p.OL_alpha, p.PL_alpha) * 2) if w != 0.0),

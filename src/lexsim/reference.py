@@ -10,11 +10,12 @@ array input weighting can be checked against it bit-for-bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .dynamics import SimulationState, run, update_activation
 from .errors import ValidationError
-from .network import INHIBITED_POOLS, Network, Pool, pool_gamma
+from .network import INHIBITED_POOLS, Network, Node, Pool, pool_gamma
 from .params import Parameters
 
 
@@ -51,66 +52,77 @@ def input_weight(stimulus: str, ortho_symbol: str, params: Parameters) -> float:
     return params.IO_multiplier * (score * score * score)
 
 
-def scalar_input_weights(network: Network, stimulus: str) -> dict[int, float]:
-    """``network.input_weights(stimulus)`` as a plain dict, node by node: the oracle's weights."""
+def scalar_input_weights(nodes: Sequence[Node], stimulus: str,
+                         params: Parameters) -> dict[int, float]:
+    """A network's ``input_weights(stimulus)`` as a plain dict, node by node
+    over its ``nodes``: the oracle's weights."""
     if not stimulus:
         raise ValueError("stimulus must be non-empty")
     stimulus = stimulus.upper()
-    return {node.id: w for node in network.nodes if node.pool is Pool.ORTHO
-            if (w := input_weight(stimulus, node.symbol, network.params)) > 0.0}
+    return {node.id: w for node in nodes if node.pool is Pool.ORTHO
+            if (w := input_weight(stimulus, node.symbol, params)) > 0.0}
 
 
-def excitatory_in(network: Network) -> list[list[tuple[int, float]]]:
+def excitatory_in(nodes: Sequence[Node], params: Parameters) -> list[list[tuple[int, float]]]:
     """Each node's nonzero excitatory (source id, weight) pairs by source id,
     from node metadata alone: an O or P node links with the other of its
     concept and language, its concept's S node and its language's node,
-    both ways, with one alpha per (source, target) pool pair."""
-    p = network.params
+    both ways, with one alpha per (source, target) pool pair. Each list is
+    made in source id order: a language node's id is below every entry
+    node's, and a concept's nodes are listed in id order."""
+    p = params
     O, P, S, L = Pool.ORTHO, Pool.PHONO, Pool.SEM, Pool.LANG
     alpha = {(O, P): p.OP_alpha, (P, O): p.PO_alpha, (O, S): p.OS_alpha, (S, O): p.SO_alpha,
              (P, S): p.PS_alpha, (S, P): p.SP_alpha, (O, L): p.OL_alpha, (L, O): p.LO_alpha,
              (P, L): p.PL_alpha, (L, P): p.LP_alpha}
-    pool_of = [node.pool for node in network.nodes]
-    language_of = [node.language for node in network.nodes]
-    concepts: dict[int, list] = {}
-    for node in network.nodes:
+    links = {pools: w for pools, w in alpha.items() if w != 0.0}
+    pool_of, language_of, concepts, language_node = [], [], {}, {}
+    for node in nodes:  # one pass, so ``nodes`` may make each node on access
+        pool_of.append(node.pool)
+        language_of.append(node.language)
         if node.concept is not None:
             concepts.setdefault(node.concept, []).append(node.id)
-    # candidates: two nodes of one concept and language, or of one concept
-    # with its S node; a language node and each node of its language
-    pairs = [(u, v) for group in concepts.values() for u in group for v in group
-             if language_of[u] == language_of[v] or S in (pool_of[u], pool_of[v])]
-    pairs += [pair for lang, pool in enumerate(pool_of) if pool == L
-              for n, language in enumerate(language_of) if language == language_of[lang]
-              for pair in ((lang, n), (n, lang))]
-    exc_in: list = [[] for _ in network.nodes]
-    for u, v in pairs:
-        w = alpha.get((pool_of[u], pool_of[v]), 0.0)
-        if w != 0.0:
-            exc_in[v].append((u, w))
-    return [sorted(sources) for sources in exc_in]
+        elif node.pool is L:
+            language_node[node.language] = node.id
+    exc_in: list = [[] for _ in pool_of]
+    # a language node's links from the nodes of its language (the links back: below)
+    for language, lang in language_node.items():
+        exc_in[lang] = [(u, w) for u, (pool, language_u) in enumerate(zip(pool_of, language_of))
+                        if language_u == language and (w := links.get((pool, L)))]
+    # two nodes of one concept and language, or of one concept with its S node
+    for group in concepts.values():
+        for v in group:
+            pool, language, sources = pool_of[v], language_of[v], exc_in[v]
+            if language in language_node and (w := links.get((L, pool))):
+                sources.append((language_node[language], w))
+            for u in group:
+                if (w := links.get((pool_of[u], pool))) and (
+                        language_of[u] == language or S in (pool_of[u], pool)):
+                    sources.append((u, w))
+    return exc_in
 
 
 @dataclass
 class DenseNetwork:
-    """A built network plus its gathered excitatory in-connections.
+    """A built network plus its nodes and gathered excitatory in-connections.
 
+    ``nodes`` is ``base.nodes`` as a list, made once for every cycle to read.
     ``exc_in`` lists each node's nonzero excitatory (source, weight) pairs.
     Inhibition needs no table: a node of an inhibited pool takes the pool's
     gamma from every other active member of its pool.
     """
 
     base: Network
+    nodes: list[Node]
     exc_in: list  # per node: list of (source id, weight), zero weights dropped
 
 
 def _dense_step(state: SimulationState, dense: DenseNetwork, params: Parameters) -> None:
-    network = dense.base
     prev = state.activation.tolist()
-    nodes = network.nodes
+    nodes = dense.nodes
     gamma_of = {pool: pool_gamma(params, pool) for pool in INHIBITED_POOLS}
     i_rest = params.I_rest
-    n_nodes = len(network)
+    n_nodes = len(nodes)
 
     # each inhibiting pool's active members as (id, gamma x activation), from node metadata
     inhibitors: dict = {pool: [] for pool, gamma in gamma_of.items() if gamma != 0.0}
@@ -141,11 +153,13 @@ class DenseEngine:
 
     def __init__(self, network: Network, max_entries: int | None = None):
         """ValidationError for more than ``max_entries`` entries (None: no limit)."""
-        n_entries = sum(node.pool is Pool.SEM for node in network.nodes)  # one S node per entry
+        nodes = list(network.nodes)
+        n_entries = sum(node.pool is Pool.SEM for node in nodes)  # one S node per entry
         if max_entries is not None and n_entries > max_entries:
             raise ValidationError(f"dense engine refused for {n_entries} entries "
                                   f"(max_entries {max_entries})")
-        self.dense = DenseNetwork(base=network, exc_in=excitatory_in(network))
+        self.dense = DenseNetwork(base=network, nodes=nodes,
+                                  exc_in=excitatory_in(nodes, network.params))
 
     def step(self, state: SimulationState, _network: Network, params: Parameters) -> None:
         """One dense cycle, in the ``step_fn`` form dynamics.run takes."""
@@ -154,5 +168,6 @@ class DenseEngine:
     def run(self, stimulus: str, monitor, params: Parameters | None = None,
             trace: str | None = "full"):
         """dynamics.run with dense steps and scalar input weights: the oracle end to end."""
-        return run(self.dense.base, stimulus, monitor, params, trace, step_fn=self.step,
-                   input_weights=scalar_input_weights(self.dense.base, stimulus))
+        dense = self.dense
+        return run(dense.base, stimulus, monitor, params, trace, step_fn=self.step,
+                   input_weights=scalar_input_weights(dense.nodes, stimulus, dense.base.params))

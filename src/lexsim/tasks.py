@@ -85,6 +85,11 @@ def _outcome(task: str, params: Parameters, state: SimulationState, kind: str,
                        diagnostics or Diagnostics())
 
 
+def _rejection(network: Network, n: int, reason: str, cycle: int) -> Rejection:
+    return Rejection(n, network.symbol_of[n], network.language_of[n], network.concept_of[n],
+                     reason, cycle)
+
+
 def _candidates(state: SimulationState, network: Network, pool: Pool,
                 threshold: float) -> list[int]:
     """Pool members at or above ``threshold``, in id order (module docstring)."""
@@ -92,9 +97,8 @@ def _candidates(state: SimulationState, network: Network, pool: Pool,
         scan, row = state.scan
         ids, bounds, _found = scan[pool, threshold]
         return ids[bounds[row]:bounds[row + 1]]
-    hits = state.activation >= threshold
-    hits &= network.members[pool]
-    return hits.nonzero()[0].tolist()
+    ids = (state.activation >= threshold).nonzero()[0]
+    return ids[network.members[pool][ids]].tolist()
 
 
 def _winner(state: SimulationState, network: Network, pool: Pool,
@@ -103,9 +107,9 @@ def _winner(state: SimulationState, network: Network, pool: Pool,
 
     Ties break toward higher activation, then lower node id.
     """
-    nodes = network.nodes
+    language_of = network.language_of
     return max((n for n in _candidates(state, network, pool, threshold)
-                if nodes[n].language == language), key=state.activation.item, default=None)
+                if language_of[n] == language), key=state.activation.item, default=None)
 
 
 class NullMonitor:
@@ -144,7 +148,7 @@ class _ThresholdMonitor:
             return None
         kind = self.kinds[0]
         return _outcome(self.task, self.params, state, kind, winner,
-                        network.nodes[winner].symbol if kind == "symbol" else None)
+                        network.symbol_of[winner] if kind == "symbol" else None)
 
     def timeout(self, state, network) -> TaskOutcome:
         return _outcome(self.task, self.params, state, self.kinds[1])
@@ -184,17 +188,15 @@ class WordTranslationMonitor:
         act = state.activation.item
         # scan the candidates, most activated first, until the source language appears
         for o_id in sorted(candidates, key=lambda n: (-act(n), n)):
-            node = network.nodes[o_id]
-            if node.language == self.source_language:
-                self.diagnostics.input_node = node.id
-                self.diagnostics.input_symbol = node.symbol
+            if network.language_of[o_id] == self.source_language:
+                self.diagnostics.input_node = o_id
+                self.diagnostics.input_symbol = network.symbol_of[o_id]
                 if self.watch is not None:
                     self.watch = self.watch[1:]
                 return
             self.rejected.add(o_id)
-            self.diagnostics.input_rejections.append(Rejection(
-                node.id, node.symbol, node.language, node.concept,
-                "language", state.cycle))
+            self.diagnostics.input_rejections.append(
+                _rejection(network, o_id, "language", state.cycle))
 
     # -- stage 2: accept an output candidate -------------------------------
 
@@ -204,23 +206,22 @@ class WordTranslationMonitor:
         if self.diagnostics.input_node is None or not self.waiting:
             return None  # the semantic check needs the input fixed and a candidate
         act = state.activation.item
-        input_concept = network.nodes[self.diagnostics.input_node].concept
+        concept_of = network.concept_of
+        input_concept = concept_of[self.diagnostics.input_node]
         ready = [n for n in self.waiting if act(n) >= self.params.criterion_value]
         ready.sort(key=lambda n: (-act(n), n))
         for p_id in ready:
-            node = network.nodes[p_id]
-            if node.language != self.target_language:
+            if network.language_of[p_id] != self.target_language:
                 reason = "language"
-            elif node.concept != input_concept:
+            elif concept_of[p_id] != input_concept:
                 reason = "concept"
             else:
-                return _outcome(self.task, self.params, state, "symbol", node.id,
-                                node.symbol, self.diagnostics)
+                return _outcome(self.task, self.params, state, "symbol", p_id,
+                                network.symbol_of[p_id], self.diagnostics)
             self.waiting.discard(p_id)
             self.rejected.add(p_id)
-            self.diagnostics.output_rejections.append(Rejection(
-                node.id, node.symbol, node.language, node.concept,
-                reason, state.cycle))
+            self.diagnostics.output_rejections.append(
+                _rejection(network, p_id, reason, state.cycle))
         return None
 
     def observe(self, state, network) -> TaskOutcome | None:

@@ -70,8 +70,10 @@ def random_case(rng):
 
 
 def members(network, pool):
-    """The ids of ``pool``'s nodes, in id order, from the node metadata."""
-    return [node.id for node in network.nodes if node.pool is pool]
+    """The ids of ``pool``'s nodes, in id order, from the node metadata: the
+    ``pool_of`` column, which test_nodes_read_as_the_entry_loop_built_them
+    checks against a Node list built entry by entry."""
+    return [n for n, node_pool in enumerate(network.pool_of) if node_pool is pool]
 
 
 @pytest.fixture(scope="session")

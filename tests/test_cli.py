@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -11,6 +12,7 @@ from lexsim import (Network, Parameters, build_network, load_lexicon, make_monit
                     synthetic_lexicon, table1_path)
 from lexsim.cli import main, manifest_hash
 
+ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 HOMOGRAPHS = str(FIXTURES / "table1_homographs.csv")
 
@@ -344,6 +346,19 @@ def test_dump_network_json(capsys):
     assert len(payload["nodes"]) == 53
     pools = {n["pool"] for n in payload["nodes"]}
     assert pools == {"input", "ortho", "phono", "sem", "lang"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("lexicon", ["fixtures/table1.csv", "tests/fixtures/table1_homographs.csv"])
+def test_dump_network_matches_its_golden(monkeypatch, capsys, lexicon, fmt):
+    # byte for byte, manifest line included; the manifest names the lexicon
+    # path as given, so the dump runs from the repository root, as in CI
+    monkeypatch.chdir(ROOT)
+    assert main(["dump-network", "--lexicon", lexicon, "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    golden = dict(line.split()[::-1] for line in
+                  (FIXTURES / "dump-network.sha256").read_text().splitlines())
+    assert digest == golden[f"{Path(lexicon).stem}.{fmt}"]
 
 
 def test_dump_network_csv_lists_nonzero_connections(capsys):

@@ -29,13 +29,16 @@ def test_parse_header_only():
     assert lex.max_opb == 0.0
 
 
-@pytest.mark.parametrize("first, message", [
-    ("AAP,1o,ap,1o,APE,1,ep,1", "row 1: non-numeric frequency '1o'"),
-    ("AAP,,ap,,APE,1,ep,1", "row 1: non-numeric frequency ''"),
-], ids=["typo", "empty"])
-def test_first_row_with_a_numeric_frequency_is_data(first, message):
+@pytest.mark.parametrize("first, error, message", [
+    ("AAP,1o,ap,1o,APE,1,ep,1", ParseError, "row 1: non-numeric frequency '1o'"),
+    ("AAP,,ap,,APE,1,ep,1", ParseError, "row 1: non-numeric frequency ''"),
+    ("AAP,1, ,1,APE,1,ep,1", ValidationError, "empty phono_a (row 1)"),
+    ("AAP,1,ap,1,earth ,1,3T,1", ValidationError,
+     "row 2: duplicate orthographic reading 'EARTH' in language EN (first seen at row 1)"),
+], ids=["typo", "empty", "blank_symbol", "duplicate_in_b"])
+def test_first_row_with_a_numeric_frequency_is_data(first, error, message):
     # a header names every column, so one number among row 1's frequencies makes it data
-    with pytest.raises(ParseError) as info:
+    with pytest.raises(error) as info:
         parse_lexicon(first + "\n" + AARDE_ROW)
     assert str(info.value) == message
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lexsim import (Lexicon, LexiconEntry, ParseOptions, Parameters, ValidationError,
+from lexsim import (Lexicon, LexiconEntry, Node, ParseOptions, Parameters, ValidationError,
                     active_node_stats, build_network, input_weight, levenshtein_similarity,
-                    parse_lexicon, word_translation)
+                    make_monitor, parse_lexicon, rest_activation, run, word_translation)
 from lexsim.network import INHIBITED_POOLS, InputWeights, Pool
 from lexsim.reference import scalar_input_weights
 
@@ -171,6 +171,99 @@ def _check_entry_layout(net):
         assert net.members[pool].nonzero()[0].tolist() == members(net, pool)
 
 
+def _entry_loop_nodes(lexicon, params):
+    """Every node as a Node, made entry by entry with one rest_activation
+    call per node: the list ``Network.nodes`` must read as."""
+    p = params
+    max_opb = p.MAX_OPB if p.MAX_OPB is not None else lexicon.max_opb
+    a, b = lexicon.language_a, lexicon.language_b
+    nodes = [Node(0, Pool.INPUT, "INPUT", None, p.I_rest),
+             Node(1, Pool.LANG, a, a, p.L_rest), Node(2, Pool.LANG, b, b, p.L_rest)]
+    for concept, e in enumerate(lexicon.entries):
+        n = 3 + 5 * concept
+        rest_a = rest_activation(e.freq_a, max_opb, p)
+        rest_b = rest_activation(e.freq_b, max_opb, p)
+        nodes += [Node(n, Pool.ORTHO, e.ortho_a, a, rest_a, concept),
+                  Node(n + 1, Pool.PHONO, e.phono_a, a, rest_a, concept),
+                  Node(n + 2, Pool.ORTHO, e.ortho_b, b, rest_b, concept),
+                  Node(n + 3, Pool.PHONO, e.phono_b, b, rest_b, concept),
+                  Node(n + 4, Pool.SEM, e.ortho_b, None, p.S_rest, concept)]
+    return nodes
+
+
+@st.composite
+def node_view_cases(draw):
+    """CSV text of up to six rows, with zero frequencies and language-B forms
+    drawn from the language-A ones (cross-language homographs), parse
+    options, and parameters with and without MAX_OPB."""
+    forms = draw(st.lists(st.text(alphabet="ABÉЖ", min_size=1, max_size=3), max_size=6))
+    freqs = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6))
+    rows = []
+    for form in forms:
+        other = draw(st.sampled_from(forms)) if draw(st.booleans()) else form + "Q"
+        f_a, f_b = draw(freqs), draw(freqs)
+        rows.append(f"{form},{f_a!r},{form.lower()},{f_a!r},{other},{f_b!r},{other},{f_b!r}")
+    options = ParseOptions(scale_l2_frequencies=draw(st.booleans()),
+                           allow_within_language_homographs=True)
+    params = Parameters().updated(MAX_REST=draw(st.sampled_from((0.0, 0.05))),
+                                  MAX_OPB=draw(st.sampled_from((None, 0.3, 0.64))))
+    return "\n".join(rows), options, params
+
+
+@settings(max_examples=100, deadline=None)
+@given(node_view_cases())
+@example(("", ParseOptions(), Parameters()))
+@example(("AARDE,0,ard@,0,EARTH,0.0,3T,0.0", ParseOptions(), Parameters()))
+@example(("ROOM,39.3,rom,39.3,CREAM,12.27,krim,12.27\n"
+          "KAMER,159.33,kam@r,159.33,ROOM,93.65,rum,93.65",
+          ParseOptions(scale_l2_frequencies=True), Parameters().updated(MAX_OPB=0.5)))
+def test_nodes_read_as_the_entry_loop_built_them(case):
+    text, options, params = case
+    lexicon = parse_lexicon(text, options)
+    net = build_network(lexicon, params)
+    expected = _entry_loop_nodes(lexicon, params)
+    assert len(net.nodes) == len(net) == len(expected)
+    assert list(net.nodes) == expected
+    columns = (net.pool_of, net.symbol_of, net.language_of, net.concept_of)
+    for n, node in enumerate(expected):
+        for got in (net.nodes[n], net.nodes[n - len(expected)], net.nodes[np.intp(n)]):
+            assert got == node and got.rest.hex() == node.rest.hex()
+        assert net.rest.item(n).hex() == node.rest.hex()
+        assert tuple(column[n] for column in columns) \
+            == (node.pool, node.symbol, node.language, node.concept)
+    for n in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            net.nodes[n]
+    with pytest.raises(TypeError):
+        net.nodes[0] = expected[0]
+    for column in columns:
+        assert len(column) == len(expected)
+        with pytest.raises(TypeError):
+            column[0] = column[0]
+
+
+def test_trials_make_no_node(homograph_network, params, monkeypatch):
+    # monitors and traces read the network's columns, never network.nodes
+    made, init = [], Node.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Node, "__init__", counting)
+    outcomes = []
+    for task, source, target in (("WT", "NL", "EN"), ("LD", "NL", None), ("NAME", "NL", "NL")):
+        trace, outcome = run(homograph_network, "ROOM", make_monitor(task, source, target, params),
+                             params)
+        assert outcome.responded and trace.rows(top_k=4)
+        outcomes.append(outcome)
+    # ROOM NL->EN fills a Rejection for its input and for three outputs
+    diagnostics = outcomes[0].diagnostics
+    assert len(diagnostics.input_rejections) == 1 and len(diagnostics.output_rejections) == 3
+    active_node_stats(homograph_network, ["ROOM", "AARDE"], [0.0, -0.1])
+    assert made == []
+
+
 def test_built_network_is_frozen(table1_network):
     for name, value in (("rest", np.zeros(len(table1_network))), ("nodes", []), ("extra", 1)):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -238,7 +331,7 @@ def test_input_weights_match_scalar_loop(case):
     pairs, stimulus, gain = case
     net = build_network(_lexicon(pairs), Parameters().updated(IO_multiplier=gain))
     fast = net.input_weights(stimulus)
-    slow = scalar_input_weights(net, stimulus)
+    slow = scalar_input_weights(net.nodes, stimulus, net.params)
     # same keys in the same order, same doubles bit for bit
     assert [(k, w.hex()) for k, w in fast.items()] == [(k, w.hex()) for k, w in slow.items()]
     assert isinstance(fast, InputWeights) and type(slow) is dict
