@@ -1,11 +1,11 @@
 """Bilingual lexicon parsing, validation, and frequency-to-rest mapping.
 
-The lexicon file is comma-separated with eight columns per row:
+The lexicon file is comma-separated; each row of eight columns,
 orthography/frequency/phonology/frequency for language A, then the same four
-for language B. Frequencies are occurrences per million. Phonological
-readings carry the same frequency as their orthographic sibling; rows where
-the two columns disagree are rejected, because both nodes of a reading rest
-at the level of that one frequency.
+for language B, becomes one ``LexiconEntry`` (a NamedTuple). Frequencies are
+occurrences per million, and each distinct one's ``opb`` is taken once. A
+phonological reading carries its orthographic sibling's frequency; rows where
+they disagree are rejected, as both nodes of a reading rest at that one level.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ import csv
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import IO
+from typing import IO, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .params import Parameters
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     """One translation pair; symbols are never empty, frequencies >= 0."""
 
     ortho_a: str
@@ -54,15 +53,18 @@ class ParseOptions:
 
 @dataclass
 class Lexicon:
+    """``opb_of`` maps each distinct frequency to its opb, taken once in first-seen order (the
+    first bad one raises) and left out of repr and equality; ``max_opb`` is the largest."""
     entries: list[LexiconEntry]
     language_a: str = "NL"
     language_b: str = "EN"
     max_opb: float = field(init=False, default=0.0)
+    opb_of: dict[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # opb once per distinct frequency, in first-seen order: the first bad one raises
         freqs = dict.fromkeys(f for e in self.entries for f in (e.freq_a, e.freq_b))
-        self.max_opb = max(map(opb, freqs), default=0.0)
+        self.opb_of = {f: opb(f) for f in freqs}
+        self.max_opb = max(self.opb_of.values(), default=0.0)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -89,7 +91,11 @@ def rest_activation(freq: float, max_opb: float, params: Parameters) -> float:
     normalisation maximum. ``max_opb`` is the lexicon-wide maximum, or the
     fixed compatibility constant when Parameters.MAX_OPB is set.
     """
-    o = opb(freq)
+    return rest_from_opb(opb(freq), max_opb, params)
+
+
+def rest_from_opb(o: float, max_opb: float, params: Parameters) -> float:
+    """``rest_activation`` of a frequency whose ``opb`` is ``o``."""
     if o == 0.0:
         return params.MIN_REST
     if max_opb <= 0:
@@ -118,7 +124,8 @@ def parse_lexicon(source: str | IO[str],
     lines = (source if isinstance(source, str) else source.read()).splitlines()
 
     entries: list[LexiconEntry] = []
-    seen: dict[tuple[str, str], int] = {}
+    languages = (options.language_a, options.language_b)
+    seen = {language: {} for language in languages}  # symbol -> first row; equal tags share one
     for row, record in enumerate(csv.reader(lines), start=1):
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
@@ -136,22 +143,18 @@ def parse_lexicon(source: str | IO[str],
                 f"row {row}: phonological frequency must equal its orthographic sibling's")
         if options.scale_l2_frequencies:
             freq_b = freq_b / 4.0
-        entry = LexiconEntry(ortho_a=o_a.upper(), freq_a=freq_a, phono_a=p_a,
-                             ortho_b=o_b.upper(), freq_b=freq_b, phono_b=p_b)
+        entry = LexiconEntry(o_a.upper(), freq_a, p_a, o_b.upper(), freq_b, p_b)
         if not (o_a and p_a and o_b and p_b):
             entry.validate(row)  # names the empty symbol; the frequencies passed _parse_float
-        for language, symbol in ((options.language_a, entry.ortho_a),
-                                 (options.language_b, entry.ortho_b)):
-            key = (language, symbol)
-            if key in seen and not options.allow_within_language_homographs:
+        for language, symbol in zip(languages, (entry.ortho_a, entry.ortho_b)):
+            first = seen[language]
+            if symbol in first and not options.allow_within_language_homographs:
                 raise ValidationError(
                     f"row {row}: duplicate orthographic reading {symbol!r} "
-                    f"in language {language} (first seen at row {seen[key]})")
-            seen.setdefault(key, row)
+                    f"in language {language} (first seen at row {first[symbol]})")
+            first.setdefault(symbol, row)
         entries.append(entry)
-    return Lexicon(entries=entries,
-                   language_a=options.language_a,
-                   language_b=options.language_b)
+    return Lexicon(entries, *languages)
 
 
 def _is_number(raw: str) -> bool:

@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .lexicon import Lexicon, LexiconEntry, rest_activation
+from .lexicon import Lexicon, LexiconEntry, rest_from_opb
 from .params import Parameters
 
 
@@ -121,8 +121,7 @@ class Nodes(Sequence):
                 Node(n + 4, Pool.SEM, entry.ortho_b, None, self._params.S_rest, concept))
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(NamedTuple):
     from_id: int
     to_id: int
     weight: float
@@ -230,8 +229,8 @@ class Network:
         reference engine builds them from the node metadata."""
         from .reference import excitatory_in  # reference imports this module
         exc_in = excitatory_in(self.nodes, self.params)
-        return [Connection(*edge) for edge in sorted(
-            (src, dst, w) for dst, sources in enumerate(exc_in) for src, w in sources)]
+        return list(map(Connection._make, sorted(
+            (src, dst, w) for dst, sources in enumerate(exc_in) for src, w in sources)))
 
     def input_weights(self, stimulus: str) -> InputWeights:
         """Nonzero stimulus weights over orthographic nodes (symbol uppercased),
@@ -302,11 +301,9 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
     entries = tuple(lexicon.entries)
     n_entries, first_entry = len(entries), _FIRST_ENTRY
     n_nodes = first_entry + 5 * n_entries
-    freq_a = [entry.freq_a for entry in entries]
-    freq_b = [entry.freq_b for entry in entries]
-    # one rest_activation call per distinct frequency; Nodes reads the same table
-    rest_of = {f: rest_activation(f, max_opb, p) for f in {*freq_a, *freq_b}}
-    rest_a, rest_b = [rest_of[f] for f in freq_a], [rest_of[f] for f in freq_b]
+    # one rest level per distinct frequency, from the lexicon's opb; Nodes reads the same table
+    rest_of = {f: rest_from_opb(o, max_opb, p) for f, o in lexicon.opb_of.items()}
+    rest_a, rest_b = [rest_of[e.freq_a] for e in entries], [rest_of[e.freq_b] for e in entries]
     rest = np.fromiter(chain((p.I_rest, p.L_rest, p.L_rest), chain.from_iterable(
         zip(rest_a, rest_a, rest_b, rest_b, repeat(p.S_rest)))), np.float64, n_nodes)
     pool_of = (Pool.INPUT, Pool.LANG, Pool.LANG) + _ENTRY_POOLS * n_entries

@@ -21,6 +21,15 @@ def test_parse_single_row():
     assert e.phono_a == "ard@"
     assert e.ortho_b == "EARTH" and e.freq_b == 24.87
     assert e.phono_b == "3T"
+    # an immutable, hashable record, however it is built, with the dataclass-style repr
+    with pytest.raises(AttributeError):
+        e.ortho_a = "AAP"
+    by_keyword = LexiconEntry(ortho_a="AARDE", freq_a=100.07, phono_a="ard@",
+                              ortho_b="EARTH", freq_b=24.87, phono_b="3T")
+    by_position = LexiconEntry("AARDE", 100.07, "ard@", "EARTH", 24.87, "3T")
+    assert e == by_keyword == by_position and hash(e) == hash(by_keyword) == hash(by_position)
+    assert repr(e) == ("LexiconEntry(ortho_a='AARDE', freq_a=100.07, phono_a='ard@', "
+                       "ortho_b='EARTH', freq_b=24.87, phono_b='3T')")
 
 
 def test_parse_header_only():
@@ -40,6 +49,47 @@ def test_first_row_with_a_numeric_frequency_is_data(first, error, message):
     # a header names every column, so one number among row 1's frequencies makes it data
     with pytest.raises(error) as info:
         parse_lexicon(first + "\n" + AARDE_ROW)
+    assert str(info.value) == message
+
+
+HEADER = "ortho_a,freq_a,phono_a,freq_pa,ortho_b,freq_b,phono_b,freq_pb"
+
+
+@pytest.mark.parametrize("rows, options, error, message", [
+    # the earlier of two faulty rows is reported
+    (["AARDE,1,ard@,1,EARTH,1,3T,1", "AARDE,2,ard@,2,SOIL,2,sOIl,2", "BAD,1"], ParseOptions(),
+     ValidationError,
+     "row 3: duplicate orthographic reading 'AARDE' in language NL (first seen at row 2)"),
+    # within one row: the column count first
+    (["AARDE,-1,,x,EARTH,1,3T"], ParseOptions(), ParseError, "row 2: expected 8 columns, got 7"),
+    # then each frequency in column order
+    (["AAP,-1,ap,x,APE,1,ep,1"], ParseOptions(), ParseError,
+     "row 2: frequency must be finite and >= 0, got -1"),
+    (["AAP,1,ap,x,APE,-1,ep,1"], ParseOptions(), ParseError, "row 2: non-numeric frequency 'x'"),
+    (["AAP,1,ap,1,APE,inf,ep,y"], ParseOptions(), ParseError,
+     "row 2: frequency must be finite and >= 0, got inf"),
+    # then the sibling-frequency mismatch
+    (["AAP,1,,2,,1,ep,1"], ParseOptions(), ValidationError,
+     "row 2: phonological frequency must equal its orthographic sibling's"),
+    # then the empty symbol, before a duplicate
+    (["AARDE,1,ard@,1,EARTH,1,3T,1", "AARDE,1,ard@,1,SOIL,1,,1"], ParseOptions(),
+     ValidationError, "empty phono_b (row 3)"),
+    # then the duplicate in language A before the one in language B
+    (["AARDE,1,ard@,1,EARTH,1,3T,1", "AARDE,2,ard@,2,EARTH,2,3T,2"], ParseOptions(),
+     ValidationError,
+     "row 3: duplicate orthographic reading 'AARDE' in language NL (first seen at row 2)"),
+    # equal language tags share one duplicate check, across columns and within a row
+    (["X,1,x,1,Y,1,y,1", "Y,1,y,1,Z,1,z,1"], ParseOptions(language_a="NL", language_b="NL"),
+     ValidationError,
+     "row 3: duplicate orthographic reading 'Y' in language NL (first seen at row 2)"),
+    (["X,1,x,1,x,1,y,1"], ParseOptions(language_a="NL", language_b="NL"), ValidationError,
+     "row 2: duplicate orthographic reading 'X' in language NL (first seen at row 2)"),
+], ids=["earlier_row", "column_count", "negative_before_non_numeric", "freq_pa_before_freq_b",
+        "inf_before_non_numeric", "sibling_before_empty", "empty_before_duplicate",
+        "duplicate_a_before_b", "equal_tags_across_rows", "equal_tags_within_row"])
+def test_parse_reports_the_first_error_in_row_and_check_order(rows, options, error, message):
+    with pytest.raises(error) as info:
+        parse_lexicon("\n".join([HEADER, *rows]), options)
     assert str(info.value) == message
 
 
@@ -108,6 +158,10 @@ def test_table1_fixture_shape():
     lex = parse_lexicon(text)
     assert len(lex) == 10
     assert math.isclose(lex.max_opb, opb(191.95))
+    # one opb per distinct frequency, in first-seen order, kept out of the repr
+    freqs = dict.fromkeys(f for e in lex.entries for f in (e.freq_a, e.freq_b))
+    assert list(lex.opb_of.items()) == [(f, opb(f)) for f in freqs]
+    assert repr(lex).endswith(f"language_a='NL', language_b='EN', max_opb={lex.max_opb!r})")
     # phonological readings reuse the orthographic frequency by construction
     for line in text.splitlines()[1:]:
         cols = line.split(",")
