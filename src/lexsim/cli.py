@@ -161,8 +161,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     params, lexicon, records = _load_records(args, args.task, args.source, args.target)
-    lo, _sep, hi = args.domain.partition(":")
-    config = SearchConfig(lower=float(lo), upper=float(hi), n_points=args.n,
+    try:
+        lower, upper = map(float, args.domain.split(":"))
+    except ValueError:  # a bound that is not a number, or not two bounds
+        raise ConfigError(f"--domain must be two numbers as lo:hi, got {args.domain!r}") from None
+    config = SearchConfig(lower=lower, upper=upper, n_points=args.n,
                           epsilon=args.epsilon, tie_gammas=not args.untie_pp,
                           fixed_pp_gamma=args.pp_gamma)
     result = fit_inhibition(lexicon, records, config, params)
@@ -191,7 +194,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_stats(args) -> int:
     params, lexicon, records = _load_records(args, "LD", None, None)
-    gammas = [float(g) for g in args.gammas.split(",") if g.strip() != ""]
+    try:
+        gammas = [float(g) for g in args.gammas.split(",") if g.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"--gammas must be comma-separated numbers, got {args.gammas!r}") from None
     stats = active_node_stats(lexicon, [r.stimulus for r in records], gammas, params)
     manifest = build_manifest("stats", params, args.lexicon, {
         "stimuli_sha256": _file_sha256(args.stimuli), "gammas": gammas,

@@ -3,11 +3,11 @@ implies the excitatory links, and stimulus-dependent input weighting.
 
 ``build_network`` computes every table first and makes the ``Network``
 with one constructor call; the record is frozen, its arrays are read-only
-and its per-node columns are tuples. No ``Node`` is stored: ``nodes`` makes
-each one on access from the lexicon entries and the id layout. Anything
-that depends on the stimulus (input weights, activations) lives in the
-per-simulation state so that many simulations can share one network
-concurrently.
+and its per-node columns are tuples. The columns are the one per-node
+record: no ``Node`` is stored, and ``nodes`` makes each one on access from
+the columns. Anything that depends on the stimulus (input weights,
+activations) lives in the per-simulation state so that many simulations
+can share one network concurrently.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .lexicon import Lexicon, LexiconEntry, rest_from_opb
+from .lexicon import Lexicon, rest_from_opb
 from .params import Parameters
 
 
@@ -75,50 +75,29 @@ class Node:
 
 
 class Nodes(Sequence):
-    """``Network.nodes``: a read-only Sequence of Node over the lexicon
-    entries and the id layout. Indexing and iteration make each Node on
-    access, with ``rest`` looked up per frequency in ``rest_of``; none is
-    stored. Readers that need one field of many nodes read the network's
-    columns instead."""
+    """``Network.nodes``: a read-only Sequence of Node over the network's
+    per-node columns (``pool_of``, ``symbol_of``, ``language_of``, ``rest``,
+    ``concept_of``). Indexing and iteration make each Node on access; none
+    is stored. Readers that need one field of many nodes read the columns."""
 
-    def __init__(self, entries: tuple[LexiconEntry, ...], languages: tuple[str, str],
-                 rest_of: dict[float, float], params: Parameters):
-        self._entries, self._languages = entries, languages
-        self._rest_of, self._params = rest_of, params
+    def __init__(self, network: Network):
+        self._network = network
 
     def __len__(self) -> int:
-        return _FIRST_ENTRY + 5 * len(self._entries)
+        return len(self._network)
 
     def __getitem__(self, n: int) -> Node:
-        n = operator.index(n)
-        if not -len(self) <= n < len(self):
+        net, n = self._network, operator.index(n)
+        if not -len(net) <= n < len(net):
             raise IndexError("node index out of range")
-        n %= len(self)
-        if n < _FIRST_ENTRY:
-            return self._fixed()[n]
-        concept, k = divmod(n - _FIRST_ENTRY, 5)
-        return self._entry(concept)[k]
+        n %= len(net)
+        return Node(n, net.pool_of[n], net.symbol_of[n], net.language_of[n], net.rest.item(n),
+                    net.concept_of[n])
 
     def __iter__(self):
-        entries = map(self._entry, range(len(self._entries)))
-        return chain(self._fixed(), chain.from_iterable(entries))
-
-    def _fixed(self) -> tuple[Node, Node, Node]:
-        p, (language_a, language_b) = self._params, self._languages
-        return (Node(0, Pool.INPUT, "INPUT", None, p.I_rest),
-                Node(1, Pool.LANG, language_a, language_a, p.L_rest),
-                Node(2, Pool.LANG, language_b, language_b, p.L_rest))
-
-    def _entry(self, concept: int) -> tuple[Node, ...]:
-        """Entry ``concept``'s five nodes, ids first_entry + 5*concept + k."""
-        entry, (language_a, language_b) = self._entries[concept], self._languages
-        n = _FIRST_ENTRY + 5 * concept
-        rest_a, rest_b = self._rest_of[entry.freq_a], self._rest_of[entry.freq_b]
-        return (Node(n, Pool.ORTHO, entry.ortho_a, language_a, rest_a, concept),
-                Node(n + 1, Pool.PHONO, entry.phono_a, language_a, rest_a, concept),
-                Node(n + 2, Pool.ORTHO, entry.ortho_b, language_b, rest_b, concept),
-                Node(n + 3, Pool.PHONO, entry.phono_b, language_b, rest_b, concept),
-                Node(n + 4, Pool.SEM, entry.ortho_b, None, self._params.S_rest, concept))
+        net = self._network
+        return map(Node, range(len(net)), net.pool_of, net.symbol_of, net.language_of,
+                   net.rest.tolist(), net.concept_of)
 
 
 class Connection(NamedTuple):
@@ -174,29 +153,28 @@ class Network:
     """Built lexical network, frozen: ``build_network`` makes it in one call,
     with every table in the form its readers use and none computed later.
 
-    ``nodes`` are the input node, the two language nodes in ``languages``
+    The nodes are the input node, the two language nodes in ``languages``
     order, then five nodes per entry in the layout [O_a, P_a, O_b, P_b, S]:
-    node k of entry e has id first_entry + 5*e + k; each Node is made on
-    access (``Nodes``). ``pool_of``, ``symbol_of``, ``language_of`` and
-    ``concept_of`` are those fields of every node as tuples by id, for the
-    readers of many nodes (monitors, traces, ``find``). The excitatory links
-    with a nonzero alpha are implied by that layout: ``layout`` holds each
-    node's place and, per place, the target id offsets and alphas of its
-    links to the rest of its entry; ``to_language`` the (place, language
+    node k of entry e has id first_entry + 5*e + k. The one per-node record
+    is the columns by id: the tuples ``pool_of``, ``symbol_of``,
+    ``language_of`` and ``concept_of`` and the array ``rest`` (rest levels),
+    which the monitors, traces, ``find`` and the reference engine read;
+    ``nodes`` makes a Node from them on access (``Nodes``). The excitatory
+    links with a nonzero alpha are implied by that layout: ``layout`` holds
+    each node's place and, per place, the target id offsets and alphas of
+    its links to the rest of its entry; ``to_language`` the (place, language
     node id, alpha) links to a language node and ``from_language`` the
     (language node id, place, alpha) links from one. ``pools`` holds each
     node's index in INHIBITED_POOLS, 3 for the nodes in no pool (input and
     language), from node metadata alone; ``members[pool]`` is that pool's
-    member mask, ``pools == k``; ``rest`` is every node's rest level. For
-    input weighting: the orthographic node ids, their symbol lengths, and
-    their code points in C order and the narrowest unsigned type, one row
-    per letter position (column k is the k-th ortho node, 0 past its
-    length). Every array is read-only.
+    member mask, ``pools == k``. For input weighting: the orthographic node
+    ids, their symbol lengths, and their code points in C order and the
+    narrowest unsigned type, one row per letter position (column k is the
+    k-th ortho node, 0 past its length). Every array is read-only.
     """
 
     params: Parameters
     languages: tuple[str, str]
-    nodes: Nodes
     pool_of: tuple[Pool, ...]
     symbol_of: tuple[str, ...]
     language_of: tuple[str | None, ...]
@@ -215,6 +193,8 @@ class Network:
     def __len__(self) -> int:
         return len(self.rest)
 
+    nodes = property(Nodes)  # not a field: a view made on each access
+
     def find(self, pool: Pool, symbol: str, language: str | None = None) -> Node:
         matches = [n for n, fields in enumerate(zip(self.pool_of, self.symbol_of, self.language_of))
                    if fields == (pool, symbol, language)]
@@ -226,9 +206,9 @@ class Network:
 
     def connections(self) -> list[Connection]:
         """Nonzero excitatory connections by source and target id, as the
-        reference engine builds them from the node metadata."""
+        reference engine builds them from the node columns."""
         from .reference import excitatory_in  # reference imports this module
-        exc_in = excitatory_in(self.nodes, self.params)
+        exc_in = excitatory_in(self)
         return list(map(Connection._make, sorted(
             (src, dst, w) for dst, sources in enumerate(exc_in) for src, w in sources)))
 
@@ -301,7 +281,7 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
     entries = tuple(lexicon.entries)
     n_entries, first_entry = len(entries), _FIRST_ENTRY
     n_nodes = first_entry + 5 * n_entries
-    # one rest level per distinct frequency, from the lexicon's opb; Nodes reads the same table
+    # one rest level per distinct frequency, from the lexicon's opb
     rest_of = {f: rest_from_opb(o, max_opb, p) for f, o in lexicon.opb_of.items()}
     rest_a, rest_b = [rest_of[e.freq_a] for e in entries], [rest_of[e.freq_b] for e in entries]
     rest = np.fromiter(chain((p.I_rest, p.L_rest, p.L_rest), chain.from_iterable(
@@ -344,7 +324,7 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
     for array in (*layout, pools, *members.values(), rest, ortho_ids, ortho_lengths, ortho_codes):
         array.flags.writeable = False
     return Network(
-        params=params, languages=languages, nodes=Nodes(entries, languages, rest_of, params),
+        params=params, languages=languages,
         pool_of=pool_of, symbol_of=symbol_of, language_of=language_of, concept_of=concept_of,
         first_entry=first_entry, layout=layout,
         # places 0 and 1 belong to language a (node 1), 2 and 3 to language b (node 2)

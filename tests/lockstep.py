@@ -33,8 +33,7 @@ def lockstep_mismatches(network, params, stimulus: str, cycles: int, on_cycle=No
     sees the activations each cycle steps from."""
     fast = SimulationState(network, trace=None, input_weights=network.input_weights(stimulus))
     dense = SimulationState(network, trace=None,
-                            input_weights=scalar_input_weights(network.nodes, stimulus,
-                                                                         network.params))
+                            input_weights=scalar_input_weights(network, stimulus))
     oracle = DenseEngine(network)
     mismatches = []
     for cycle in range(1, cycles + 1):

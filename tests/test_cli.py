@@ -247,7 +247,11 @@ def test_fit_rejects_pp_gamma_without_untie(stim_ld, tmp_path, capsys):
     ("--epsilon=nan", "epsilon must be finite and > 0, got nan"),
     ("--epsilon=inf", "epsilon must be finite and > 0, got inf"),
     ("--domain=-inf:0", "search domain bounds must be finite, got -inf:0.0"),
-], ids=["nan_epsilon", "infinite_epsilon", "infinite_bound"])
+    ("--domain=-1", "--domain must be two numbers as lo:hi, got '-1'"),
+    ("--domain=-1:0:1", "--domain must be two numbers as lo:hi, got '-1:0:1'"),
+    ("--domain=a:b", "--domain must be two numbers as lo:hi, got 'a:b'"),
+], ids=["nan_epsilon", "infinite_epsilon", "infinite_bound", "one_bound", "three_bounds",
+        "bounds_not_numbers"])
 def test_fit_rejects_a_search_it_cannot_honour(stim_ld, tmp_path, capsys, flag, message):
     log = tmp_path / "fit.csv"
     code = main(["fit", "--lexicon", HOMOGRAPHS, "--stimuli", stim_ld, "--n", "5", flag,
@@ -329,6 +333,16 @@ def test_stats_subcommand(stim_ld, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "gamma,cycle,ortho,phono,sem,overall"
     assert len(lines) == 2 + 2 * 40
+
+
+def test_stats_rejects_a_gamma_that_is_not_a_number(stim_ld, tmp_path, capsys):
+    out = tmp_path / "stats.csv"
+    code = main(["stats", "--lexicon", str(table1_path()), "--stimuli", stim_ld,
+                 "--gammas", "0, -0.1,x", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err \
+        == "lexsim: error: --gammas must be comma-separated numbers, got '0, -0.1,x'\n"
+    assert not out.exists()
 
 
 def test_bench_subcommand(stim_ld, capsys):

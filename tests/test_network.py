@@ -9,7 +9,7 @@ from lexsim import (Lexicon, LexiconEntry, Node, ParseOptions, Parameters, Valid
                     active_node_stats, build_network, input_weight, levenshtein_similarity,
                     make_monitor, parse_lexicon, rest_activation, run, word_translation)
 from lexsim.network import INHIBITED_POOLS, InputWeights, Pool
-from lexsim.reference import scalar_input_weights
+from lexsim.reference import DenseEngine, scalar_input_weights
 
 from conftest import members
 
@@ -243,7 +243,8 @@ def test_nodes_read_as_the_entry_loop_built_them(case):
 
 
 def test_trials_make_no_node(homograph_network, params, monkeypatch):
-    # monitors and traces read the network's columns, never network.nodes
+    # monitors, traces, the oracle and connections() read the network's
+    # columns, never network.nodes
     made, init = [], Node.__init__
 
     def counting(self, *args):
@@ -261,6 +262,12 @@ def test_trials_make_no_node(homograph_network, params, monkeypatch):
     diagnostics = outcomes[0].diagnostics
     assert len(diagnostics.input_rejections) == 1 and len(diagnostics.output_rejections) == 3
     active_node_stats(homograph_network, ["ROOM", "AARDE"], [0.0, -0.1])
+    engine = DenseEngine(homograph_network)
+    _trace, dense = engine.run("ROOM", make_monitor("WT", "NL", "EN", params), params)
+    assert (dense.response_symbol, dense.cycles) == (outcomes[0].response_symbol,
+                                                     outcomes[0].cycles)
+    assert scalar_input_weights(homograph_network, "ROOM")
+    assert homograph_network.connections()
     assert made == []
 
 
@@ -331,7 +338,7 @@ def test_input_weights_match_scalar_loop(case):
     pairs, stimulus, gain = case
     net = build_network(_lexicon(pairs), Parameters().updated(IO_multiplier=gain))
     fast = net.input_weights(stimulus)
-    slow = scalar_input_weights(net.nodes, stimulus, net.params)
+    slow = scalar_input_weights(net, stimulus)
     # same keys in the same order, same doubles bit for bit
     assert [(k, w.hex()) for k, w in fast.items()] == [(k, w.hex()) for k, w in slow.items()]
     assert isinstance(fast, InputWeights) and type(slow) is dict

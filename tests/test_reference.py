@@ -17,9 +17,8 @@ from conftest import members, random_case
 from lockstep import lockstep_mismatches
 
 
-@pytest.mark.parametrize("weights", [
-    lambda net, stimulus: scalar_input_weights(net.nodes, stimulus, net.params),
-    Network.input_weights], ids=["scalar", "array"])
+@pytest.mark.parametrize("weights", [scalar_input_weights, Network.input_weights],
+                         ids=["scalar", "array"])
 def test_weightings_reject_an_empty_stimulus(table1_network, weights):
     with pytest.raises(ValueError) as info:
         weights(table1_network, "")
@@ -94,11 +93,10 @@ def test_oracle_reads_only_params_and_node_metadata(homograph_lexicon, change):
     with pytest.raises(AttributeError):
         bare.input_weights("ROOM")
 
-    assert excitatory_in(bare.nodes, params) == excitatory_in(intact.nodes, params)
+    assert excitatory_in(bare) == excitatory_in(intact)
     for stimulus, task, source, target in (("ROOM", "WT", "NL", "EN"), ("AARDE", "LD", "NL", None),
                                            ("AAP", "NAME", "NL", "NL")):
-        assert scalar_input_weights(bare.nodes, stimulus, params) \
-            == scalar_input_weights(intact.nodes, stimulus, params)
+        assert scalar_input_weights(bare, stimulus) == scalar_input_weights(intact, stimulus)
         frames = [DenseEngine(net).run(stimulus, make_monitor(task, source, target, params),
                                        params)[0].frames for net in (bare, intact)]
         assert _bits(frames[0]) == _bits(frames[1])
@@ -189,7 +187,7 @@ def test_touched_updates_match_a_brute_force_count(homograph_lexicon, change):
     # differently: the default pools, no orthographic step, a semantic step
     params = Parameters().updated(MAX_REST=0.05, **change)
     network = build_network(homograph_lexicon, params)
-    exc_in = excitatory_in(network.nodes, params)
+    exc_in = excitatory_in(network)
     trials = (("ROOM", "WT", "NL", "EN"), ("AARDE", "LD", "NL", None), ("AAP", "NAME", "NL", "NL"))
     counts, states = [], set()
 
@@ -282,7 +280,7 @@ def test_engines_raise_alike_when_a_one_product_sum_overflows(table1):
     params = Parameters().updated(IO_multiplier=1.7e308, PO_alpha=1.7e308, SO_alpha=0.0)
     network = build_network(table1, params)
     ortho = network.find(Pool.ORTHO, "AARDE", "NL").id
-    assert [src for src, _w in excitatory_in(network.nodes, params)[ortho]] \
+    assert [src for src, _w in excitatory_in(network)[ortho]] \
         == [network.find(Pool.PHONO, "ard@", "NL").id]
     raised = []
     for step_fn in (step, DenseEngine(network).step):
@@ -294,7 +292,7 @@ def test_engines_raise_alike_when_a_one_product_sum_overflows(table1):
 
         with pytest.raises(OverflowError) as info:
             run(network, "AARDE", NullMonitor(), params, trace=None, step_fn=counting,
-                input_weights=scalar_input_weights(network.nodes, "AARDE", params))
+                input_weights=scalar_input_weights(network, "AARDE"))
         raised.append((str(info.value), cycles[-1]))
     assert raised[0] == raised[1]
 
