@@ -77,14 +77,11 @@ def _write_csv(rows, manifest: dict, out_path: str | None) -> None:
 
 def _resolve_params(args) -> Parameters:
     params = Parameters()
-    if getattr(args, "params", None):
+    if args.params:
         with open(args.params, encoding="utf-8") as handle:
-            params = load_parameters(handle, params)
-    for assignment in getattr(args, "set", None) or []:
-        name, value = parse_assignment(assignment)
-        params = replace(params, **{name: value})
-    params.validate()
-    return params
+            params = load_parameters(handle)
+    # all --set flags in one replace (a repeated name: the last wins): only the result is checked
+    return replace(params, **dict(map(parse_assignment, args.set or [])))
 
 
 def _load_lexicon(args):

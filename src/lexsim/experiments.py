@@ -200,8 +200,8 @@ def active_node_stats(lexicon: Lexicon | Network, stimuli: Sequence[str],
     """
     network = lexicon if isinstance(lexicon, Network) else build_network(lexicon, params or Parameters())
     base = params or network.params
-    if any(gamma > 0 for gamma in gammas):
-        raise ConfigError("inhibition sweep values must be <= 0")
+    if not gammas:
+        raise ConfigError("an inhibition sweep needs at least one value")
     settings = [base.updated(OO_gamma=gamma, PP_gamma=gamma) for gamma in gammas]
     names = [pool.value for pool in INHIBITED_POOLS]
     sums = [[dict.fromkeys(names, 0.0) for _ in range(p.max_cycles)] for p in settings]

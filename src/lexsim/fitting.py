@@ -25,15 +25,17 @@ WORST_FITNESS = float("-inf")
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient.
 
-    Raises ValueError for mismatched lengths, fewer than two points, or a
-    constant sequence (the correlation is undefined; callers drop such
-    cells rather than treating them as zero).
+    Raises ValueError for mismatched lengths, fewer than two points, a value
+    that is not finite, or a constant sequence (the correlation is undefined;
+    callers drop such cells rather than treating them as zero).
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)
     if n < 2:
         raise ValueError("need at least two points")
+    if not all(map(math.isfinite, [*xs, *ys])):
+        raise ValueError("correlation undefined for a value that is not finite")
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     dx = [x - mean_x for x in xs]
@@ -56,6 +58,9 @@ class SearchConfig:
     tie_gammas: bool = True
     fixed_pp_gamma: float = 0.0
     max_iterations: int = 60
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
@@ -101,7 +106,6 @@ def grid_search(objective: Callable[[float], float], config: SearchConfig) -> Fi
 
 def _search(evaluate: Callable[[list[float]], list[float]], config: SearchConfig) -> FitResult:
     """grid_search with each iteration's points scored together by ``evaluate``."""
-    config.validate()
     lo, hi = config.lower, config.upper
     best_value: float | None = None
     best_fitness = WORST_FITNESS
@@ -146,6 +150,9 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
     rated = [r for r in records if r.rt_ms is not None]
     if not rated:
         raise ConfigError("fit requires stimulus records with reaction times")
+    for r in rated:
+        if not (math.isfinite(r.rt_ms) and r.rt_ms > 0):
+            raise ConfigError(f"rt_ms of {r.stimulus!r} must be finite and > 0, got {r.rt_ms!r}")
     # every grid point runs the same stimuli: weight each one once per fit
     weights = {stimulus: network.input_weights(stimulus)
                for stimulus in dict.fromkeys(r.stimulus for r in rated)}

@@ -272,7 +272,6 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
     Same-pool inhibitory connections are never materialised here; the cycle
     engine applies them from the active nodes.
     """
-    params.validate()
     language_a, language_b = languages = (lexicon.language_a, lexicon.language_b)
     if language_a == language_b:
         raise ValidationError(f"the two languages must differ, both are {language_a!r}")

@@ -78,12 +78,16 @@ class Parameters:
             value = getattr(self, f.name)
             if isinstance(value, float):
                 object.__setattr__(self, f.name, value + 0.0)
+        # every Parameters is in range, however it was made (replace included)
+        self.validate()
 
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if type(self.max_cycles) is not int:
+            raise ConfigError(f"max_cycles must be an int, got {self.max_cycles!r}")
         if self.max_cycles < 1:
             raise ConfigError("max_cycles must be >= 1")
         if not (self.MIN_ACT <= self.MIN_REST <= self.MAX_REST <= self.MAX_ACT):
@@ -122,9 +126,7 @@ class Parameters:
             raise ConfigError("MAX_OPB must be positive when given")
 
     def updated(self, **changes) -> "Parameters":
-        p = replace(self, **changes)
-        p.validate()
-        return p
+        return replace(self, **changes)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -135,12 +137,11 @@ GAMMA_NAMES = ("OO_gamma", "PP_gamma", "SS_gamma")
 THRESHOLD_NAMES = ("criterion_value", "shortlist_input_threshold", "shortlist_output_threshold")
 # accepted so stock parameter files load, but no connection uses them
 UNREAD_GAMMA_NAMES = ("LL_gamma", "LO_gamma", "LP_gamma", "OL_gamma", "PL_gamma")
-# the fields a trial may change (dynamics.run); build_network fixes the rest
+# the fields in which a trial's Parameters may differ from its network's (dynamics.run)
 TRIAL_NAMES = (GAMMA_NAMES + ("SS_multiplier", "DECAY_RATE") + THRESHOLD_NAMES
                + ("timestep_multiplier", "timestep_adder", "max_cycles"))
 
-_FIELD_TYPES = {f.name: f.type for f in fields(Parameters)}
-PARAMETER_NAMES = tuple(_FIELD_TYPES)
+PARAMETER_NAMES = tuple(f.name for f in fields(Parameters))
 
 
 def _convert(name: str, raw: str):
@@ -159,23 +160,20 @@ def parse_assignment(text: str) -> tuple[str, float | int]:
         raise ConfigError(f"expected NAME=VALUE, got {text!r}")
     name, raw = text.split("=", 1)
     name = name.strip()
-    if name not in _FIELD_TYPES:
+    if name not in PARAMETER_NAMES:
         known = ", ".join(sorted(PARAMETER_NAMES))
         raise ConfigError(f"unknown parameter {name!r}; valid names: {known}")
     return name, _convert(name, raw)
 
 
-def load_parameters(source: str | IO[str], base: Parameters | None = None) -> Parameters:
-    """Read a parameter file, overriding ``base`` (defaults if omitted).
+def load_parameters(source: str | IO[str]) -> Parameters:
+    """Read a parameter file; a name it does not set keeps its default.
 
     Blank lines and lines starting with ``#`` are skipped.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source.read().splitlines()
+    text = source if isinstance(source, str) else source.read()
     changes = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -184,7 +182,5 @@ def load_parameters(source: str | IO[str], base: Parameters | None = None) -> Pa
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
         changes[name] = value
-    params = replace(base or Parameters(), **changes)
-    params.validate()
-    return params
+    return Parameters(**changes)
 

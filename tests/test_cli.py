@@ -102,6 +102,20 @@ def test_parameter_file_overridden_by_set(stim_wt, tmp_path, capsys):
     assert "AARDBEI,WT,NL,EN,symbol,str$b@rI,32" in restored
 
 
+@pytest.mark.parametrize("sets", [["MIN_REST=-0.5", "MIN_ACT=-0.6"],
+                                  ["MIN_ACT=-0.6", "MIN_REST=-0.5"]],
+                         ids=["rest_first", "act_first"])
+def test_set_flags_apply_together(stim_wt, tmp_path, sets):
+    # MIN_REST=-0.5 alone is below the default MIN_ACT; with MIN_ACT=-0.6 it is in range,
+    # whichever flag comes first
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--lexicon", str(table1_path()), "--stimuli", stim_wt,
+                 "--set", sets[0], "--set", sets[1], "--out", str(out)])
+    assert code == 0
+    parameters = json.loads(Path(f"{out}.manifest.json").read_text())["parameters"]
+    assert (parameters["MIN_REST"], parameters["MIN_ACT"]) == (-0.5, -0.6)
+
+
 @pytest.mark.parametrize("assignment", ["DECAY_RATE=nan", "criterion_value=nan",
                                         "IO_multiplier=inf", "timestep_multiplier=nan",
                                         "LO_gamma=-0.5", "OP_alpha=-0.03",
@@ -342,6 +356,20 @@ def test_stats_rejects_a_gamma_that_is_not_a_number(stim_ld, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err \
         == "lexsim: error: --gammas must be comma-separated numbers, got '0, -0.1,x'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gammas, message", [
+    ("", "an inhibition sweep needs at least one value"),
+    (",", "an inhibition sweep needs at least one value"),
+    ("0,0.1", "OO_gamma must be <= 0"),
+], ids=["empty", "comma", "positive"])
+def test_stats_rejects_a_sweep_it_cannot_run(stim_ld, tmp_path, capsys, gammas, message):
+    out = tmp_path / "stats.csv"
+    code = main(["stats", "--lexicon", str(table1_path()), "--stimuli", stim_ld,
+                 "--gammas", gammas, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"lexsim: error: {message}\n"
     assert not out.exists()
 
 

@@ -56,6 +56,14 @@ def test_pearson_affine_invariance(xs, slope, offset):
     assert shifted == pytest.approx(base, abs=1e-9)
 
 
+@pytest.mark.parametrize("xs, ys", [([1.0, 2.0, math.nan], [1.0, 2.0, 3.0]),
+                                    ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0])],
+                         ids=["nan", "infinite"])
+def test_pearson_rejects_a_value_that_is_not_finite(xs, ys):
+    with pytest.raises(ValueError, match="not finite"):
+        pearson(xs, ys)
+
+
 # -- grid search ------------------------------------------------------------------
 
 def test_grid_search_quadratic_converges():
@@ -126,6 +134,11 @@ def test_grid_search_validates_config():
         grid_search(lambda x: x, SearchConfig(fixed_pp_gamma=-0.01))
 
 
+def test_search_config_cannot_be_made_out_of_range():
+    with pytest.raises(ConfigError, match="search domain requires lower < upper"):
+        SearchConfig(lower=0.0, upper=-1.0)
+
+
 # -- fit_inhibition ------------------------------------------------------------
 
 def _records(lexicon, task="LD", target=None, rts=None):
@@ -140,6 +153,20 @@ def _records(lexicon, task="LD", target=None, rts=None):
 def test_fit_requires_reaction_times(table1):
     with pytest.raises(ConfigError, match="reaction times"):
         fit_inhibition(table1, _records(table1))
+
+
+@pytest.mark.parametrize("bad_rt", [math.nan, math.inf, 0.0, -1.0])
+def test_fit_rejects_a_reaction_time_that_is_not_finite_and_positive(homograph_lexicon, params,
+                                                                      bad_rt):
+    # a NaN RT once scored 1.0 at every grid point
+    rts = [600.0 + 10.0 * i for i in range(len(homograph_lexicon))]
+    rts[3] = bad_rt
+    records = _records(homograph_lexicon, task="WT", target="EN", rts=rts)
+    config = SearchConfig(lower=-0.01, upper=0.0, n_points=4)
+    with pytest.raises(ConfigError) as info:
+        fit_inhibition(homograph_lexicon, records, config, params)
+    assert str(info.value) \
+        == f"rt_ms of {records[3].stimulus!r} must be finite and > 0, got {bad_rt!r}"
 
 
 def test_fit_self_consistency(homograph_lexicon, params):

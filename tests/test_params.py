@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -29,6 +30,22 @@ def test_validate_rejects_positive_gamma():
 def test_validate_rejects_zero_cycles():
     with pytest.raises(ConfigError, match="max_cycles"):
         Parameters().updated(max_cycles=0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Parameters(OO_gamma=0.3), "OO_gamma must be <= 0"),
+    (lambda: dataclasses.replace(Parameters(), DECAY_RATE=math.inf),
+     "DECAY_RATE must be finite, got inf"),
+    (lambda: Parameters(OO_gamma=-math.inf), "OO_gamma must be finite, got -inf"),
+    (lambda: Parameters(max_cycles=2.5), "max_cycles must be an int, got 2.5"),
+    (lambda: Parameters(max_cycles=0), "max_cycles must be >= 1"),
+], ids=["positive_gamma", "replace_infinite_decay", "minus_infinite_gamma",
+        "fractional_max_cycles", "zero_max_cycles"])
+def test_out_of_range_parameters_cannot_be_made(make, message):
+    # the check runs on construction, so no library path ever sees such a record
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", [n for n in PARAMETER_NAMES if n != "max_cycles"])
