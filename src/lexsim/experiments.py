@@ -8,7 +8,7 @@ import functools
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import IO, Sequence
 
 from .dynamics import check_trial_params, run as run_trial, run_rows
@@ -33,6 +33,10 @@ class StimulusRecord:
     task: str = "LD"
     condition: str | None = None
     rt_ms: float | None = None
+    row: InitVar[int | None] = None  # the input row it was read from, named in its errors
+
+    def __post_init__(self, row):
+        self.validate(row)  # every record is valid, however it was made (replace included)
 
     def validate(self, row: int | None = None) -> None:
         where = f" (row {row})" if row is not None else ""
@@ -73,16 +77,15 @@ def parse_stimuli(source: str | IO[str],
             rt = float(rt_raw) if rt_raw else None
         except ValueError:
             raise ParseError(f"row {row_no}: non-numeric rt_ms {rt_raw!r}") from None
-        record = StimulusRecord(
+        records.append(StimulusRecord(
             stimulus=get("stimulus"),
             source_lang=get("source_lang") or (default_source or ""),
             target_lang=get("target_lang") or default_target,
             task=get("task") or (default_task or "LD"),
             condition=get("condition") or None,
             rt_ms=rt,
-        )
-        record.validate(row_no)
-        records.append(record)
+            row=row_no,
+        ))
     return records
 
 
@@ -202,15 +205,16 @@ def active_node_stats(lexicon: Lexicon | Network, stimuli: Sequence[str],
     base = params or network.params
     if not gammas:
         raise ConfigError("an inhibition sweep needs at least one value")
+    if not stimuli:
+        raise ConfigError("active-node statistics need at least one stimulus")
     settings = [base.updated(OO_gamma=gamma, PP_gamma=gamma) for gamma in gammas]
     names = [pool.value for pool in INHIBITED_POOLS]
     sums = [[dict.fromkeys(names, 0.0) for _ in range(p.max_cycles)] for p in settings]
     run_rows(network, [(stimulus, _PoolSizes(s), None) for s in sums for stimulus in stimuli],
              [p for p in settings for _stimulus in stimuli])
-    n = max(1, len(stimuli))
     for means in (cycle_sums for gamma_sums in sums for cycle_sums in gamma_sums):
         for name in names:
-            means[name] /= n
+            means[name] /= len(stimuli)
         means["overall"] = math.fsum(means.values())
     return [GammaStats(gamma=gamma, per_cycle=per_cycle) for gamma, per_cycle in zip(gammas, sums)]
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import IO, NamedTuple
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 from .params import Parameters
 
@@ -91,17 +93,22 @@ def rest_activation(freq: float, max_opb: float, params: Parameters) -> float:
     normalisation maximum. ``max_opb`` is the lexicon-wide maximum, or the
     fixed compatibility constant when Parameters.MAX_OPB is set.
     """
-    return rest_from_opb(opb(freq), max_opb, params)
+    return rest_from_opb(opb(freq), max_opb, params).item()
 
 
-def rest_from_opb(o: float, max_opb: float, params: Parameters) -> float:
-    """``rest_activation`` of a frequency whose ``opb`` is ``o``."""
-    if o == 0.0:
-        return params.MIN_REST
+def rest_from_opb(o: np.ndarray | float, max_opb: float, params: Parameters) -> np.ndarray:
+    """``rest_activation`` of each opb in ``o`` (an array or one value), as a float64 array of
+    its shape; each level takes the same IEEE operations in the same order, whatever the size.
+    Opb 0 gives ``MIN_REST + 0.0``, which is MIN_REST, as no parameter is -0.0."""
+    p, o = params, np.asarray(o, dtype=np.float64)
     if max_opb <= 0:
-        raise ValueError("max_opb must be positive for nonzero frequencies")
-    rest = params.MIN_REST + o * ((params.MAX_REST - params.MIN_REST) / max_opb)
-    return min(params.MAX_REST, max(params.MIN_REST, rest))
+        if o.any():
+            raise ValueError("max_opb must be positive for nonzero frequencies")
+        return np.full(o.shape, p.MIN_REST)
+    scale = (p.MAX_REST - p.MIN_REST) / max_opb
+    if scale == math.inf:  # 0 * inf is nan: opb 0 rests at MIN_REST, any other at MAX_REST
+        return np.where(o > 0.0, p.MAX_REST, p.MIN_REST)
+    return np.minimum(np.maximum(p.MIN_REST + o * scale, p.MIN_REST), p.MAX_REST)
 
 
 def _parse_float(raw: str, row: int, what: str) -> float:
@@ -135,9 +142,9 @@ def parse_lexicon(source: str | IO[str],
             raise ParseError(f"row {row}: expected 8 columns, got {len(record)}")
         o_a, f_a, p_a, f_pa, o_b, f_b, p_b, f_pb = map(str.strip, record)
         freq_a = _parse_float(f_a, row, "frequency")
-        freq_pa = _parse_float(f_pa, row, "frequency")
+        freq_pa = freq_a if f_pa == f_a else _parse_float(f_pa, row, "frequency")
         freq_b = _parse_float(f_b, row, "frequency")
-        freq_pb = _parse_float(f_pb, row, "frequency")
+        freq_pb = freq_b if f_pb == f_b else _parse_float(f_pb, row, "frequency")
         if freq_pa != freq_a or freq_pb != freq_b:
             raise ValidationError(
                 f"row {row}: phonological frequency must equal its orthographic sibling's")

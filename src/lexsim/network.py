@@ -280,8 +280,9 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
     entries = tuple(lexicon.entries)
     n_entries, first_entry = len(entries), _FIRST_ENTRY
     n_nodes = first_entry + 5 * n_entries
-    # one rest level per distinct frequency, from the lexicon's opb
-    rest_of = {f: rest_from_opb(o, max_opb, p) for f, o in lexicon.opb_of.items()}
+    # one rest level per distinct frequency, from the lexicon's opb in one array call
+    opbs = np.fromiter(lexicon.opb_of.values(), np.float64, len(lexicon.opb_of))
+    rest_of = dict(zip(lexicon.opb_of, rest_from_opb(opbs, max_opb, p).tolist()))
     rest_a, rest_b = [rest_of[e.freq_a] for e in entries], [rest_of[e.freq_b] for e in entries]
     rest = np.fromiter(chain((p.I_rest, p.L_rest, p.L_rest), chain.from_iterable(
         zip(rest_a, rest_a, rest_b, rest_b, repeat(p.S_rest)))), np.float64, n_nodes)

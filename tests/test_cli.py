@@ -373,6 +373,17 @@ def test_stats_rejects_a_sweep_it_cannot_run(stim_ld, tmp_path, capsys, gammas, 
     assert not out.exists()
 
 
+def test_stats_rejects_a_stimulus_file_with_no_rows(tmp_path, capsys):
+    stimuli, out = tmp_path / "header.csv", tmp_path / "stats.csv"
+    stimuli.write_text("stimulus,source_lang,target_lang,task\n")
+    code = main(["stats", "--lexicon", str(table1_path()), "--stimuli", str(stimuli),
+                 "--gammas", "0", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err \
+        == "lexsim: error: active-node statistics need at least one stimulus\n"
+    assert not out.exists()
+
+
 def test_bench_subcommand(stim_ld, capsys):
     code = main(["bench", "--lexicon", str(table1_path()), "--stimuli", stim_ld,
                  "--repeats", "2"])

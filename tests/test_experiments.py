@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 
 import pytest
@@ -60,6 +61,23 @@ def test_parse_stimuli_names_the_bad_row(text, message):
     with pytest.raises(ParseError) as info:
         parse_stimuli(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"stimulus": ""}, "empty stimulus"),
+    ({"task": "XX"}, f"unknown task 'XX'; expected one of {experiments.TASKS}"),
+    ({"rt_ms": math.nan}, "rt_ms must be > 0 when present"),
+    ({"rt_ms": -5.0}, "rt_ms must be > 0 when present"),
+], ids=["empty_stimulus", "unknown_task", "nan_rt", "negative_rt"])
+def test_stimulus_record_is_checked_when_made(fields, message):
+    # a record made in the library once reached condition_report, which averaged a nan or
+    # negative rt_ms; replace makes a record too
+    good = StimulusRecord("AARDBEI", "NL", "EN", "WT", rt_ms=600.0)
+    for make in (lambda: StimulusRecord(**{**dataclasses.asdict(good), **fields}),
+                 lambda: dataclasses.replace(good, **fields)):
+        with pytest.raises(ParseError) as info:
+            make()
+        assert str(info.value) == message
 
 
 def test_run_batch_empty(table1, params):
@@ -281,6 +299,12 @@ def test_stats_monotone_under_inhibition(homograph_lexicon, params):
 def test_stats_runs_full_cycle_count(table1, params):
     stats = active_node_stats(table1, ["AARDE"], [0.0], params)
     assert len(stats[0].per_cycle) == params.max_cycles
+
+
+def test_stats_rejects_no_stimuli(table1, params):
+    # a mean over no stimuli once read 0.0 at every cycle
+    with pytest.raises(ConfigError, match="^active-node statistics need at least one stimulus$"):
+        active_node_stats(table1, [], [0.0], params)
 
 
 def test_stats_rejects_positive_gamma(table1, params):

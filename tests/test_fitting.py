@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from lexsim import (ConfigError, SearchConfig, build_network, fit_inhibition, grid_search,
-                    pearson, run)
+from lexsim import (ConfigError, ParseError, SearchConfig, build_network, fit_inhibition,
+                    grid_search, pearson, run)
 from lexsim import fitting
 from lexsim.dynamics import run_rows
 from lexsim.experiments import StimulusRecord, run_batch
@@ -156,17 +156,14 @@ def test_fit_requires_reaction_times(table1):
 
 
 @pytest.mark.parametrize("bad_rt", [math.nan, math.inf, 0.0, -1.0])
-def test_fit_rejects_a_reaction_time_that_is_not_finite_and_positive(homograph_lexicon, params,
-                                                                      bad_rt):
-    # a NaN RT once scored 1.0 at every grid point
+def test_fit_rejects_a_reaction_time_that_is_not_finite_and_positive(homograph_lexicon, bad_rt):
+    # a NaN RT once scored 1.0 at every grid point; no record that holds one can be made,
+    # so none reaches a fit
     rts = [600.0 + 10.0 * i for i in range(len(homograph_lexicon))]
     rts[3] = bad_rt
-    records = _records(homograph_lexicon, task="WT", target="EN", rts=rts)
-    config = SearchConfig(lower=-0.01, upper=0.0, n_points=4)
-    with pytest.raises(ConfigError) as info:
-        fit_inhibition(homograph_lexicon, records, config, params)
-    assert str(info.value) \
-        == f"rt_ms of {records[3].stimulus!r} must be finite and > 0, got {bad_rt!r}"
+    with pytest.raises(ParseError) as info:
+        _records(homograph_lexicon, task="WT", target="EN", rts=rts)
+    assert str(info.value) == "rt_ms must be > 0 when present"
 
 
 def test_fit_self_consistency(homograph_lexicon, params):

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from lexsim import (LexiconEntry, ParseError, ParseOptions, Parameters, ValidationError,
                     opb, parse_lexicon, rest_activation, table1_path)
+from lexsim.lexicon import rest_from_opb
 
 AARDE_ROW = "AARDE,100.07,ard@,100.07,EARTH,24.87,3T,24.87"
 
@@ -68,9 +70,16 @@ HEADER = "ortho_a,freq_a,phono_a,freq_pa,ortho_b,freq_b,phono_b,freq_pb"
     (["AAP,1,ap,x,APE,-1,ep,1"], ParseOptions(), ParseError, "row 2: non-numeric frequency 'x'"),
     (["AAP,1,ap,1,APE,inf,ep,y"], ParseOptions(), ParseError,
      "row 2: frequency must be finite and >= 0, got inf"),
+    # a phonological cell spelled unlike its sibling's is parsed, and named by its row
+    (["AAP,1,ap,1.0,APE,2,ep,2", "AARDE,1,ard@,1,EARTH,2,3T,y"], ParseOptions(), ParseError,
+     "row 3: non-numeric frequency 'y'"),
+    (["AAP,1,ap,1.0,APE,2,ep,2", "AARDE,1,ard@,-1,EARTH,2,3T,2"], ParseOptions(), ParseError,
+     "row 3: frequency must be finite and >= 0, got -1"),
     # then the sibling-frequency mismatch
     (["AAP,1,,2,,1,ep,1"], ParseOptions(), ValidationError,
      "row 2: phonological frequency must equal its orthographic sibling's"),
+    (["AAP,1,ap,1,APE,2,ep,2.0", "AARDE,1,ard@,1,EARTH,2,3T,2.5"], ParseOptions(),
+     ValidationError, "row 3: phonological frequency must equal its orthographic sibling's"),
     # then the empty symbol, before a duplicate
     (["AARDE,1,ard@,1,EARTH,1,3T,1", "AARDE,1,ard@,1,SOIL,1,,1"], ParseOptions(),
      ValidationError, "empty phono_b (row 3)"),
@@ -85,7 +94,8 @@ HEADER = "ortho_a,freq_a,phono_a,freq_pa,ortho_b,freq_b,phono_b,freq_pb"
     (["X,1,x,1,x,1,y,1"], ParseOptions(language_a="NL", language_b="NL"), ValidationError,
      "row 2: duplicate orthographic reading 'X' in language NL (first seen at row 2)"),
 ], ids=["earlier_row", "column_count", "negative_before_non_numeric", "freq_pa_before_freq_b",
-        "inf_before_non_numeric", "sibling_before_empty", "empty_before_duplicate",
+        "inf_before_non_numeric", "non_numeric_freq_pb", "negative_freq_pa",
+        "sibling_before_empty", "sibling_of_another_value", "empty_before_duplicate",
         "duplicate_a_before_b", "equal_tags_across_rows", "equal_tags_within_row"])
 def test_parse_reports_the_first_error_in_row_and_check_order(rows, options, error, message):
     with pytest.raises(error) as info:
@@ -116,6 +126,11 @@ def test_non_numeric_frequency_rejected():
 def test_phono_frequency_must_match_ortho():
     with pytest.raises(ValidationError, match="phonological frequency"):
         parse_lexicon("AARDE,100.07,ard@,100.06,EARTH,24.87,3T,24.87")
+
+
+def test_phono_frequency_spelled_otherwise_but_equal_loads():
+    lex = parse_lexicon("AARDE,1,ard@,1.0,EARTH,24.870,3T,2.487e1\nAAP,0,ap,0.0,APE,1,ep, 1 ")
+    assert [(e.freq_a, e.freq_b) for e in lex.entries] == [(1.0, 24.87), (0.0, 1.0)]
 
 
 def test_duplicate_reading_rejected_by_default():
@@ -210,6 +225,42 @@ def test_rest_activation_reaches_positive_max_rest(table1):
     top = max(f for e in table1.entries for f in (e.freq_a, e.freq_b))
     assert rest_activation(top, table1.max_opb, params) == pytest.approx(0.05, abs=1e-12)
     assert rest_activation(0.0, table1.max_opb, params) == -0.2
+
+
+def _rest_reference(o, max_opb, params):
+    """The scalar formula, one value at a time, as rest levels were first computed."""
+    if o == 0.0:
+        return params.MIN_REST
+    if max_opb <= 0:
+        raise ValueError("max_opb must be positive for nonzero frequencies")
+    rest = params.MIN_REST + o * ((params.MAX_REST - params.MIN_REST) / max_opb)
+    return min(params.MAX_REST, max(params.MIN_REST, rest))
+
+
+_OPBS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0),
+                  st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),  # subnormal
+                  st.builds(opb, st.floats(min_value=0.0, max_value=1e6)))
+
+
+@given(opbs=st.lists(_OPBS, min_size=1, max_size=50),
+       max_opb=st.one_of(st.none(), st.just(5e-324), st.floats(min_value=1e-6, max_value=1.0)),
+       rests=st.tuples(st.floats(min_value=-0.2, max_value=0.0),
+                       st.floats(min_value=-0.2, max_value=1.0)))
+def test_rest_from_opb_over_an_array_equals_the_scalar_formula(opbs, max_opb, rests):
+    # max_opb None is the lexicon maximum, which one opb reaches; a smaller MAX_OPB (5e-324,
+    # a subnormal, among them) clamps every opb above it at MAX_REST
+    params = Parameters(MIN_REST=min(rests), MAX_REST=max(rests), MAX_OPB=max_opb)
+    max_opb = max(opbs) if max_opb is None else max_opb
+    expected = [_rest_reference(o, max_opb, params).hex() for o in opbs]
+    assert list(map(float.hex, rest_from_opb(np.array(opbs), max_opb, params).tolist())) \
+        == expected
+    assert [rest_from_opb(o, max_opb, params).item().hex() for o in opbs] == expected
+
+
+def test_rest_from_opb_requires_positive_max_for_a_nonzero_opb(params):
+    assert rest_from_opb(np.zeros(3), 0.0, params).tolist() == [-0.2] * 3
+    with pytest.raises(ValueError, match="max_opb must be positive for nonzero frequencies"):
+        rest_from_opb(np.array([0.0, 1e-300]), 0.0, params)
 
 
 def test_rest_activation_requires_positive_max():
