@@ -13,7 +13,7 @@ from .experiments import (BatchRow, ConditionReport, StimulusRecord, active_node
                           synthetic_lexicon)
 from .fitting import FitResult, SearchConfig, fit_inhibition, grid_search, pearson
 from .lexicon import (Lexicon, LexiconEntry, ParseOptions, load_lexicon, opb,
-                      parse_lexicon, rest_activation, table1_path)
+                      parse_lexicon, table1_path)
 from .network import InputWeights, Network, Node, Pool, build_network
 from .params import Parameters, load_parameters, parse_assignment
 from .reference import DenseEngine, input_weight, levenshtein_similarity

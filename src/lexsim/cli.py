@@ -162,9 +162,10 @@ def _cmd_fit(args) -> int:
         lower, upper = map(float, args.domain.split(":"))
     except ValueError:  # a bound that is not a number, or not two bounds
         raise ConfigError(f"--domain must be two numbers as lo:hi, got {args.domain!r}") from None
-    config = SearchConfig(lower=lower, upper=upper, n_points=args.n,
-                          epsilon=args.epsilon, tie_gammas=not args.untie_pp,
-                          fixed_pp_gamma=args.pp_gamma)
+    config = SearchConfig(lower=lower, upper=upper, n_points=args.n, epsilon=args.epsilon,
+                          pp_gamma=args.pp_gamma if args.untie_pp else None)
+    if not args.untie_pp and args.pp_gamma != 0.0:  # a tied fit sets PP_gamma to each point
+        raise ConfigError("a fixed PP_gamma needs untied gammas (fit --untie-pp)")
     result = fit_inhibition(lexicon, records, config, params)
     manifest = build_manifest("fit", params, args.lexicon, {
         "stimuli_sha256": _file_sha256(args.stimuli),

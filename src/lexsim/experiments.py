@@ -116,13 +116,15 @@ def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
               jobs: int = 1) -> list[BatchRow]:
     """One outcome per stimulus record, in input order.
 
-    Per-row task errors are recorded and the batch continues; parameters
-    the network fixed raise ConfigError before the first row. Rows are
-    independent trials over the shared network, so the result is the same
-    for every ``jobs``. ``jobs > 1`` forks min(jobs, records, CPUs) worker
-    processes, each running a contiguous slice of the records; where that
-    is 1, or fork is unavailable, rows run serially (README, Library).
+    A row's ConfigError (its task or languages) is recorded and the batch continues;
+    ``jobs < 1`` and parameters the network fixed raise ConfigError before the first row.
+    Rows are independent trials over the shared network, so the result is the same for
+    every ``jobs``. ``jobs > 1`` forks min(jobs, records, CPUs) worker processes, each
+    running a contiguous slice of the records; where that is 1, or fork is unavailable,
+    rows run serially (README, Library).
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     network = lexicon if isinstance(lexicon, Network) else build_network(lexicon, params or Parameters())
     params = check_trial_params(network, params)
     runner = _engine_runner(network, engine)
@@ -133,7 +135,7 @@ def run_batch(lexicon: Lexicon | Network, records: Sequence[StimulusRecord],
                                    record.target_lang, params)
             _trace, outcome = runner(record.stimulus, monitor, params, trace=None)
             return BatchRow(record, outcome)
-        except (ConfigError, ValueError) as exc:
+        except ConfigError as exc:
             return BatchRow(record, None, error=str(exc))
 
     workers = min(jobs, len(records), os.cpu_count() or 1)
@@ -374,11 +376,11 @@ def benchmark(lexicon: Lexicon, stimuli: Sequence[str], engine: str = "final",
 
 # -- synthetic inputs --------------------------------------------------------
 
-def synthetic_lexicon(n_pairs: int, language_a: str = "NL", language_b: str = "EN") -> Lexicon:
+def synthetic_lexicon(n_pairs: int) -> Lexicon:
     """Deterministic generated lexicon with dense orthographic neighbourhoods.
 
-    Language-A words are base-5 codes over one alphabet (so many pairs are
-    one-letter neighbours); language-B words use a disjoint alphabet.
+    NL words are base-5 codes over one alphabet (so many pairs are one-letter
+    neighbours); EN words use a disjoint alphabet.
     """
     def encode(i: int, alphabet: str, length: int = 5) -> str:
         digits = []
@@ -396,4 +398,4 @@ def synthetic_lexicon(n_pairs: int, language_a: str = "NL", language_b: str = "E
             phono_a=encode(i, "bdgkl"),
             ortho_b=encode(i, "MNPRT"), freq_b=freq_b,
             phono_b=encode(i, "mnprt")))
-    return Lexicon(entries=entries, language_a=language_a, language_b=language_b)
+    return Lexicon(entries)

@@ -54,9 +54,8 @@ class SearchConfig:
     upper: float = 0.0
     n_points: int = 20
     epsilon: float = 1e-6
-    # fit OO_gamma and PP_gamma as one parameter; when untied, PP stays fixed
-    tie_gammas: bool = True
-    fixed_pp_gamma: float = 0.0
+    # None fits PP_gamma tied to OO_gamma; a value holds PP_gamma fixed while OO_gamma is fitted
+    pp_gamma: float | None = None
     max_iterations: int = 60
 
     def __post_init__(self):
@@ -68,15 +67,16 @@ class SearchConfig:
                               f"{self.lower!r}:{self.upper!r}")
         if not self.lower < self.upper:
             raise ConfigError("search domain requires lower < upper")
-        if self.n_points < 2:
-            raise ConfigError("n_points must be >= 2")
+        # range() takes only ints; type(), not isinstance, so True is no count
+        if type(self.n_points) is not int or self.n_points < 2:
+            raise ConfigError(f"n_points must be an int >= 2, got {self.n_points!r}")
         # a NaN or infinite epsilon would stop the search after one window
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if self.tie_gammas and self.fixed_pp_gamma != 0.0:
-            raise ConfigError("a fixed PP_gamma needs untied gammas (fit --untie-pp)")
+        if type(self.max_iterations) is not int or self.max_iterations < 1:
+            raise ConfigError(f"max_iterations must be an int >= 1, got {self.max_iterations!r}")
+        if self.pp_gamma is not None and not -math.inf < self.pp_gamma <= 0:
+            raise ConfigError(f"pp_gamma must be finite and <= 0, got {self.pp_gamma!r}")
 
 
 @dataclass
@@ -179,7 +179,7 @@ def fit_inhibition(lexicon: Lexicon, records: Sequence, config: SearchConfig | N
         new = [gamma for gamma in dict.fromkeys(points) if gamma not in scored]
         trials, row_params = [], []
         for gamma in new:
-            pp = gamma if config.tie_gammas else config.fixed_pp_gamma
+            pp = gamma if config.pp_gamma is None else config.pp_gamma
             trial_params = params.updated(OO_gamma=gamma, PP_gamma=pp)
             trials += [(record.stimulus, make_monitor(record.task, record.source_lang,
                                                       record.target_lang, trial_params),

@@ -53,20 +53,22 @@ class ParseOptions:
     allow_within_language_homographs: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lexicon:
-    """``opb_of`` maps each distinct frequency to its opb, taken once in first-seen order (the
-    first bad one raises) and left out of repr and equality; ``max_opb`` is the largest."""
-    entries: list[LexiconEntry]
+    """Entries, a tuple (any iterable is taken), and their opbs, fixed once made: ``opb_of``
+    maps each distinct frequency to its opb, taken once in first-seen order (the first bad one
+    raises) and left out of repr and equality; ``max_opb`` is the largest."""
+    entries: tuple[LexiconEntry, ...]
     language_a: str = "NL"
     language_b: str = "EN"
     max_opb: float = field(init=False, default=0.0)
     opb_of: dict[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
         freqs = dict.fromkeys(f for e in self.entries for f in (e.freq_a, e.freq_b))
-        self.opb_of = {f: opb(f) for f in freqs}
-        self.max_opb = max(self.opb_of.values(), default=0.0)
+        object.__setattr__(self, "opb_of", {f: opb(f) for f in freqs})
+        object.__setattr__(self, "max_opb", max(self.opb_of.values(), default=0.0))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -86,20 +88,14 @@ def opb(freq: float) -> float:
     return math.log10(1.0 + 1000.0 * freq) / 10.0
 
 
-def rest_activation(freq: float, max_opb: float, params: Parameters) -> float:
-    """Frequency-derived resting level in [MIN_REST, MAX_REST].
-
-    Linear in opb(freq): MIN_REST at zero frequency, MAX_REST at the
-    normalisation maximum. ``max_opb`` is the lexicon-wide maximum, or the
-    fixed compatibility constant when Parameters.MAX_OPB is set.
-    """
-    return rest_from_opb(opb(freq), max_opb, params).item()
-
-
 def rest_from_opb(o: np.ndarray | float, max_opb: float, params: Parameters) -> np.ndarray:
-    """``rest_activation`` of each opb in ``o`` (an array or one value), as a float64 array of
-    its shape; each level takes the same IEEE operations in the same order, whatever the size.
-    Opb 0 gives ``MIN_REST + 0.0``, which is MIN_REST, as no parameter is -0.0."""
+    """Frequency-derived resting level of each opb in ``o`` (an array or one value), in
+    [MIN_REST, MAX_REST], as a float64 array of its shape.
+
+    Linear in opb: MIN_REST at opb 0 (``MIN_REST + 0.0``, which is MIN_REST, as no parameter
+    is -0.0), MAX_REST at ``max_opb``, the lexicon-wide maximum or the fixed compatibility
+    constant when Parameters.MAX_OPB is set. Each level takes the same IEEE operations in the
+    same order, whatever the size."""
     p, o = params, np.asarray(o, dtype=np.float64)
     if max_opb <= 0:
         if o.any():

@@ -277,7 +277,7 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
         raise ValidationError(f"the two languages must differ, both are {language_a!r}")
     p = params
     max_opb = p.MAX_OPB if p.MAX_OPB is not None else lexicon.max_opb
-    entries = tuple(lexicon.entries)
+    entries = lexicon.entries
     n_entries, first_entry = len(entries), _FIRST_ENTRY
     n_nodes = first_entry + 5 * n_entries
     # one rest level per distinct frequency, from the lexicon's opb in one array call

@@ -119,6 +119,24 @@ def test_run_batch_records_unknown_naming_language(table1_network, params):
     assert rows[1].outcome.response_kind == "symbol"
 
 
+def test_run_batch_raises_a_fault_that_is_not_a_row_error(table1_network, params,
+                                                         monkeypatch):
+    # only a ConfigError (a row's task or languages) is a row error; any other
+    # ValueError from a trial is a fault, and no row hides it
+    def failing(*args, **kwargs):
+        raise ValueError("a fault inside the step")
+
+    monkeypatch.setattr("lexsim.dynamics.step_rows", failing)
+    with pytest.raises(ValueError, match="a fault inside the step"):
+        run_batch(table1_network, LD_RECORDS[:2], params)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_batch_rejects_fewer_than_one_job(table1_network, params, jobs):
+    with pytest.raises(ConfigError, match=f"jobs must be at least 1, got {jobs}"):
+        run_batch(table1_network, LD_RECORDS, params, jobs=jobs)
+
+
 def test_run_batch_jobs_deterministic(table1_network, table1, params):
     records = [StimulusRecord(stimulus=e.ortho_a, source_lang="NL", target_lang="EN",
                               task="WT") for e in table1.entries]

@@ -130,13 +130,18 @@ def test_grid_search_validates_config():
     for max_iterations in (0, -1):
         with pytest.raises(ConfigError, match="max_iterations"):
             grid_search(lambda x: x, SearchConfig(max_iterations=max_iterations))
-    with pytest.raises(ConfigError, match="untied"):
-        grid_search(lambda x: x, SearchConfig(fixed_pp_gamma=-0.01))
+    for pp_gamma in (float("nan"), float("inf"), 0.5):
+        with pytest.raises(ConfigError, match="pp_gamma must be finite and <= 0"):
+            grid_search(lambda x: x, SearchConfig(pp_gamma=pp_gamma))
 
 
 def test_search_config_cannot_be_made_out_of_range():
     with pytest.raises(ConfigError, match="search domain requires lower < upper"):
         SearchConfig(lower=0.0, upper=-1.0)
+    # a count that is not an int once failed inside range() as the search ran
+    for name, value in (("n_points", 2.5), ("n_points", True), ("max_iterations", 1.5)):
+        with pytest.raises(ConfigError, match=f"{name} must be an int >= ., got {value!r}"):
+            SearchConfig(**{name: value})
 
 
 # -- fit_inhibition ------------------------------------------------------------
@@ -189,8 +194,7 @@ def test_fit_untied_mode_keeps_pp_fixed(homograph_lexicon, params):
     rows = run_batch(homograph_lexicon, _records(homograph_lexicon), params)
     rts = [10.0 * row.outcome.cycles + 300.0 for row in rows]
     records = _records(homograph_lexicon, rts=rts)
-    config = SearchConfig(n_points=5, epsilon=1e-3, tie_gammas=False, fixed_pp_gamma=0.0,
-                          max_iterations=3)
+    config = SearchConfig(n_points=5, epsilon=1e-3, pp_gamma=0.0, max_iterations=3)
     result = fit_inhibition(homograph_lexicon, records, config, params)
     assert result.best_fitness > 0.9
 
@@ -266,8 +270,8 @@ def test_wide_fit_is_grid_search_over_one_run_per_trial(homograph_lexicon, param
                      params.updated(OO_gamma=-0.001, PP_gamma=-0.001))
     records = _records(homograph_lexicon, task="WT", target="EN",
                        rts=[25.0 * row.outcome.cycles + 500.0 for row in rows])
-    config = SearchConfig(lower=-0.05, upper=0.0, n_points=6, epsilon=1e-6, tie_gammas=tie,
-                          fixed_pp_gamma=0.0 if tie else -0.002, max_iterations=4)
+    config = SearchConfig(lower=-0.05, upper=0.0, n_points=6, epsilon=1e-6,
+                          pp_gamma=None if tie else -0.002, max_iterations=4)
     network = build_network(homograph_lexicon, params)
 
     def objective(gamma):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lexsim import (LexiconEntry, ParseError, ParseOptions, Parameters, ValidationError,
-                    opb, parse_lexicon, rest_activation, table1_path)
+                    build_network, load_lexicon, opb, parse_lexicon, table1_path)
 from lexsim.lexicon import rest_from_opb
 
 AARDE_ROW = "AARDE,100.07,ard@,100.07,EARTH,24.87,3T,24.87"
@@ -200,22 +201,27 @@ def test_opb_monotone(pair):
     assert opb(f1) <= opb(f2)
 
 
+def _rest(freq, max_opb, params):
+    """The resting level of one frequency."""
+    return rest_from_opb(opb(freq), max_opb, params).item()
+
+
 def test_rest_activation_endpoints(params=Parameters()):
     max_opb = opb(100.0)
-    assert rest_activation(0.0, max_opb, params) == -0.2
-    assert rest_activation(100.0, max_opb, params) == pytest.approx(0.0, abs=1e-15)
+    assert _rest(0.0, max_opb, params) == -0.2
+    assert _rest(100.0, max_opb, params) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rest_activation_midpoint(params=Parameters()):
     # a frequency whose opb is half the maximum sits exactly halfway
     max_opb = 2 * opb(5.0)
-    assert rest_activation(5.0, max_opb, params) == pytest.approx(-0.1, abs=1e-12)
+    assert _rest(5.0, max_opb, params) == pytest.approx(-0.1, abs=1e-12)
 
 
 @given(st.floats(min_value=0, max_value=1e6))
 def test_rest_activation_range(freq):
     params = Parameters()
-    rest = rest_activation(freq, opb(1e6), params)
+    rest = _rest(freq, opb(1e6), params)
     assert -0.2 <= rest <= 0.0
 
 
@@ -223,8 +229,8 @@ def test_rest_activation_reaches_positive_max_rest(table1):
     # the most frequent word rests at MAX_REST, not at MIN_REST + |MIN_REST|
     params = Parameters(MAX_REST=0.05)
     top = max(f for e in table1.entries for f in (e.freq_a, e.freq_b))
-    assert rest_activation(top, table1.max_opb, params) == pytest.approx(0.05, abs=1e-12)
-    assert rest_activation(0.0, table1.max_opb, params) == -0.2
+    assert _rest(top, table1.max_opb, params) == pytest.approx(0.05, abs=1e-12)
+    assert _rest(0.0, table1.max_opb, params) == -0.2
 
 
 def _rest_reference(o, max_opb, params):
@@ -265,7 +271,38 @@ def test_rest_from_opb_requires_positive_max_for_a_nonzero_opb(params):
 
 def test_rest_activation_requires_positive_max():
     with pytest.raises(ValueError):
-        rest_activation(1.0, 0.0, Parameters())
+        _rest(1.0, 0.0, Parameters())
+
+
+def test_a_loaded_lexicon_cannot_change():
+    # rest levels come from the opbs taken when the lexicon was made, so neither its
+    # entries nor their largest opb may change after
+    lex = load_lexicon(table1_path())
+    with pytest.raises(AttributeError):
+        lex.entries.append(lex.entries[0])
+    with pytest.raises(AttributeError):
+        lex.entries.pop()
+    with pytest.raises(TypeError):
+        lex.entries[0] = lex.entries[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lex.max_opb = 1.0
+    assert len(lex) == 10 and lex == load_lexicon(table1_path())
+
+
+@pytest.mark.parametrize("rows, extra", [
+    (slice(None, -1), ""),  # without AARDIG, the most frequent word: max_opb falls
+    (slice(None), "ZEBRA,12345,zebr@,12345,ZEBU,0.5,zibu,0.5\n"),  # a new, largest frequency
+])
+def test_a_lexicon_made_from_changed_entries_rests_as_one_parsed(params, rows, extra):
+    with open(table1_path(), encoding="utf-8") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    lex = load_lexicon(table1_path())
+    expected = parse_lexicon("".join(lines[1:][rows]) + extra)
+    made = dataclasses.replace(lex, entries=lex.entries[rows] + parse_lexicon(extra).entries)
+    assert made == expected and made.opb_of == expected.opb_of
+    assert made.max_opb != lex.max_opb
+    assert build_network(made, params).rest.tobytes() == \
+        build_network(expected, params).rest.tobytes()
 
 
 def test_compatibility_max_opb_used_in_build():

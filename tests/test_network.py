@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from lexsim import (Lexicon, LexiconEntry, Node, ParseOptions, Parameters, ValidationError,
                     active_node_stats, build_network, input_weight, levenshtein_similarity,
-                    make_monitor, parse_lexicon, rest_activation, run, word_translation)
+                    make_monitor, opb, parse_lexicon, run, word_translation)
+from lexsim.lexicon import rest_from_opb
 from lexsim.network import INHIBITED_POOLS, InputWeights, Pool
 from lexsim.reference import DenseEngine, scalar_input_weights
 
@@ -172,8 +173,8 @@ def _check_entry_layout(net):
 
 
 def _entry_loop_nodes(lexicon, params):
-    """Every node as a Node, made entry by entry with one rest_activation
-    call per node: the list ``Network.nodes`` must read as."""
+    """Every node as a Node, made entry by entry with one rest_from_opb
+    call per language of it: the list ``Network.nodes`` must read as."""
     p = params
     max_opb = p.MAX_OPB if p.MAX_OPB is not None else lexicon.max_opb
     a, b = lexicon.language_a, lexicon.language_b
@@ -181,8 +182,8 @@ def _entry_loop_nodes(lexicon, params):
              Node(1, Pool.LANG, a, a, p.L_rest), Node(2, Pool.LANG, b, b, p.L_rest)]
     for concept, e in enumerate(lexicon.entries):
         n = 3 + 5 * concept
-        rest_a = rest_activation(e.freq_a, max_opb, p)
-        rest_b = rest_activation(e.freq_b, max_opb, p)
+        rest_a = rest_from_opb(opb(e.freq_a), max_opb, p).item()
+        rest_b = rest_from_opb(opb(e.freq_b), max_opb, p).item()
         nodes += [Node(n, Pool.ORTHO, e.ortho_a, a, rest_a, concept),
                   Node(n + 1, Pool.PHONO, e.phono_a, a, rest_a, concept),
                   Node(n + 2, Pool.ORTHO, e.ortho_b, b, rest_b, concept),
