@@ -163,14 +163,13 @@ def _cmd_fit(args) -> int:
     except ValueError:  # a bound that is not a number, or not two bounds
         raise ConfigError(f"--domain must be two numbers as lo:hi, got {args.domain!r}") from None
     config = SearchConfig(lower=lower, upper=upper, n_points=args.n, epsilon=args.epsilon,
-                          pp_gamma=args.pp_gamma if args.untie_pp else None)
-    if not args.untie_pp and args.pp_gamma != 0.0:  # a tied fit sets PP_gamma to each point
-        raise ConfigError("a fixed PP_gamma needs untied gammas (fit --untie-pp)")
+                          pp_gamma=args.pp_gamma)
     result = fit_inhibition(lexicon, records, config, params)
     manifest = build_manifest("fit", params, args.lexicon, {
         "stimuli_sha256": _file_sha256(args.stimuli),
         "search": {"domain": args.domain, "n": args.n, "epsilon": args.epsilon,
-                   "tie": not args.untie_pp, "pp_gamma": args.pp_gamma},
+                   "tie": args.pp_gamma is None,
+                   "pp_gamma": 0.0 if args.pp_gamma is None else args.pp_gamma},
     })
     log_rows = [["iteration", "window_lo", "window_hi", "point", "fitness",
                  "n_responded", "n_trials", "note"]]
@@ -272,10 +271,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", default="-1:0", help="search domain lo:hi (default -1:0)")
     p.add_argument("--n", type=int, default=20, help="points per window (default 20)")
     p.add_argument("--epsilon", type=float, default=1e-6, help="minimum improvement")
-    p.add_argument("--untie-pp", action="store_true",
-                   help="search OO_gamma only, holding PP_gamma fixed")
-    p.add_argument("--pp-gamma", type=float, default=0.0,
-                   help="fixed PP_gamma in untied mode (default 0.0)")
+    p.add_argument("--pp-gamma", type=float,
+                   help="hold PP_gamma at this value and search OO_gamma only "
+                        "(default: PP_gamma tied to OO_gamma)")
     p.add_argument("--log", help="fit log CSV path (default: no log)")
     p.set_defaults(func=_cmd_fit)
 

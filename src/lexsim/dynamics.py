@@ -74,8 +74,8 @@ values over numpy arrays:
   branch on net > 0.0 is prev - MIN_ACT, then MAX_ACT - prev at the nodes
   (net > 0.0).nonzero() lists, and np.clip, min(max(x, MIN_ACT), MAX_ACT)
   with NaN passed through, picks what the comparisons of update_activation
-  pick, NaN included, as Parameters.validate keeps MIN_ACT <= MAX_ACT
-  finite (a tie is between equal doubles, as no value is -0.0). The
+  pick, NaN included, as every Parameters has MIN_ACT <= MAX_ACT finite
+  (a tie is between equal doubles, as no value is -0.0). The
   decay's prev - rest is 0.0 only where prev == rest (gradual underflow),
   so it also marks touched nodes. Most nodes are quiet: their net input
   is 0.0, their stimulus term, or one add of the shared inhibition to
@@ -102,8 +102,8 @@ if x and y both are, and x - y only if x is.
 
 Untouched nodes are fixed points. A node that is no target, has no
 stimulus term, is in no pool that steps and sits at its rest level r has
-net +0.0, and r lies in [MIN_ACT, MAX_ACT], a span Parameters.validate
-keeps finite, so d = r - MIN_ACT is finite and >= +0.0, net*d = +0.0,
+net +0.0, and r lies in [MIN_ACT, MAX_ACT], a span every Parameters
+has finite, so d = r - MIN_ACT is finite and >= +0.0, net*d = +0.0,
 r + 0.0 = r, decay*(r - r) = +0.0, r - 0.0 = r and the clamp keeps r:
 the update maps the node to its own bits. The step computes such nodes
 all the same, as the dense engine does, so only the touched_updates
@@ -120,7 +120,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError
 from .network import INHIBITED_POOLS, InputWeights, Network, Pool, pool_gamma
-from .params import GAMMA_NAMES, TRIAL_NAMES, Parameters
+from .params import FIXED_NAMES, GAMMA_NAMES, Parameters
 
 
 class Trace:
@@ -241,16 +241,15 @@ class Rows:
     field but the inhibition weights; ``gammas[b, k]`` is row b's weight for
     INHIBITED_POOLS[k], and column 3 is 0.0 for the nodes in no pool. The
     rows of stimulus-only net inputs and stimulus-weighted masks are the
-    states' own (SimulationState.reset), built with the network's I_rest,
-    so ConfigError rejects parameters with another. keep drops rows; with
-    several, ``rejected[b]`` masks the ids row b's monitor rejected."""
+    states' own (SimulationState.reset). ConfigError, before any state
+    changes, refuses a ``params[0]`` that run refuses (check_trial_params).
+    keep drops rows; with several, ``rejected[b]`` masks the ids row b's
+    monitor rejected."""
 
     def __init__(self, network: Network, states: list[SimulationState],
                  params: Sequence[Parameters]):
-        self.network, self.states, self.params = network, states, params[0]
-        if self.params.I_rest != network.params.I_rest:
-            raise ConfigError(f"I_rest is fixed by the network ({network.params.I_rest!r}); "
-                              f"a step cannot set it to {self.params.I_rest!r}")
+        self.network, self.states = network, states
+        self.params = check_trial_params(network, params[0])
         if len(states) == 1:
             state, = states
             self.activation, self.stimulus, self.weighted = (state.activation, state.stimulus,
@@ -640,13 +639,13 @@ def _row_params(network: Network, params, count: int) -> list[Parameters]:
 
 
 def check_trial_params(network: Network, params: Parameters | None) -> Parameters:
-    """``params`` (None: the network's); ConfigError if it differs outside TRIAL_NAMES."""
+    """``params`` (None: the network's); ConfigError if it differs in a FIXED_NAMES field."""
     params = params or network.params
     if params is not network.params:
-        for name, built in network.params.as_dict().items():
-            if name not in TRIAL_NAMES and getattr(params, name) != built:
+        for name in FIXED_NAMES:
+            if (given := getattr(params, name)) != (built := getattr(network.params, name)):
                 raise ConfigError(f"{name} is fixed by the network ({built!r}); a trial "
-                                  f"cannot set it to {getattr(params, name)!r}")
+                                  f"cannot set it to {given!r}")
     return params
 
 
@@ -654,7 +653,7 @@ def check_invariants(state: SimulationState, params: Parameters) -> None:
     """Raise InvariantError unless every activation is finite and inside
     [MIN_ACT, MAX_ACT]. run checks once per trial."""
     act = state.activation
-    # NaN fails both comparisons, and the bounds are finite (validate)
+    # NaN fails both comparisons, and the bounds are finite (Parameters)
     inside = act >= params.MIN_ACT
     inside &= act <= params.MAX_ACT
     if not inside.all():

@@ -36,9 +36,7 @@ class StimulusRecord:
     row: InitVar[int | None] = None  # the input row it was read from, named in its errors
 
     def __post_init__(self, row):
-        self.validate(row)  # every record is valid, however it was made (replace included)
-
-    def validate(self, row: int | None = None) -> None:
+        # every record is valid, however it was made (replace included)
         where = f" (row {row})" if row is not None else ""
         if not self.stimulus:
             raise ParseError(f"empty stimulus{where}")

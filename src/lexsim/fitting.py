@@ -59,9 +59,6 @@ class SearchConfig:
     max_iterations: int = 60
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise ConfigError(f"search domain bounds must be finite, got "
                               f"{self.lower!r}:{self.upper!r}")

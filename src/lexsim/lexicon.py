@@ -55,20 +55,23 @@ class ParseOptions:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Entries, a tuple (any iterable is taken), and their opbs, fixed once made: ``opb_of``
-    maps each distinct frequency to its opb, taken once in first-seen order (the first bad one
-    raises) and left out of repr and equality; ``max_opb`` is the largest."""
+    """Entries, a tuple (any iterable is taken), and their opbs, fixed once made: ``freqs``
+    holds each distinct frequency in first-seen order and ``opbs`` its opb, taken once (the
+    first bad one raises), both tuples left out of repr and equality; ``max_opb`` is the
+    largest."""
     entries: tuple[LexiconEntry, ...]
     language_a: str = "NL"
     language_b: str = "EN"
     max_opb: float = field(init=False, default=0.0)
-    opb_of: dict[float, float] = field(init=False, repr=False, compare=False)
+    freqs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    opbs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        freqs = dict.fromkeys(f for e in self.entries for f in (e.freq_a, e.freq_b))
-        object.__setattr__(self, "opb_of", {f: opb(f) for f in freqs})
-        object.__setattr__(self, "max_opb", max(self.opb_of.values(), default=0.0))
+        freqs = tuple(dict.fromkeys(f for e in self.entries for f in (e.freq_a, e.freq_b)))
+        object.__setattr__(self, "freqs", freqs)
+        object.__setattr__(self, "opbs", tuple(map(opb, freqs)))
+        object.__setattr__(self, "max_opb", max(self.opbs, default=0.0))
 
     def __len__(self) -> int:
         return len(self.entries)

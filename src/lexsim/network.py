@@ -44,6 +44,8 @@ INHIBITED_POOLS = (Pool.ORTHO, Pool.PHONO, Pool.SEM)
 _ENTRY_POOLS = (Pool.ORTHO, Pool.PHONO, Pool.ORTHO, Pool.PHONO, Pool.SEM)
 # the input node and the two language nodes come before the entries
 _FIRST_ENTRY = 3
+# the LexiconEntry field each place's symbol comes from; S takes its concept's ortho_b
+_SYMBOL_FIELDS = ("ortho_a", "phono_a", "ortho_b", "phono_b", "ortho_b")
 
 
 def pool_gamma(params, pool: "Pool") -> float:
@@ -280,15 +282,18 @@ def build_network(lexicon: Lexicon, params: Parameters) -> Network:
     entries = lexicon.entries
     n_entries, first_entry = len(entries), _FIRST_ENTRY
     n_nodes = first_entry + 5 * n_entries
-    # one rest level per distinct frequency, from the lexicon's opb in one array call
-    opbs = np.fromiter(lexicon.opb_of.values(), np.float64, len(lexicon.opb_of))
-    rest_of = dict(zip(lexicon.opb_of, rest_from_opb(opbs, max_opb, p).tolist()))
+    # one rest level per distinct frequency, from the lexicon's opbs in one array call
+    rest_of = dict(zip(lexicon.freqs, rest_from_opb(lexicon.opbs, max_opb, p).tolist()))
     rest_a, rest_b = [rest_of[e.freq_a] for e in entries], [rest_of[e.freq_b] for e in entries]
     rest = np.fromiter(chain((p.I_rest, p.L_rest, p.L_rest), chain.from_iterable(
         zip(rest_a, rest_a, rest_b, rest_b, repeat(p.S_rest)))), np.float64, n_nodes)
     pool_of = (Pool.INPUT, Pool.LANG, Pool.LANG) + _ENTRY_POOLS * n_entries
     symbol_of = ("INPUT", *languages) + tuple(chain.from_iterable(
-        map(operator.attrgetter("ortho_a", "phono_a", "ortho_b", "phono_b", "ortho_b"), entries)))
+        map(operator.attrgetter(*_SYMBOL_FIELDS), entries)))
+    # parse_lexicon refuses an empty symbol; a Lexicon made from entries is checked here
+    if not all(symbol_of[first_entry:]):
+        n = next(n for n, symbol in enumerate(symbol_of[first_entry:]) if not symbol)
+        raise ValidationError(f"empty {_SYMBOL_FIELDS[n % 5]} in entry {n // 5}: {entries[n // 5]}")
     language_of = (None, *languages) + (language_a, language_a, language_b, language_b,
                                         None) * n_entries
     # each entry's index five times, one int object per entry

@@ -71,21 +71,15 @@ class Parameters:
     max_cycles: int = 40
 
     def __post_init__(self):
-        # value + 0.0 maps -0.0 to +0.0 and leaves every other value as it
-        # is: the model gives a zero's sign no meaning, and with no -0.0
-        # parameter no activation is ever -0.0 (see dynamics)
+        # every Parameters is in range, however it was made (replace included). value + 0.0
+        # maps -0.0 to +0.0 and leaves every other value as it is: the model gives a zero's
+        # sign no meaning, and with no -0.0 parameter no activation is ever -0.0 (see dynamics)
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float):
+                if not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}")
                 object.__setattr__(self, f.name, value + 0.0)
-        # every Parameters is in range, however it was made (replace included)
-        self.validate()
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if type(self.max_cycles) is not int:
             raise ConfigError(f"max_cycles must be an int, got {self.max_cycles!r}")
         if self.max_cycles < 1:
@@ -142,6 +136,8 @@ TRIAL_NAMES = (GAMMA_NAMES + ("SS_multiplier", "DECAY_RATE") + THRESHOLD_NAMES
                + ("timestep_multiplier", "timestep_adder", "max_cycles"))
 
 PARAMETER_NAMES = tuple(f.name for f in fields(Parameters))
+# the fields a network fixes when it is built, in field order (dynamics.check_trial_params)
+FIXED_NAMES = tuple(name for name in PARAMETER_NAMES if name not in TRIAL_NAMES)
 
 
 def _convert(name: str, raw: str):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import SimulationState, run, update_activation
+from .dynamics import SimulationState, check_trial_params, run, update_activation
 from .errors import ValidationError
 from .network import INHIBITED_POOLS, Network, Pool, pool_gamma
 from .params import Parameters
@@ -155,8 +155,9 @@ class DenseEngine:
         self.dense = DenseNetwork(base=network, exc_in=excitatory_in(network))
 
     def step(self, state: SimulationState, _network: Network, params: Parameters) -> None:
-        """One dense cycle, in the ``step_fn`` form dynamics.run takes."""
-        _dense_step(state, self.dense, params)
+        """One dense cycle, in the ``step_fn`` form dynamics.run takes; ConfigError, before
+        any state changes, for parameters that differ from the network's in a field it fixed."""
+        _dense_step(state, self.dense, check_trial_params(self.dense.base, params))
 
     def run(self, stimulus: str, monitor, params: Parameters | None = None,
             trace: str | None = "full"):

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from lexsim import (Network, Parameters, build_network, load_lexicon, make_monitor, run, step,
-                    synthetic_lexicon, table1_path)
+from lexsim import (Network, Parameters, SearchConfig, build_network, fit_inhibition,
+                    load_lexicon, make_monitor, parse_stimuli, run, step, synthetic_lexicon,
+                    table1_path)
 from lexsim.cli import main, manifest_hash
 
 ROOT = Path(__file__).parent.parent
@@ -247,14 +248,26 @@ def test_simulate_rejects_counts_below_one(stim_wt, tmp_path, capsys, flag, valu
     assert not out.exists() and not trace.exists()
 
 
-def test_fit_rejects_pp_gamma_without_untie(stim_ld, tmp_path, capsys):
-    # a tied fit sets PP_gamma to each point, so a fixed PP_gamma would be ignored
-    log = tmp_path / "fit.csv"
-    code = main(["fit", "--lexicon", HOMOGRAPHS, "--stimuli", stim_ld, "--domain=-0.01:0",
-                 "--n", "5", "--pp-gamma", "-0.01", "--log", str(log)])
-    assert code == 1
-    assert "needs untied gammas" in capsys.readouterr().err
-    assert not log.exists()
+def test_fit_pp_gamma_alone_holds_pp_fixed(stim_ld, tmp_path, capsys):
+    # --pp-gamma is the one way to hold PP_gamma while OO_gamma is searched
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--lexicon", HOMOGRAPHS, "--stimuli", stim_ld, "--domain=-0.01:0",
+                 "--n", "5", "--pp-gamma", "-0.01", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    with open(stim_ld, encoding="utf-8") as handle:
+        records = parse_stimuli(handle)
+    expected = fit_inhibition(load_lexicon(HOMOGRAPHS), records,
+                              SearchConfig(lower=-0.01, upper=0.0, n_points=5, pp_gamma=-0.01))
+    assert (summary["best_value"], summary["best_fitness"], summary["iterations"]) == \
+        (expected.best_value, expected.best_fitness, len(expected.iterations))
+    search = json.loads(Path(f"{out}.manifest.json").read_text())["search"]
+    assert search == {"domain": "-0.01:0", "n": 5, "epsilon": 1e-6, "tie": False,
+                      "pp_gamma": -0.01}
+    # the flag that once untied the gammas is gone: a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["fit", "--lexicon", HOMOGRAPHS, "--stimuli", stim_ld, "--untie-pp"])
+    assert info.value.code == 1
+    assert "unrecognized arguments: --untie-pp" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, message", [

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -465,21 +466,36 @@ def test_step_rejects_an_i_rest_the_network_fixed(table1_network, params):
     set_stimulus(state, table1_network, "AARDE")
     step(state, table1_network, params)
     before = [a.hex() for a in state.activation.tolist()]
-    with pytest.raises(ConfigError, match=r"^I_rest is fixed by the network \(1\.0\); "
-                                          r"a step cannot set it to 0\.5$"):
-        step(state, table1_network, params.updated(I_rest=0.5))
-    assert [a.hex() for a in state.activation.tolist()] == before
-    assert state.cycle == 1
+    for step_fn in (step, DenseEngine(table1_network).step):
+        with pytest.raises(ConfigError, match=r"^I_rest is fixed by the network \(1\.0\); "
+                                              r"a trial cannot set it to 0\.5$"):
+            step_fn(state, table1_network, params.updated(I_rest=0.5))
+        assert [a.hex() for a in state.activation.tolist()] == before
+        assert state.cycle == 1
 
 
 @pytest.mark.parametrize("change, field", [
     ({"SP_alpha": 0.0, "PS_alpha": 0.0}, "PS_alpha"), ({"IO_multiplier": 0.05}, "IO_multiplier"),
-    ({"MAX_REST": -0.1}, "MAX_REST"), ({"MIN_ACT": -0.3}, "MIN_ACT")])
-def test_run_rejects_parameters_the_network_fixed(table1_network, change, field):
+    ({"MAX_REST": -0.1}, "MAX_REST"), ({"MIN_ACT": -0.3}, "MIN_ACT"),
+    ({"OP_alpha": 0.5}, "OP_alpha")])
+def test_run_rejects_parameters_the_network_fixed(table1_network, params, change, field):
     # the network's weights and rest levels come from its own parameters; a
-    # trial that changed them would run on the built ones
-    with pytest.raises(ConfigError, match=f"^{field} is fixed by the network"):
-        word_translation(table1_network, "AARDBEI", "NL", "EN", Parameters().updated(**change))
+    # trial that changed them would run on the built ones. Both engines' steps
+    # refuse what a run refuses, before they change any state
+    changed = Parameters().updated(**change)
+    message = re.escape(f"{field} is fixed by the network ({getattr(Parameters(), field)!r}); "
+                        f"a trial cannot set it to {getattr(changed, field)!r}")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        word_translation(table1_network, "AARDBEI", "NL", "EN", changed)
+    state = SimulationState(table1_network)
+    set_stimulus(state, table1_network, "AARDBEI")
+    step(state, table1_network, params)
+    before = [a.hex() for a in state.activation.tolist()]
+    for step_fn in (step, DenseEngine(table1_network).step):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            step_fn(state, table1_network, changed)
+        assert [a.hex() for a in state.activation.tolist()] == before
+        assert state.cycle == 1
 
 
 def test_run_takes_trial_parameters_the_network_leaves_free(table1, table1_network):

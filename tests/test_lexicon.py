@@ -1,11 +1,13 @@
 import dataclasses
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lexsim import (LexiconEntry, ParseError, ParseOptions, Parameters, ValidationError,
+from lexsim import (Lexicon, LexiconEntry, ParseError, ParseOptions, Parameters, ValidationError,
                     build_network, load_lexicon, opb, parse_lexicon, table1_path)
 from lexsim.lexicon import rest_from_opb
 
@@ -175,8 +177,8 @@ def test_table1_fixture_shape():
     assert len(lex) == 10
     assert math.isclose(lex.max_opb, opb(191.95))
     # one opb per distinct frequency, in first-seen order, kept out of the repr
-    freqs = dict.fromkeys(f for e in lex.entries for f in (e.freq_a, e.freq_b))
-    assert list(lex.opb_of.items()) == [(f, opb(f)) for f in freqs]
+    freqs = tuple(dict.fromkeys(f for e in lex.entries for f in (e.freq_a, e.freq_b)))
+    assert lex.freqs == freqs and lex.opbs == tuple(map(opb, freqs))
     assert repr(lex).endswith(f"language_a='NL', language_b='EN', max_opb={lex.max_opb!r})")
     # phonological readings reuse the orthographic frequency by construction
     for line in text.splitlines()[1:]:
@@ -289,6 +291,35 @@ def test_a_loaded_lexicon_cannot_change():
     assert len(lex) == 10 and lex == load_lexicon(table1_path())
 
 
+# sha256 of the table1 network's rest levels (float64 bytes) under the default parameters
+TABLE1_REST_SHA256 = "7085da82c893528021a75c17fec8307eaf7f9102d12f973e55af845f80d7202a"
+
+
+def test_a_lexicons_opbs_cannot_change(params):
+    # build_network maps each distinct frequency to its rest level from freqs and
+    # opbs, so neither may change after the lexicon is made
+    lex = load_lexicon(table1_path())
+    for name in ("freqs", "opbs"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lex, name, ())
+        with pytest.raises(TypeError):
+            getattr(lex, name)[0] = 0.1
+    rest = build_network(lex, params).rest
+    assert hashlib.sha256(rest.tobytes()).hexdigest() == TABLE1_REST_SHA256
+    copy = pickle.loads(pickle.dumps(lex))
+    assert copy == lex and (copy.freqs, copy.opbs) == (lex.freqs, lex.opbs)
+
+
+@pytest.mark.parametrize("field", ["ortho_a", "phono_a", "ortho_b", "phono_b"])
+def test_build_network_rejects_an_empty_symbol(params, field):
+    # parse_lexicon refuses an empty symbol; a Lexicon made from entries would
+    # give the fast engine a node the dense engine cannot weight
+    entry = LexiconEntry("AARDE", 1.0, "ard@", "EARTH", 1.0, "3T")
+    lex = Lexicon([entry, entry._replace(**{field: ""})])
+    with pytest.raises(ValidationError, match=f"^empty {field} in entry 1: LexiconEntry"):
+        build_network(lex, params)
+
+
 @pytest.mark.parametrize("rows, extra", [
     (slice(None, -1), ""),  # without AARDIG, the most frequent word: max_opb falls
     (slice(None), "ZEBRA,12345,zebr@,12345,ZEBU,0.5,zibu,0.5\n"),  # a new, largest frequency
@@ -299,7 +330,7 @@ def test_a_lexicon_made_from_changed_entries_rests_as_one_parsed(params, rows, e
     lex = load_lexicon(table1_path())
     expected = parse_lexicon("".join(lines[1:][rows]) + extra)
     made = dataclasses.replace(lex, entries=lex.entries[rows] + parse_lexicon(extra).entries)
-    assert made == expected and made.opb_of == expected.opb_of
+    assert made == expected and (made.freqs, made.opbs) == (expected.freqs, expected.opbs)
     assert made.max_opb != lex.max_opb
     assert build_network(made, params).rest.tobytes() == \
         build_network(expected, params).rest.tobytes()
