@@ -120,7 +120,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError
 from .network import INHIBITED_POOLS, InputWeights, Network, Pool, pool_gamma
-from .params import FIXED_NAMES, GAMMA_NAMES, Parameters
+from .params import FIXED_NAMES, GAMMA_NAMES, TRIAL_NAMES, Parameters
 
 
 class Trace:
@@ -237,19 +237,20 @@ ROW_NAMES = GAMMA_NAMES + ("SS_multiplier",)
 class Rows:
     """Trials stepped together by step_rows, as the rows of flat buffers:
     row b (node n at b*N + n) belongs to ``states[b]``, whose activation is
-    a view of its row, which each step overwrites. ``params`` gives every
-    field but the inhibition weights; ``gammas[b, k]`` is row b's weight for
-    INHIBITED_POOLS[k], and column 3 is 0.0 for the nodes in no pool. The
-    rows of stimulus-only net inputs and stimulus-weighted masks are the
-    states' own (SimulationState.reset). ConfigError, before any state
-    changes, refuses a ``params[0]`` that run refuses (check_trial_params).
+    a view of its row, which each step overwrites. ``each[b]`` is row b's
+    Parameters; ``params``, row 0's, gives every field but the inhibition
+    weights: ``gammas[b, k]`` is row b's weight for INHIBITED_POOLS[k], and
+    column 3 is 0.0 for the nodes in no pool. The rows of stimulus-only net
+    inputs and stimulus-weighted masks are the states' own. ConfigError,
+    before any state changes, refuses the rows run_rows refuses (_row_params).
     keep drops rows; with several, ``rejected[b]`` masks the ids row b's
     monitor rejected."""
 
     def __init__(self, network: Network, states: list[SimulationState],
                  params: Sequence[Parameters]):
         self.network, self.states = network, states
-        self.params = check_trial_params(network, params[0])
+        self.each = _row_params(network, params, len(states))
+        self.params = self.each[0]
         if len(states) == 1:
             state, = states
             self.activation, self.stimulus, self.weighted = (state.activation, state.stimulus,
@@ -261,7 +262,7 @@ class Rows:
             self.rejected = np.zeros((len(states), len(network)), dtype=bool)
             self._share()
         self.gammas = np.array([[pool_gamma(p, pool) for pool in INHIBITED_POOLS] + [0.0]
-                                for p in params])
+                                for p in self.each])
 
     def _share(self) -> None:
         for state, row in zip(self.states, self.activation.reshape(len(self.states), -1)):
@@ -271,6 +272,7 @@ class Rows:
         """Keep only ``rows``, in that order."""
         shape = (len(self.states), -1)
         self.states = [self.states[b] for b in rows]
+        self.each = [self.each[b] for b in rows]
         self.activation = self.activation.reshape(shape)[rows].ravel()
         self.stimulus = self.stimulus.reshape(shape)[rows].ravel()
         self.weighted = self.weighted.reshape(shape)[rows].ravel()
@@ -534,18 +536,14 @@ _CHUNK_ELEMENTS = 2**16
 
 
 def run(network: Network, stimulus: str, monitor, params: Parameters | None = None,
-        trace: str | None = "full", step_fn=None,
-        input_weights: Mapping[int, float] | None = None):
-    """Simulate one trial: run_rows on one row, advanced by ``step_fn(state, network,
-    params)`` (None: this module's ``step``, looked up at call time so a wrapper on
-    ``dynamics.step`` sees every cycle), which steps state.activation in place.
+        trace: str | None = "full"):
+    """Simulate one trial: run_rows on one row, advanced by this module's ``step``,
+    looked up at call time so a wrapper on ``dynamics.step`` sees every cycle.
     Returns (trace, outcome)."""
-    step_fn = step_fn or step
-
     def step_row(rows: Rows) -> None:
-        step_fn(rows.states[0], network, rows.params)
+        step(rows.states[0], network, rows.params)
 
-    return run_rows(network, [(stimulus, monitor, input_weights)], params, trace, step_row)[0]
+    return run_rows(network, [(stimulus, monitor, None)], params, trace, step_row)[0]
 
 
 def run_rows(network: Network, trials, params: Parameters | Sequence[Parameters] | None = None,
@@ -562,8 +560,8 @@ def run_rows(network: Network, trials, params: Parameters | Sequence[Parameters]
     monitors read a Scan of rows.activation, and only _woken rows are
     observed (a monitor's ``watch``; its ``rejected`` ids wake no row,
     lexsim.tasks). ConfigError comes before the first step for a monitor
-    language the network lacks, a field of a row's parameters the network
-    fixed (check_trial_params), or rows that differ outside ROW_NAMES."""
+    language the network lacks, or for parameters Rows refuses
+    (_row_params, checked over all trials and again per chunk)."""
     for _stimulus, monitor, _weights in trials:
         for language in monitor.languages:
             if language not in network.languages:
@@ -622,7 +620,9 @@ def _start(network: Network, trial, trace: str | None) -> SimulationState:
 
 
 def _row_params(network: Network, params, count: int) -> list[Parameters]:
-    """One checked Parameters per row: ``params`` for all, or one each."""
+    """One checked Parameters per row: ``params`` for all, or one each. ConfigError for
+    another count, a field the network fixed, or a trial field outside ROW_NAMES that
+    differs from row 0's (TRIAL_NAMES keeps field order there); each distinct one once."""
     if params is None or isinstance(params, Parameters):
         return [check_trial_params(network, params)] * count
     params = list(params)
@@ -630,8 +630,8 @@ def _row_params(network: Network, params, count: int) -> list[Parameters]:
         raise ConfigError(f"{len(params)} parameter sets for {count} trials")
     for p in {id(p): p for p in params}.values():
         check_trial_params(network, p)
-        for name, shared in params[0].as_dict().items():
-            if name not in ROW_NAMES and getattr(p, name) != shared:
+        for name in TRIAL_NAMES if p is not params[0] else ():
+            if name not in ROW_NAMES and getattr(p, name) != (shared := getattr(params[0], name)):
                 raise ConfigError(f"rows stepped together may differ only in "
                                   f"{', '.join(ROW_NAMES)}; {name} is {shared!r} and "
                                   f"{getattr(p, name)!r}")

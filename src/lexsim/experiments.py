@@ -95,8 +95,8 @@ class BatchRow:
 
 
 def _engine_runner(network: Network, engine: str):
-    """``runner(stimulus, monitor, params, trace)`` over ``network``: dynamics.run for "final",
-    DenseEngine.run for "dense"."""
+    """``runner(stimulus, monitor, params, trace)`` over ``network``, one trial per call:
+    dynamics.run for "final", DenseEngine.run (run_rows on its step_rows) for "dense"."""
     if engine == "final":
         return functools.partial(run_trial, network)
     if engine == "dense":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import SimulationState, check_trial_params, run, update_activation
+from .dynamics import Rows, SimulationState, run_rows, update_activation
 from .errors import ValidationError
 from .network import INHIBITED_POOLS, Network, Pool, pool_gamma
 from .params import Parameters
@@ -155,13 +155,18 @@ class DenseEngine:
         self.dense = DenseNetwork(base=network, exc_in=excitatory_in(network))
 
     def step(self, state: SimulationState, _network: Network, params: Parameters) -> None:
-        """One dense cycle, in the ``step_fn`` form dynamics.run takes; ConfigError, before
-        any state changes, for parameters that differ from the network's in a field it fixed."""
-        _dense_step(state, self.dense, check_trial_params(self.dense.base, params))
+        """One dense cycle, as dynamics.step takes it: step_rows on one row of this
+        engine's network, so ConfigError comes for what Rows refuses."""
+        self.step_rows(Rows(self.dense.base, [state], [params]))
+
+    def step_rows(self, rows: Rows) -> None:
+        """One dense cycle of each row, on its own Parameters (Rows.each), in place."""
+        for state, params in zip(rows.states, rows.each):
+            _dense_step(state, self.dense, params)
 
     def run(self, stimulus: str, monitor, params: Parameters | None = None,
             trace: str | None = "full"):
-        """dynamics.run with dense steps and scalar input weights: the oracle end to end."""
+        """dynamics.run with dense row steps and scalar input weights: the oracle end to end."""
         network = self.dense.base
-        return run(network, stimulus, monitor, params, trace, step_fn=self.step,
-                   input_weights=scalar_input_weights(network, stimulus))
+        return run_rows(network, [(stimulus, monitor, scalar_input_weights(network, stimulus))],
+                        params, trace, self.step_rows)[0]

@@ -15,6 +15,7 @@ from lexsim import dynamics
 from lexsim.dynamics import (Rows, SimulationState, Trace, _excite, _expansion, _inhibit, _sum3,
                              _update, check_invariants, run_rows, step_rows)
 from lexsim.network import INHIBITED_POOLS, InputWeights, Pool
+from lexsim.reference import scalar_input_weights
 from lexsim.tasks import LexicalDecisionMonitor, WordTranslationMonitor, make_monitor
 
 from conftest import members, random_case
@@ -286,8 +287,8 @@ def test_reset_reads_input_weights_and_a_dict_of_them_alike(table1_network, para
         for name in ("stimulus", "weighted"):
             row, first = getattr(state, name), getattr(states[0], name)
             assert row.dtype == first.dtype and row.tobytes() == first.tobytes()
-    runs = [run(table1_network, stimulus, make_monitor("WT", "NL", "EN", params), params,
-                input_weights=w) for w in forms]
+    runs = [run_rows(table1_network, [(stimulus, make_monitor("WT", "NL", "EN", params), w)],
+                     params, trace="full")[0] for w in forms]
     for trace, outcome in runs:
         assert outcome == runs[0][1]
         assert np.array(trace.frames).tobytes() == np.array(runs[0][0].frames).tobytes()
@@ -388,9 +389,9 @@ def test_run_without_decision_reaches_cycle_limit(table1_network, params):
 def test_unknown_language_raises_before_the_first_step(table1_network, params, monkeypatch):
     calls = []
     monkeypatch.setattr(Network, "input_weights", lambda *args: calls.append("weights"))
+    monkeypatch.setattr(dynamics, "step", lambda *args: calls.append("step"))
     with pytest.raises(ConfigError) as info:
-        run(table1_network, "AARDE", LexicalDecisionMonitor("DE", params), params,
-            step_fn=lambda *args: calls.append("step"))
+        run(table1_network, "AARDE", LexicalDecisionMonitor("DE", params), params)
     assert str(info.value) == "unknown language tag 'DE'; network has ('NL', 'EN')"
     assert calls == []
 
@@ -417,8 +418,8 @@ def test_run_resets_the_state_once(table1_network, monkeypatch):
 def test_steps_keep_each_state_a_view_of_its_row(table1_network, params, monkeypatch, engine):
     # a step writes its activations into rows.activation in place, so after
     # every step each live state's activation is still its row of the
-    # chunk's buffer: several rows of run_rows, and run's one row for either
-    # engine's state step
+    # chunk's buffer: several rows of run_rows for either engine's row step,
+    # and run's one row for the dynamics.step it looks up
     built, steps, buffers = [], [], []
 
     class Recorded(Rows):
@@ -440,21 +441,22 @@ def test_steps_keep_each_state_a_view_of_its_row(table1_network, params, monkeyp
         steps.append(len(rows.states))
 
     monkeypatch.setattr(dynamics, "Rows", Recorded)
-    if engine == "rows":
+    if engine != "fast":
+        row_step = step_rows if engine == "rows" else DenseEngine(table1_network).step_rows
         trials = [(stimulus, make_monitor(task, "NL", "EN", params), None) for stimulus, task
                   in (("AARDBEI", "WT"), ("AARDE", "LD"), ("AAP", "NAME"), ("XQZQX", "LD"))]
         run_rows(table1_network, trials, params,
-                 step_fn=lambda rows: (step_rows(rows), check(rows)))
+                 step_fn=lambda rows: (row_step(rows), check(rows)))
         assert steps[0] == 4 and steps[-1] == 1 and len(set(steps)) > 2  # rows were dropped
         return
-    state_step = step if engine == "fast" else DenseEngine(table1_network).step
 
-    def step_fn(state, network, p):
-        state_step(state, network, p)
+    def checked_step(state, network, p):
+        step(state, network, p)
         check(built[0])
 
+    monkeypatch.setattr(dynamics, "step", checked_step)
     trace, outcome = run(table1_network, "AARDBEI", make_monitor("WT", "NL", "EN", params),
-                         params, trace="full", step_fn=step_fn)
+                         params, trace="full")
     assert outcome.cycles == len(trace) == len(steps) > 1
     assert built[0].activation.tolist() == trace.frames[-1] != table1_network.rest.tolist()
 
@@ -546,7 +548,8 @@ def test_work_counter_accumulates(table1_network, params):
 # -- the per-trial invariant -------------------------------------------------
 
 def corrupting_step(corrupt):
-    """A step_fn that runs the fast step, then applies ``corrupt`` to the state."""
+    """A stand-in for dynamics.step that runs the fast step, then applies ``corrupt``
+    to the state."""
     def step_fn(state, network, params):
         step(state, network, params)
         corrupt(state)
@@ -575,11 +578,11 @@ CORRUPTIONS = {
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("name", CORRUPTIONS)
-def test_run_raises_invariant_error_on_corrupt_state(table1_network, params, name):
+def test_run_raises_invariant_error_on_corrupt_state(table1_network, params, monkeypatch, name):
     corrupt, message = CORRUPTIONS[name]
+    monkeypatch.setattr(dynamics, "step", corrupting_step(corrupt))
     with pytest.raises(InvariantError, match=message):
-        run(table1_network, "AARDE", NullMonitor(), params, trace=None,
-            step_fn=corrupting_step(corrupt))
+        run(table1_network, "AARDE", NullMonitor(), params, trace=None)
 
 
 def test_invariant_error_is_not_a_batch_row_error(table1_network, params, monkeypatch):
@@ -621,8 +624,9 @@ def _assert_rows_match_runs(network, params, trials, monkeypatch, rows_per_chunk
     ((stimulus, task, source, target)) give what one run each gives: every
     cycle's activations bit for bit, the outcome with its rejections, and
     both work counters. ``params`` is one Parameters or one per trial; with
-    ``oracle`` each one-row run must also match the dense engine's frames.
-    Returns what the batch covered."""
+    ``oracle`` each one-row run must also match the dense engine's frames,
+    and the same chunks stepped by DenseEngine.step_rows, on scalar input
+    weights, the batch's frames and outcomes. Returns what the batch covered."""
     monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", rows_per_chunk * len(network))
     row_params = params if isinstance(params, list) else [params] * len(trials)
     covered = {"chunks": 0, "partial_pool_step": False, "gammas_in_a_step": 1}
@@ -643,6 +647,14 @@ def _assert_rows_match_runs(network, params, trials, monkeypatch, rows_per_chunk
     rows = [(trial[0], monitor, None) for trial, monitor in zip(trials, monitors)]
     batch = run_rows(network, rows, params, trace="full", step_fn=recording_step)
     dense = DenseEngine(network) if oracle else None
+    if oracle:
+        dense_rows = [(stimulus, make_monitor(*spec, p), scalar_input_weights(network, stimulus))
+                      for (stimulus, *spec), p in zip(trials, row_params)]
+        dense_batch = run_rows(network, dense_rows, params, trace="full", step_fn=dense.step_rows)
+        for trial, (trace, outcome), (dense_trace, dense_outcome) in zip(trials, batch,
+                                                                          dense_batch):
+            assert _frame_bits(trace.frames) == _frame_bits(dense_trace.frames), trial
+            assert outcome == dense_outcome, trial
     for trial, p, monitor, (trace, outcome) in zip(trials, row_params, monitors, batch):
         alone = _Observed(make_monitor(*trial[1:], p))
         alone_trace, alone_outcome = run(network, trial[0], alone, p, trace="full")
@@ -685,7 +697,7 @@ def test_rows_match_one_run_per_trial(request, monkeypatch, fixture, built, tria
               (entries[2].ortho_a, "LD", "NL", None), (entries[3].ortho_b, "NAME", "EN", "EN"),
               ("XQXQXQ", "LD", "NL", None), (entries[-1].ortho_a, "NAME", "NL", "NL"),
               (entries[-2].ortho_a, "WT", "NL", "EN")]
-    covered = _assert_rows_match_runs(network, params, trials, monkeypatch)
+    covered = _assert_rows_match_runs(network, params, trials, monkeypatch, oracle=True)
     assert covered["chunks"] == 3
     assert len(covered["cycles"]) > 1  # rows finish at different cycles
     assert covered["timeouts"] >= 1  # the nonword LD times out
@@ -799,14 +811,33 @@ def test_rows_observe_only_woken_monitors_and_match_one_run_each(request, monkey
 
 
 def test_rows_may_differ_only_in_inhibition_weights(table1_network, params):
+    # run_rows refuses before the first step, and Rows made directly refuses
+    # the same rows before any state changes
     trials = [("AARDE", NullMonitor(), None)] * 2
+    states = [SimulationState(table1_network, None, table1_network.input_weights(stimulus))
+              for stimulus in ("AARDE", "AARDBEI")]
+    for state in states:
+        step(state, table1_network, params)
+    before = [(state.activation, state.activation.tobytes()) for state in states]
+
+    def refused(row_params, message):
+        with pytest.raises(ConfigError, match=message):
+            run_rows(table1_network, trials, row_params)
+        with pytest.raises(ConfigError, match=message):
+            step_rows(Rows(table1_network, states, row_params))
+        for state, (activation, bits) in zip(states, before):
+            assert state.activation is activation and activation.tobytes() == bits
+            assert state.cycle == 1
+
     for change in ({"DECAY_RATE": 0.1}, {"max_cycles": 3}, {"criterion_value": 0.5}):
-        with pytest.raises(ConfigError, match="may differ only in OO_gamma"):
-            run_rows(table1_network, trials, [params, params.updated(**change)])
-    with pytest.raises(ConfigError, match="IO_multiplier is fixed by the network"):
-        run_rows(table1_network, trials, [params, params.updated(IO_multiplier=0.1)])
-    with pytest.raises(ConfigError, match="1 parameter sets for 2 trials"):
-        run_rows(table1_network, trials, [params])
+        refused([params, params.updated(**change)], "^rows stepped together may differ only "
+                "in OO_gamma, PP_gamma, SS_gamma, SS_multiplier; ")
+    refused([params, params.updated(IO_multiplier=0.1)], "IO_multiplier is fixed by the network")
+    refused([params, params.updated(OP_alpha=0.5, MIN_ACT=-0.3)],
+            r"^MIN_ACT is fixed by the network \(-0\.2\); a trial cannot set it to -0\.3$")
+    refused([params], "^1 parameter sets for 2 trials$")
+    refused([params] * 3, "^3 parameter sets for 2 trials$")
+    assert run_rows(table1_network, [], []) == []
 
 
 def test_one_step_with_one_and_two_member_pool_steps_in_different_rows(homograph_network):

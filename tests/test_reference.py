@@ -28,13 +28,13 @@ def test_weightings_reject_an_empty_stimulus(table1_network, weights):
 def test_dense_engine_reads_its_weights_from_a_plain_dict(table1_network, params):
     # the oracle's per-node .get stays a dict lookup, never the arrays' searchsorted
     engine = DenseEngine(table1_network)
-    dense_step, seen = engine.step, []
+    dense_step_rows, seen = engine.step_rows, []
 
-    def capturing(state, network, p):
-        seen.append(type(state.input_weights))
-        dense_step(state, network, p)
+    def capturing(rows):
+        seen.extend(type(state.input_weights) for state in rows.states)
+        dense_step_rows(rows)
 
-    engine.step = capturing
+    engine.step_rows = capturing
     engine.run("AARDE", make_monitor("WT", "NL", "EN", params), params)
     assert seen and set(seen) == {dict}
 
@@ -179,7 +179,7 @@ def test_engines_agree_with_language_links(homograph_lexicon):
 @pytest.mark.parametrize("change", [
     {}, {"SO_alpha": 0.0},
     {"OL_alpha": 0.05, "PL_alpha": 0.05, "LO_alpha": 0.02, "LP_alpha": 0.02, "L_rest": 0.05}])
-def test_touched_updates_match_a_brute_force_count(homograph_lexicon, change):
+def test_touched_updates_match_a_brute_force_count(homograph_lexicon, monkeypatch, change):
     # a node is touched when an active node's connection (the dense
     # engine's exc_in) targets it, when it has a stimulus term, when its
     # pool takes an inhibition step, or when it is away from rest; one row
@@ -206,9 +206,10 @@ def test_touched_updates_match_a_brute_force_count(homograph_lexicon, change):
         counts.append((state.counters["touched_updates"] - before, want))
         states.add(state)
 
-    for stimulus, task, source, target in trials:
-        run(network, stimulus, make_monitor(task, source, target, params), params, trace=None,
-            step_fn=counting)
+    with monkeypatch.context() as patched:  # run's one row steps through dynamics.step
+        patched.setattr("lexsim.dynamics.step", counting)
+        for stimulus, task, source, target in trials:
+            run(network, stimulus, make_monitor(task, source, target, params), params, trace=None)
 
     row_params, rows_trials = {}, []  # each row's parameters, by its input weights' id
     for p in (params, params.updated(OO_gamma=0.0), params.updated(SS_multiplier=1.0)):
@@ -283,16 +284,16 @@ def test_engines_raise_alike_when_a_one_product_sum_overflows(table1):
     assert [src for src, _w in excitatory_in(network)[ortho]] \
         == [network.find(Pool.PHONO, "ard@", "NL").id]
     raised = []
-    for step_fn in (step, DenseEngine(network).step):
+    for row_step in (step_rows, DenseEngine(network).step_rows):
         cycles = []
 
-        def counting(state, net, p, step_fn=step_fn):
-            cycles.append(state.cycle)
-            step_fn(state, net, p)
+        def counting(rows, row_step=row_step):
+            cycles.append(rows.states[0].cycle)
+            row_step(rows)
 
         with pytest.raises(OverflowError) as info:
-            run(network, "AARDE", NullMonitor(), params, trace=None, step_fn=counting,
-                input_weights=scalar_input_weights(network, "AARDE"))
+            run_rows(network, [("AARDE", NullMonitor(), scalar_input_weights(network, "AARDE"))],
+                     params, step_fn=counting)
         raised.append((str(info.value), cycles[-1]))
     assert raised[0] == raised[1]
 
